@@ -9,13 +9,10 @@
   results.
 - :mod:`repro.analysis.gantt` — ASCII Gantt rendering of execution
   traces (the Figure 7 view).
-- :mod:`repro.analysis.export` — JSON serialisation of results for
-  external plotting.
 - :mod:`repro.analysis.sweeps` — one-line parameter sweeps (Elastic
   slack, cache capacity, offered load).
 """
 
-from repro.analysis.export import export_result, result_to_dict, results_to_dict
 from repro.analysis.gantt import render_gantt
 
 from repro.analysis.runner import (
@@ -36,9 +33,6 @@ from repro.analysis.sensitivity import (
 
 __all__ = [
     "render_gantt",
-    "export_result",
-    "result_to_dict",
-    "results_to_dict",
     "run_configuration",
     "run_all_configurations",
     "normalised_throughputs",

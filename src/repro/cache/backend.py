@@ -8,11 +8,6 @@ Two implementations of the same cache semantics coexist:
 - ``fast`` — :mod:`repro.cache.fastsim`, the flat-state LRU kernel that
   produces identical counters (pinned by the differential test suite)
   at a fraction of the per-access cost.
-- ``fast-vec`` — :mod:`repro.cache.fastsim_vec`, the numpy batch LRU
-  kernel (optional ``[vec]`` extra) that vectorises ``access_block``
-  for single caches; partitioned caches fall back to the fast flat
-  kernel, whose QoS victim scan is sequential by design.  Same
-  byte-identical counter contract, same differential suite.
 
 Construction sites go through :func:`make_cache` /
 :func:`make_partitioned_cache` so one ``--cache-backend`` flag (or the
@@ -31,20 +26,14 @@ from repro.cache.fastsim import (
     FastSetAssociativeCache,
     FastWayPartitionedCache,
 )
-from repro.cache.fastsim_vec import (
-    FastVecSetAssociativeCache,
-    require_numpy,
-)
 from repro.cache.geometry import CacheGeometry
 from repro.cache.partitioned import WayPartitionedCache
 from repro.obs import get_observer
 
-BACKENDS = ("reference", "fast", "fast-vec")
+BACKENDS = ("reference", "fast")
 
-#: Any single-level cache, any backend.
-AnyCache = Union[
-    SetAssociativeCache, FastSetAssociativeCache, FastVecSetAssociativeCache
-]
+#: Any single-level cache, either backend.
+AnyCache = Union[SetAssociativeCache, FastSetAssociativeCache]
 #: Any way-partitioned shared cache, either backend.
 AnyPartitionedCache = Union[WayPartitionedCache, FastWayPartitionedCache]
 
@@ -129,25 +118,18 @@ def make_cache(
 ) -> AnyCache:
     """Build a single-level cache on the selected backend.
 
-    The fast kernels hard-code LRU; requesting another policy silently
+    The fast kernel hard-codes LRU; requesting another policy silently
     falls back to the reference implementation so ablations (FIFO,
-    Random) keep working under ``--cache-backend fast``/``fast-vec``.
-    Selecting ``fast-vec`` without numpy installed raises at
-    construction (install the ``[vec]`` extra), rather than silently
-    degrading a benchmark to a different kernel.
+    Random) keep working under ``--cache-backend fast``.
     """
     chosen = resolve_backend(backend)
     if policy != "lru":
         chosen = "reference"
-    if chosen == "fast-vec":
-        require_numpy()
     obs = get_observer()
     if obs.enabled:
         obs.metrics.counter(
             "cache.builds", backend=chosen, kind="single"
         ).inc()
-    if chosen == "fast-vec":
-        return FastVecSetAssociativeCache(geometry, policy=policy, name=name)
     if chosen == "fast":
         return FastSetAssociativeCache(geometry, policy=policy, name=name)
     return SetAssociativeCache(geometry, policy=policy, name=name)
@@ -160,16 +142,8 @@ def make_partitioned_cache(
     name: str = "l2",
     backend: Optional[str] = None,
 ) -> AnyPartitionedCache:
-    """Build a way-partitioned shared cache on the selected backend.
-
-    ``fast-vec`` delegates to the fast flat kernel here: the QoS
-    victim-priority scan walks classes and per-set occupancy counters
-    in order, which does not vectorise, and the partitioned cache is
-    not the trace-profiling hot path the vec kernel targets.
-    """
+    """Build a way-partitioned shared cache on the selected backend."""
     chosen = resolve_backend(backend)
-    if chosen == "fast-vec":
-        chosen = "fast"
     obs = get_observer()
     if obs.enabled:
         obs.metrics.counter(

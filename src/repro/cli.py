@@ -22,7 +22,6 @@ import sys
 from typing import List, Optional
 
 from repro.analysis import misscache
-from repro.analysis.export import results_to_dict, write_json
 from repro.analysis.gantt import render_gantt
 from repro.analysis.parallel import parallel_map
 from repro.analysis.report import (
@@ -113,7 +112,17 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
     for line in miss_cache_lines():
         print(line)
     if args.json:
-        path = write_json(results_to_dict(results), args.json)
+        import json as _json
+
+        from repro.util.atomicio import write_atomic_text
+
+        artifacts = {
+            name: result.to_artifact().to_dict()
+            for name, result in results.items()
+        }
+        path = write_atomic_text(
+            args.json, _json.dumps(artifacts, indent=2, sort_keys=True) + "\n"
+        )
         print(f"\nwrote {path}")
     return 0
 
@@ -465,16 +474,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.verify_command == "diff":
         if args.fig:
             scenario = Scenario.for_figure(args.fig, seed=args.seed)
-            if (
-                args.pair_backend != scenario.fast_backend
-                or args.pair_policy != scenario.pair_policy
-            ):
+            if args.pair_policy != scenario.pair_policy:
                 import dataclasses as _dataclasses
 
                 scenario = _dataclasses.replace(
-                    scenario,
-                    fast_backend=args.pair_backend,
-                    pair_policy=args.pair_policy,
+                    scenario, pair_policy=args.pair_policy
                 )
         else:
             scenario = Scenario(
@@ -485,7 +489,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 count=args.count,
                 seed=args.seed,
                 jobs=args.pair_jobs,
-                fast_backend=args.pair_backend,
                 pair_policy=args.pair_policy,
             )
         report = run_diff(
@@ -807,7 +810,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fig5.add_argument("workload", choices=WORKLOAD_CHOICES)
     fig5.add_argument(
-        "--json", help="also write the results to this JSON file"
+        "--json",
+        help="also write one versioned result artifact per configuration "
+        "to this JSON file",
     )
     fig5.add_argument(
         "--curves", help="load pre-profiled curves from this JSON file"
@@ -1062,10 +1067,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify_diff.add_argument(
         "--pair-jobs", type=int, default=2, metavar="N",
         help="worker count for the parallel arm of the jobs pair",
-    )
-    verify_diff.add_argument(
-        "--pair-backend", default="fast", choices=["fast", "fast-vec"],
-        help="fast arm of the backend pair (fast-vec needs numpy)",
     )
     verify_diff.add_argument(
         "--pair-policy", default="grow-shrink",

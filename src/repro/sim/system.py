@@ -995,6 +995,21 @@ class QoSSystemSimulator:
             self._finished = True
 
     def _dispatch_reserved(self, state: _JobRun, now: float) -> None:
+        # A reservation ending at ``now`` releases its ways before one
+        # starting at ``now`` is dispatched: an overrunning job (stalled
+        # core, displacement) whose wall-clock check has not fired yet
+        # at this instant is terminated first (Section 3.2).
+        if self.sim_config.enforce_wall_clock:
+            for other in self._states.values():
+                if (
+                    other is not state
+                    and other.reserved_running
+                    and other.reservation is not None
+                    and other.reservation.end <= now
+                    and other.job.instructions - other.progress
+                    > _PROGRESS_EPSILON
+                ):
+                    self._terminate(other, now)
         free_cores = [
             core
             for core in range(self.machine.num_cores)

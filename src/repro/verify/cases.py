@@ -18,8 +18,9 @@ from typing import Tuple
 
 from repro.verify.differential import PAIR_NAMES, Scenario
 
-#: Envelope version; bump on any incompatible schema change.
-VERIFY_CASE_VERSION = 1
+#: Envelope version; bump on any incompatible schema change (version 2
+#: dropped ``Scenario.fast_backend``).
+VERIFY_CASE_VERSION = 2
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,7 @@ and scaled-down profiling/instruction knobs — is executed twice per
 arms, and every observable compared:
 
 - **backend** — miss curves profiled and the sweep run under the
-  ``reference`` cache backend versus a fast kernel (``fast`` by
-  default, ``fast-vec`` via ``Scenario.fast_backend``).  Curves must
+  ``reference`` cache backend versus the ``fast`` kernel.  Curves must
   match point-for-point and every downstream scalar byte-for-byte.
 - **jobs** — the same sweep with ``jobs=1`` versus ``jobs=N``
   multiprocessing.  Counter snapshots *and* the metrics/events/trace
@@ -93,7 +92,6 @@ class Scenario:
     profile_accesses: int = 40_000
     profile_warmup: int = 15_000
     record_trace: bool = True
-    fast_backend: str = "fast"
     # Adaptive policy exercised by the "policy" pair (its disabled
     # variant vs the degenerate static wrapper).
     pair_policy: str = "grow-shrink"
@@ -103,11 +101,6 @@ class Scenario:
     policy: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.fast_backend not in ("fast", "fast-vec"):
-            raise ValueError(
-                f"fast_backend must be 'fast' or 'fast-vec', "
-                f"got {self.fast_backend!r}"
-            )
         from repro.core.policy import ADAPTIVE_POLICIES, policy_names
 
         if self.pair_policy not in ADAPTIVE_POLICIES:
@@ -407,17 +400,16 @@ def _without_event_kind(lines: List[str], kind: str) -> List[str]:
 def _backend_pair(
     scenario: Scenario, *, rel_tol: float, abs_tol: float
 ) -> PairReport:
-    fast_name = scenario.fast_backend
     report = PairReport(
         kind="backend",
-        subject=f"{scenario.describe()}, reference vs {fast_name}",
+        subject=f"{scenario.describe()}, reference vs fast",
     )
     with forced_backend("reference"):
         reference_curves = profile_scenario_curves(
             scenario, backend="reference"
         )
-    with forced_backend(fast_name):
-        fast_curves = profile_scenario_curves(scenario, backend=fast_name)
+    with forced_backend("fast"):
+        fast_curves = profile_scenario_curves(scenario, backend="fast")
 
     curve_violations: List[str] = []
     for name in scenario.benchmarks():
@@ -448,7 +440,7 @@ def _backend_pair(
 
     with forced_backend("reference"):
         arm_a = _run_sweep_arm(scenario, curves=reference_curves, jobs=1)
-    with forced_backend(fast_name):
+    with forced_backend("fast"):
         arm_b = _run_sweep_arm(scenario, curves=fast_curves, jobs=1)
     report.checks.append(
         CheckResult.from_violations(

@@ -21,7 +21,6 @@ from repro.cache.fastsim import (
     FastSetAssociativeCache,
     FastWayPartitionedCache,
 )
-from repro.cache.fastsim_vec import HAS_NUMPY, FastVecSetAssociativeCache
 from repro.cache.geometry import CacheGeometry
 from repro.cache.partitioned import PartitionClass, WayPartitionedCache
 from repro.cache.shadow import ShadowTagArray
@@ -114,6 +113,38 @@ class TestBasicCacheDifferential:
         assert fast.flush() == reference.flush()
         assert fast.occupancy() == reference.occupancy() == 0
 
+    @given(accesses=accesses_strategy)
+    @settings(max_examples=20, deadline=None)
+    def test_interleaved_scalar_and_batch_identical(self, accesses):
+        """Scalar accesses between batches see the batches' state.
+
+        ``access_block`` inlines the scalar path's LRU update; recency
+        order must survive arbitrary interleaving of the two.
+        """
+        geometry = CacheGeometry.from_sets(4, 4, 64)
+        reference = SetAssociativeCache(geometry, policy="lru")
+        fast = FastSetAssociativeCache(geometry)
+        for index in range(0, len(accesses), 7):
+            window = accesses[index:index + 7]
+            if (index // 7) % 2 == 0:
+                addresses = [block * 64 for block, _, _ in window]
+                writes = [w for _, w, _ in window]
+                cores = [c for _, _, c in window]
+                expected = reference.access_block(addresses, writes, cores)
+                observed = fast.access_block(addresses, writes, cores)
+                assert observed == expected
+            else:
+                for block, is_write, core_id in window:
+                    expected = reference.access(
+                        block * 64, is_write=is_write, core_id=core_id
+                    )
+                    observed = fast.access(
+                        block * 64, is_write=is_write, core_id=core_id
+                    )
+                    assert_same_result(observed, expected)
+        assert_same_stats(fast, reference)
+        assert fast.resident_blocks() == reference.resident_blocks()
+
     def test_scalar_broadcast_matches_sequences(self):
         geometry = CacheGeometry.from_sets(4, 4, 64)
         broadcast = FastSetAssociativeCache(geometry)
@@ -135,137 +166,6 @@ class TestBasicCacheDifferential:
         cache = FastSetAssociativeCache(CacheGeometry.from_sets(4, 4, 64))
         with pytest.raises(ValueError, match="core_id"):
             cache.access(0, core_id=-1)
-
-
-@pytest.mark.skipif(not HAS_NUMPY, reason="fast-vec requires numpy")
-class TestVecCacheDifferential:
-    """The vectorised kernel against the reference, same contract."""
-
-    @pytest.mark.parametrize("geometry", GEOMETRIES)
-    @given(accesses=accesses_strategy)
-    @settings(max_examples=25, deadline=None)
-    def test_scalar_path_identical(self, geometry, accesses):
-        reference = SetAssociativeCache(geometry, policy="lru")
-        vec = FastVecSetAssociativeCache(geometry)
-        block_bytes = geometry.block_bytes
-        for block, is_write, core_id in accesses:
-            address = block * block_bytes
-            expected = reference.access(
-                address, is_write=is_write, core_id=core_id
-            )
-            observed = vec.access(
-                address, is_write=is_write, core_id=core_id
-            )
-            assert_same_result(observed, expected)
-        assert_same_stats(vec, reference)
-        assert vec.resident_blocks() == reference.resident_blocks()
-        assert vec.occupancy() == reference.occupancy()
-
-    @pytest.mark.parametrize("geometry", GEOMETRIES)
-    @given(accesses=accesses_strategy)
-    @settings(max_examples=25, deadline=None)
-    def test_batch_path_identical(self, geometry, accesses):
-        reference = SetAssociativeCache(geometry, policy="lru")
-        vec = FastVecSetAssociativeCache(geometry)
-        block_bytes = geometry.block_bytes
-        addresses = [block * block_bytes for block, _, _ in accesses]
-        writes = [w for _, w, _ in accesses]
-        cores = [c for _, _, c in accesses]
-        expected = reference.access_block(addresses, writes, cores)
-        observed = vec.access_block(addresses, writes, cores)
-        assert observed == expected
-        assert_same_stats(vec, reference)
-        assert vec.resident_blocks() == reference.resident_blocks()
-
-    @given(accesses=accesses_strategy)
-    @settings(max_examples=20, deadline=None)
-    def test_interleaved_scalar_and_batch_identical(self, accesses):
-        """Scalar accesses between batches see the batches' state.
-
-        Exercises the clock/round interplay: the vec kernel advances
-        one recency tick per *round*, the scalar path one per access,
-        and LRU order must survive arbitrary interleaving of the two.
-        """
-        geometry = CacheGeometry.from_sets(4, 4, 64)
-        fast = FastSetAssociativeCache(geometry)
-        vec = FastVecSetAssociativeCache(geometry)
-        for index in range(0, len(accesses), 7):
-            window = accesses[index:index + 7]
-            if (index // 7) % 2 == 0:
-                addresses = [block * 64 for block, _, _ in window]
-                writes = [w for _, w, _ in window]
-                cores = [c for _, _, c in window]
-                expected = fast.access_block(addresses, writes, cores)
-                observed = vec.access_block(addresses, writes, cores)
-                assert observed == expected
-            else:
-                for block, is_write, core_id in window:
-                    expected = fast.access(
-                        block * 64, is_write=is_write, core_id=core_id
-                    )
-                    observed = vec.access(
-                        block * 64, is_write=is_write, core_id=core_id
-                    )
-                    assert_same_result(observed, expected)
-        assert_same_stats(vec, fast)
-        assert vec.resident_blocks() == fast.resident_blocks()
-
-    @given(accesses=accesses_strategy)
-    @settings(max_examples=20, deadline=None)
-    def test_maintenance_surface_identical(self, accesses):
-        geometry = CacheGeometry.from_sets(4, 2, 64)
-        reference = SetAssociativeCache(geometry, policy="lru")
-        vec = FastVecSetAssociativeCache(geometry)
-        for index, (block, is_write, core_id) in enumerate(accesses):
-            address = block * 64
-            if index % 13 == 12:
-                assert vec.invalidate_address(
-                    address
-                ) == reference.invalidate_address(address)
-                continue
-            reference.access(address, is_write=is_write, core_id=core_id)
-            vec.access(address, is_write=is_write, core_id=core_id)
-            assert vec.contains(address) == reference.contains(address)
-        assert vec.resident_blocks() == reference.resident_blocks()
-        assert vec.flush() == reference.flush()
-        assert vec.occupancy() == reference.occupancy() == 0
-
-    def test_scalar_broadcast_matches_sequences(self):
-        geometry = CacheGeometry.from_sets(4, 4, 64)
-        broadcast = FastVecSetAssociativeCache(geometry)
-        explicit = FastVecSetAssociativeCache(geometry)
-        addresses = [i * 64 for i in range(120)]
-        a = broadcast.access_block(addresses, True, 2)
-        b = explicit.access_block(
-            addresses, [True] * len(addresses), [2] * len(addresses)
-        )
-        assert a == b
-        assert_same_stats(broadcast, explicit)
-
-    def test_vec_backend_rejects_non_lru(self):
-        geometry = CacheGeometry.from_sets(4, 4, 64)
-        with pytest.raises(ValueError, match="LRU only"):
-            FastVecSetAssociativeCache(geometry, policy="fifo")
-
-    def test_vec_backend_rejects_negative_core(self):
-        cache = FastVecSetAssociativeCache(CacheGeometry.from_sets(4, 4, 64))
-        with pytest.raises(ValueError, match="core_id"):
-            cache.access(0, core_id=-1)
-        with pytest.raises(ValueError, match="core_id"):
-            cache.access_block([0, 64], False, [0, -1])
-
-    def test_make_cache_builds_vec_for_lru_only(self):
-        geometry = CacheGeometry.from_sets(4, 4, 64)
-        built = make_cache(geometry, backend="fast-vec")
-        assert isinstance(built, FastVecSetAssociativeCache)
-        ablation = make_cache(geometry, policy="fifo", backend="fast-vec")
-        assert isinstance(ablation, SetAssociativeCache)
-
-    def test_make_partitioned_cache_delegates_to_fast(self):
-        built = make_partitioned_cache(
-            CacheGeometry.from_sets(8, 8, 64), 4, backend="fast-vec"
-        )
-        assert isinstance(built, FastWayPartitionedCache)
 
 
 partition_ops = st.lists(
@@ -386,10 +286,7 @@ class TestHierarchyDifferential:
     @settings(max_examples=15, deadline=None)
     def test_hierarchy_with_shadow_identical(self, accesses):
         outcomes = {}
-        backends = ("reference", "fast") + (
-            ("fast-vec",) if HAS_NUMPY else ()
-        )
-        for backend in backends:
+        for backend in ("reference", "fast"):
             l1s = {
                 core: make_cache(
                     CacheGeometry.from_sets(4, 2, 64),
@@ -427,8 +324,7 @@ class TestHierarchyDifferential:
                 shadow.main_misses,
                 l2.stats.snapshot(),
             )
-        for backend in backends[1:]:
-            assert outcomes[backend] == outcomes["reference"]
+        assert outcomes["fast"] == outcomes["reference"]
 
     @given(accesses=accesses_strategy)
     @settings(max_examples=15, deadline=None)

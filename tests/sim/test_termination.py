@@ -132,3 +132,65 @@ class TestEnforcementToggle:
         ).run()
         assert result.terminations == 0
         assert result.deadline_report.hit_rate == 1.0
+
+
+class TestReservationBoundary:
+    """A reservation ending at ``t`` frees its ways before one starting
+    at ``t`` is dispatched, even when the next job's dispatch event was
+    queued first."""
+
+    @staticmethod
+    def simulator(fake_curves_module, *, stall_from=None, stall_for=0.0):
+        # 9 + 8 > 16 and 8 + 9 > 16: three back-to-back reservations.
+        # The third job is admitted (its dispatch queued) before the
+        # second starts and schedules its own wall-clock check.
+        jobs = tuple(
+            JobSpec(
+                benchmark="bzip2",
+                mode=ExecutionMode.strict(),
+                deadline_class=DeadlineClass.RELAXED,
+                requested_ways=ways,
+            )
+            for ways in (9, 8, 9)
+        )
+        workload = WorkloadSpec(
+            name="back-to-back",
+            jobs=jobs,
+            configuration=ModeMixConfig(name="b2b", strict_fraction=1.0),
+        )
+        sim = QoSSystemSimulator(workload, curves=fake_curves_module)
+        if stall_from is not None:
+            # The second job runs on core 0 once the first completes.
+            sim.events.schedule(
+                stall_from,
+                lambda now: sim.stall_core(0, duration=stall_for, now=now),
+            )
+        return sim
+
+    def test_stalled_job_overrunning_into_next_reservation(
+        self, fake_curves_module
+    ):
+        clean = self.simulator(fake_curves_module).run()
+        first, second, third = clean.jobs
+        assert second.start_time == pytest.approx(
+            first.completion_time, abs=1e-3
+        )
+        assert third.start_time > second.completion_time
+        assert {
+            segment.core_id
+            for segment in clean.trace.segments
+            if segment.job_id == second.job_id
+        } == {0}
+        length = second.max_wall_clock
+
+        stalled = self.simulator(
+            fake_curves_module,
+            stall_from=second.start_time + length / 4,
+            stall_for=length / 2,
+        ).run()
+        first, second, third = stalled.jobs
+        assert first.state is JobState.COMPLETED
+        assert second.state is JobState.TERMINATED
+        assert third.state is JobState.COMPLETED
+        assert second.terminated_time == third.start_time
+        assert stalled.terminations == 1

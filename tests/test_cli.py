@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.core.config import CONFIGURATIONS
+from repro.sim.system import ARTIFACT_VERSION, ResultArtifact
+from repro.workloads.profiler import save_curves
+from tests.sim.conftest import linear_curve
 
 
 class TestParser:
@@ -73,6 +80,35 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "accepted" in out
         assert "gold" in out
+
+    def test_fig5_json_writes_one_result_artifact_per_configuration(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        curves = tmp_path / "curves.json"
+        save_curves(
+            {"bzip2": linear_curve("bzip2", 0.0275, high=0.6, low=0.18)},
+            curves,
+        )
+        live = {}
+        run_all = cli.run_all_configurations
+
+        def recording_run_all(*args, **kwargs):
+            live.update(run_all(*args, **kwargs))
+            return live
+
+        monkeypatch.setattr(cli, "run_all_configurations", recording_run_all)
+        out = tmp_path / "missing" / "out.json"
+        assert main(
+            ["fig5", "bzip2", "--curves", str(curves), "--json", str(out)]
+        ) == 0
+        assert f"wrote {out}" in capsys.readouterr().out
+        payload = json.loads(out.read_text())
+        assert sorted(payload) == sorted(CONFIGURATIONS) == sorted(live)
+        for name, result in live.items():
+            artifact = ResultArtifact.from_dict(payload[name])
+            assert artifact.version == ARTIFACT_VERSION
+            assert artifact.configuration == name
+            assert artifact.counter_fingerprint() == result.fingerprint()
 
 
 class TestObservabilityFlags:

@@ -151,6 +151,19 @@ class TestMutationSmoke:
                 pairs=("backend",),
             )
         payload = json.loads(out.read_text())
-        assert payload["version"] == 1
+        assert payload["version"] == 2
         assert payload["pairs"] == ["backend"]
-        assert "scenario" in payload
+        assert "fast_backend" not in payload["scenario"]
+
+    def test_version_1_case_is_refused(self, tmp_path):
+        """Version 1 cases carried ``Scenario.fast_backend``; the backend
+        pair is now always reference vs fast, so they do not replay."""
+        out = tmp_path / "verify-case.json"
+        v1 = {
+            "version": 1,
+            "scenario": {"workload": "bzip2", "fast_backend": "fast-vec"},
+            "pairs": ["backend"],
+        }
+        out.write_text(json.dumps(v1))
+        with pytest.raises(ValueError, match="version 1 not supported"):
+            load_case(out)
