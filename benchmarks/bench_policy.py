@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Adaptive-policy scoring bench: closed-loop vs static modes.
+"""Adaptive-policy scoring bench: closed-loop vs no policy.
 
 One bursty multi-tenant scenario — the Mix-1 heterogeneous tenant mix
 under the Hybrid-2 configuration, ten jobs, seeded — is run once per
@@ -11,24 +11,21 @@ trades off:
   :class:`~repro.obs.slo.SloMonitor` steady-state health number);
 - **total throughput** — accepted jobs per second of makespan.
 
-The three static wrappers (``strict``/``elastic``/``opportunistic``)
-are degenerate policies: they schedule no decision epochs, so their
-trajectories are byte-identical to the policy-free baseline — the
-bench asserts that, then uses ``strict`` as the static yardstick.  The
-adaptive policies must *earn* their epochs:
+The policy-free run (``none``) is the yardstick: the paper's static
+modes, fixed per job by the configuration.  The adaptive policies must
+*earn* their epochs:
 
 - ``bandwidth-steal`` is gated on strict dominance: a lower violation
-  fraction than the static mode at equal-or-better throughput.
+  fraction than the policy-free run at equal-or-better throughput.
 - ``grow-shrink`` is gated on the conformance floor: no lost
-  deadlines, makespan within 5% of static.
+  deadlines, makespan within 5% of the policy-free run.
 
 Writes ``BENCH_policy.json`` and exits non-zero when a gate fails, so
-CI runs it as a regression check (``--smoke`` skips the redundant
-elastic/opportunistic wrappers).
+CI runs it as a regression check.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_policy.py [--smoke]
+    PYTHONPATH=src python benchmarks/bench_policy.py
 """
 
 import argparse
@@ -111,11 +108,6 @@ def score(result):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="skip the redundant elastic/opportunistic wrappers",
-    )
-    parser.add_argument(
         "--output",
         type=Path,
         default=REPO_ROOT / "BENCH_policy.json",
@@ -123,17 +115,10 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    wrappers = ["strict"]
-    if not args.smoke:
-        wrappers += ["elastic", "opportunistic"]
-    policies = [None, *wrappers, "grow-shrink", "bandwidth-steal"]
-
-    results = {}
     scores = {}
-    for name in policies:
+    for name in (None, "grow-shrink", "bandwidth-steal"):
         label = name if name is not None else "none"
-        results[label] = run_policy(name)
-        scores[label] = score(results[label])
+        scores[label] = score(run_policy(name))
         print(
             f"{label:<16} vf={scores[label]['violation_fraction']:.4f}  "
             f"jobs/s={scores[label]['jobs_per_second']:.1f}  "
@@ -141,39 +126,29 @@ def main(argv=None):
         )
 
     failures = []
+    baseline = scores["none"]
 
-    # Static wrappers are degenerate: identical trajectory to baseline.
-    baseline_counters = results["none"].counter_snapshot()
-    for wrapper in wrappers:
-        if results[wrapper].counter_snapshot() != baseline_counters:
-            failures.append(
-                f"static wrapper {wrapper!r} diverged from the "
-                "policy-free baseline trajectory"
-            )
-
-    static = scores["strict"]
-
-    # bandwidth-steal: strict dominance over the static mode.
+    # bandwidth-steal: strict dominance over the policy-free run.
     steal = scores["bandwidth-steal"]
     if not (
-        steal["violation_fraction"] < static["violation_fraction"]
-        and steal["jobs_per_second"] >= static["jobs_per_second"]
+        steal["violation_fraction"] < baseline["violation_fraction"]
+        and steal["jobs_per_second"] >= baseline["jobs_per_second"]
     ):
         failures.append(
-            "bandwidth-steal does not dominate the static mode: "
+            "bandwidth-steal does not dominate the policy-free run: "
             f"vf {steal['violation_fraction']} vs "
-            f"{static['violation_fraction']}, jobs/s "
-            f"{steal['jobs_per_second']} vs {static['jobs_per_second']}"
+            f"{baseline['violation_fraction']}, jobs/s "
+            f"{steal['jobs_per_second']} vs {baseline['jobs_per_second']}"
         )
 
-    # grow-shrink: the conformance floor (never worse than static).
+    # grow-shrink: the conformance floor (never worse than no policy).
     grow = scores["grow-shrink"]
-    if grow["deadlines_met"] < static["deadlines_met"]:
+    if grow["deadlines_met"] < baseline["deadlines_met"]:
         failures.append(
             f"grow-shrink lost deadlines: {grow['deadlines_met']} < "
-            f"{static['deadlines_met']}"
+            f"{baseline['deadlines_met']}"
         )
-    ceiling = static["makespan_seconds"] * FLOOR_MAKESPAN_SLACK
+    ceiling = baseline["makespan_seconds"] * FLOOR_MAKESPAN_SLACK
     if grow["makespan_seconds"] > ceiling:
         failures.append(
             f"grow-shrink makespan {grow['makespan_seconds']} exceeds "
@@ -185,25 +160,16 @@ def main(argv=None):
         "scenario": SCENARIO,
         "policies": scores,
         "gates": {
-            "static_wrappers_degenerate": True,
-            "bandwidth_steal_dominates_static": True,
-            "grow_shrink_meets_floor": True,
-        },
-    }
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    if failures:
-        payload["gates"] = {
-            "static_wrappers_degenerate": not any(
-                "wrapper" in failure for failure in failures
-            ),
             "bandwidth_steal_dominates_static": not any(
                 "dominate" in failure for failure in failures
             ),
             "grow_shrink_meets_floor": not any(
                 "grow-shrink" in failure for failure in failures
             ),
-        }
+        },
+    }
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"results written to {args.output}")
     return 1 if failures else 0

@@ -14,7 +14,7 @@ from typing import Dict, Iterable, Optional, Tuple
 from repro.analysis.parallel import parallel_map
 from repro.analysis.pool import current_shared
 from repro.core.config import CONFIGURATIONS, ModeMixConfig
-from repro.core.policy import make_policy
+from repro.core.policy import Policy
 from repro.faults.model import FaultConfig
 from repro.sim.config import MachineConfig, SimulationConfig
 from repro.sim.equalpart import EqualPartSimulator
@@ -35,15 +35,16 @@ def run_configuration(
     curves: Optional[Dict[str, MissRatioCurve]] = None,
     record_trace: bool = True,
     fault_config: Optional[FaultConfig] = None,
-    policy: Optional[str] = None,
+    policy: Optional[Policy] = None,
 ) -> SystemResult:
     """Run one workload under its embedded configuration.
 
     ``fault_config`` arms the fault-injection layer; it only makes
     sense for the QoS simulator (EqualPart has no admission control to
     degrade gracefully, so combining the two is rejected).  ``policy``
-    names a registered adaptive policy (:mod:`repro.core.policy`); it
-    is ignored for EqualPart, which has no QoS machinery to actuate.
+    is an adaptive policy (:mod:`repro.core.policy`), reset at the start
+    of the run so one instance can serve several runs in turn; it is
+    ignored for EqualPart, which has no QoS machinery to actuate.
     """
     if workload.configuration.equal_partition:
         if fault_config is not None:
@@ -67,7 +68,7 @@ def run_configuration(
             curves=curves,
             record_trace=record_trace,
             fault_config=fault_config,
-            policy=make_policy(policy) if policy is not None else None,
+            policy=policy,
         )
     return simulator.run()  # type: ignore[union-attr]
 
@@ -129,7 +130,7 @@ def run_all_configurations(
     curves: Optional[Dict[str, MissRatioCurve]] = None,
     record_trace: bool = False,
     jobs: Optional[int] = 1,
-    policy: Optional[str] = None,
+    policy: Optional[Policy] = None,
 ) -> Dict[str, SystemResult]:
     """Run a benchmark (or Table 3 mix) under every Table 2 configuration.
 
@@ -137,8 +138,8 @@ def run_all_configurations(
     paper's methodology.  ``jobs`` runs the configurations across that
     many processes (:mod:`repro.analysis.parallel`); each point's seed
     is fixed by the call, so parallel results are identical to serial.
-    ``policy`` ships across the pool as a registry *name* and is built
-    fresh inside each worker, keeping the shared payload picklable.
+    ``policy`` ships once in the pool's shared payload; every run resets
+    it on start, so serial reuse and pooled copies replay identically.
     """
     names = (
         list(configurations)

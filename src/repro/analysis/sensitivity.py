@@ -12,7 +12,7 @@ suffered when the L2 allocation shrinks from 7 ways to 1 way, and from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.analysis.parallel import parallel_map
 from repro.analysis.pool import current_shared

@@ -154,33 +154,6 @@ def make_partitioned_cache(
     return WayPartitionedCache(geometry, num_cores, name=name)
 
 
-def record_lookup_span(
-    trace,
-    trace_id: str,
-    *,
-    level: str,
-    start: float,
-    latency: float,
-    hit: bool,
-    parent=None,
-):
-    """Record one closed ``<level>.lookup`` span on ``trace``.
-
-    The shared vocabulary for cache-lookup spans — every layer that
-    traces a lookup (the hierarchy walk, ablation drivers, tests) goes
-    through here so breakdowns aggregate across call sites by name.
-    Returns the span.
-    """
-    return trace.span(
-        trace_id,
-        f"{level}.lookup",
-        start,
-        start + latency,
-        parent=parent,
-        hit=hit,
-    )
-
-
 def record_cache_stats(cache, *, scope: str) -> None:
     """Pull a cache's hit/miss counters into the metrics registry.
 

@@ -59,11 +59,6 @@ class GlobalPartitionedCache:
             )
         self._target_blocks[core_id] = ways * self.geometry.num_sets
 
-    def target_blocks_of(self, core_id: int) -> int:
-        """Global block target of ``core_id``."""
-        self._check_core(core_id)
-        return self._target_blocks[core_id]
-
     def occupancy_of(self, core_id: int) -> int:
         """Blocks currently held by ``core_id`` cache-wide."""
         self._check_core(core_id)

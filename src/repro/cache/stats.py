@@ -107,27 +107,3 @@ class CacheStats:
                 writebacks=counters.writebacks,
             )
         return copy
-
-    def delta_since(self, baseline: "CacheStats") -> "CacheStats":
-        """Return counters accumulated since ``baseline`` was snapshot."""
-        delta = CacheStats(
-            accesses=self.accesses - baseline.accesses,
-            hits=self.hits - baseline.hits,
-            misses=self.misses - baseline.misses,
-            evictions=self.evictions - baseline.evictions,
-            writebacks=self.writebacks - baseline.writebacks,
-            fills=self.fills - baseline.fills,
-        )
-        for core_id, counters in self.per_core.items():
-            base = baseline.per_core.get(core_id, CoreCounters())
-            delta.per_core[core_id] = CoreCounters(
-                accesses=counters.accesses - base.accesses,
-                hits=counters.hits - base.hits,
-                misses=counters.misses - base.misses,
-                evictions_suffered=counters.evictions_suffered
-                - base.evictions_suffered,
-                evictions_inflicted=counters.evictions_inflicted
-                - base.evictions_inflicted,
-                writebacks=counters.writebacks - base.writebacks,
-            )
-        return delta

@@ -101,10 +101,17 @@ def _cmd_fig4(args: argparse.Namespace) -> int:
     return 0
 
 
+def _policy_of(args: argparse.Namespace):
+    """The ``--policy`` instance, or ``None`` for a policy-free run."""
+    from repro.core.policy import make_policy
+
+    return make_policy(args.policy) if args.policy is not None else None
+
+
 def _cmd_fig5(args: argparse.Namespace) -> int:
     curves = load_curves(args.curves) if args.curves else None
     results = run_all_configurations(
-        args.workload, curves=curves, jobs=args.jobs, policy=args.policy
+        args.workload, curves=curves, jobs=args.jobs, policy=_policy_of(args)
     )
     print(deadline_table(results, title=f"Figure 5a — {args.workload}"))
     print()
@@ -129,7 +136,7 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
 
 def _cmd_fig6(args: argparse.Namespace) -> int:
     results = run_all_configurations(
-        args.workload, jobs=args.jobs, policy=args.policy
+        args.workload, jobs=args.jobs, policy=_policy_of(args)
     )
     for config, result in results.items():
         print(wall_clock_table(result, title=f"Figure 6 — {config}"))
@@ -143,7 +150,7 @@ def _cmd_fig7(args: argparse.Namespace) -> int:
         configurations=["All-Strict", "All-Strict+AutoDown"],
         record_trace=True,
         jobs=args.jobs,
-        policy=args.policy,
+        policy=_policy_of(args),
     )
     for config, result in results.items():
         print(f"Figure 7 — {config}")
@@ -792,8 +799,7 @@ def build_parser() -> argparse.ArgumentParser:
     policy_parent = argparse.ArgumentParser(add_help=False)
     policy_parent.add_argument(
         "--policy", choices=policy_names(), default=None,
-        help="run under a closed-loop adaptive policy (static wrappers "
-        "are trajectory-identical to no policy; default none)",
+        help="run under a closed-loop adaptive policy (default none)",
     )
 
     commands.add_parser("list", help="list workloads and commands")
@@ -1069,10 +1075,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker count for the parallel arm of the jobs pair",
     )
     verify_diff.add_argument(
-        "--pair-policy", default="grow-shrink",
-        choices=["grow-shrink", "bandwidth-steal"],
-        help="adaptive policy whose disabled variant the policy pair "
-        "checks against the wrapped static mode",
+        "--pair-policy", default="grow-shrink", choices=policy_names(),
+        help="adaptive policy whose disabled instance the policy pair "
+        "checks against running without a policy",
     )
 
     verify_laws = verify_commands.add_parser(

@@ -45,10 +45,6 @@ class Reservation:
     end: float  # math.inf for lifetime reservations
     resources: ResourceVector
 
-    def overlaps(self, start: float, end: float) -> bool:
-        """Half-open interval overlap test."""
-        return self.start < end and start < self.end
-
     def active_at(self, time: float) -> bool:
         """True if the reservation covers ``time``."""
         return self.start <= time < self.end

@@ -3,9 +3,11 @@
 The paper fixes target allocations offline and evaluates three static
 execution modes.  This module closes the loop: a :class:`Policy` observes a
 :class:`SensorSnapshot` of the running system each decision epoch and emits
-absolute-target actions (:class:`SetWays`, :class:`SetBusGrant`,
-:class:`SetShare`) that the simulator applies through the partition manager
-and fair-queue actuators.
+absolute-target actions (:class:`SetWays`, :class:`SetBusGrant`) that the
+simulator applies to its reserved allocations and its bus model.  The
+paper's Strict / Elastic / Opportunistic modes are per-job targets fixed by
+the configuration, not policies: a run has either one of the two adaptive
+policies in the registry or none.
 
 Design invariants the conformance laws pin down (``repro verify laws
 --policy all``):
@@ -17,8 +19,8 @@ Design invariants the conformance laws pin down (``repro verify laws
 * **Throughput floor** — running a policy never loses deadlines or
   meaningfully inflates makespan versus the policy-free run.
 
-Adaptive policies read the snapshot as the single source of truth for
-current allocations (never their own memory of past actions), which is what
+Policies read the snapshot as the single source of truth for current
+allocations (never their own memory of past actions), which is what
 makes the idempotence law hold by construction: a policy that wants the
 state the snapshot already shows emits nothing.
 """
@@ -37,20 +39,13 @@ __all__ = [
     "PolicyAction",
     "SetWays",
     "SetBusGrant",
-    "SetShare",
     "ActuatorState",
     "apply_action",
-    "PartitionActuator",
-    "FairQueueActuator",
     "Policy",
-    "StaticModePolicy",
     "GrowShrinkWaysPolicy",
     "BandwidthStealPolicy",
-    "ADAPTIVE_POLICIES",
-    "STATIC_POLICIES",
     "make_policy",
     "policy_names",
-    "disabled_variant",
 ]
 
 
@@ -170,20 +165,7 @@ class SetBusGrant:
         return {"action": self.kind, "granted": self.granted}
 
 
-@dataclass(frozen=True)
-class SetShare:
-    """Set a core's fair-queue bandwidth share to an absolute fraction."""
-
-    core_id: int
-    share: float
-
-    kind = "set_share"
-
-    def describe(self) -> Dict[str, object]:
-        return {"action": self.kind, "core_id": self.core_id, "share": self.share}
-
-
-PolicyAction = object  # union of SetWays | SetBusGrant | SetShare
+PolicyAction = object  # union of SetWays | SetBusGrant
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +189,6 @@ class ActuatorState:
     caps: Dict[int, int] = field(default_factory=dict)
     locked: frozenset = frozenset()
     bus_granted: bool = False
-    shares: Dict[int, float] = field(default_factory=dict)
 
     def reserved_total(self) -> int:
         return sum(self.ways.values())
@@ -242,47 +223,7 @@ def apply_action(state: ActuatorState, action: PolicyAction) -> bool:
             return False
         state.bus_granted = action.granted
         return True
-    if isinstance(action, SetShare):
-        if action.share <= 0.0:
-            return False
-        current = state.shares.get(action.core_id)
-        if current is not None and math.isclose(
-            current, action.share, rel_tol=0.0, abs_tol=1e-12
-        ):
-            return False
-        others = sum(s for c, s in state.shares.items() if c != action.core_id)
-        if others + action.share > 1.0 + 1e-9:
-            return False
-        state.shares[action.core_id] = action.share
-        return True
     return False
-
-
-class PartitionActuator:
-    """Apply :class:`SetWays` decisions to a :class:`PartitionManager`.
-
-    Reassignment keeps the partition class and is a checked no-op when the
-    target equals the current reservation, mirroring ``apply_action``.
-    """
-
-    def __init__(self, manager) -> None:
-        self.manager = manager
-
-    def set_ways(self, core_id: int, ways: int) -> bool:
-        if self.manager.reserved_allocation(core_id) == ways:
-            return False
-        self.manager.assign(core_id, ways, self.manager.class_of(core_id))
-        return True
-
-
-class FairQueueActuator:
-    """Apply :class:`SetShare` decisions to a :class:`FairQueueBus`."""
-
-    def __init__(self, bus) -> None:
-        self.bus = bus
-
-    def set_share(self, core_id: int, share: float) -> bool:
-        return self.bus.set_share(core_id, share)
 
 
 # ---------------------------------------------------------------------------
@@ -293,34 +234,15 @@ class FairQueueActuator:
 class Policy:
     """Strategy interface: observe a snapshot, emit absolute-target actions.
 
-    ``adaptive`` gates epoch scheduling in the simulator — non-adaptive
-    (static) policies never observe anything, so a run under a static
-    wrapper is byte-identical to a run with no policy at all.
+    A simulator given a policy schedules a decision epoch every
+    repartition interval and calls :meth:`reset` when the run starts, so
+    one instance can drive several runs in turn.
     """
 
     name: str = "policy"
-    adaptive: bool = False
 
     def reset(self) -> None:
         """Clear internal state before a run (policies may be reused)."""
-
-    def decide(self, snapshot: SensorSnapshot) -> Tuple[PolicyAction, ...]:
-        return ()
-
-
-class StaticModePolicy(Policy):
-    """Degenerate policy wrapping one of the paper's static execution modes.
-
-    The static modes (Strict / Elastic / Opportunistic) are enforced by the
-    admission and partitioning machinery itself; the wrapper exists so every
-    mode runs through the one policy interface and the conformance laws.
-    """
-
-    adaptive = False
-
-    def __init__(self, mode: str) -> None:
-        self.mode = mode
-        self.name = mode
 
     def decide(self, snapshot: SensorSnapshot) -> Tuple[PolicyAction, ...]:
         return ()
@@ -342,11 +264,9 @@ class GrowShrinkWaysPolicy(Policy):
 
     ``dead_band=inf`` disables shrinking entirely; since jobs start at their
     requested ways and grows only restore toward requested, the disabled
-    policy provably emits no actions and is byte-identical to the wrapped
-    static mode (the ``policy`` differential pair checks this).
+    policy provably emits no actions and is byte-identical to running
+    without a policy (the ``policy`` differential pair checks this).
     """
-
-    adaptive = True
 
     def __init__(
         self,
@@ -435,8 +355,6 @@ class BandwidthStealPolicy(Policy):
     nothing (idempotence law).  ``low_watermark < 0`` disables stealing.
     """
 
-    adaptive = True
-
     def __init__(
         self,
         *,
@@ -490,21 +408,9 @@ class BandwidthStealPolicy(Policy):
 # ---------------------------------------------------------------------------
 
 
-STATIC_POLICIES: Tuple[str, ...] = ("strict", "elastic", "opportunistic")
-ADAPTIVE_POLICIES: Tuple[str, ...] = ("grow-shrink", "bandwidth-steal")
-
 _REGISTRY: Dict[str, Callable[[], Policy]] = {
-    "strict": lambda: StaticModePolicy("strict"),
-    "elastic": lambda: StaticModePolicy("elastic"),
-    "opportunistic": lambda: StaticModePolicy("opportunistic"),
-    "grow-shrink": lambda: GrowShrinkWaysPolicy(),
-    "grow-shrink-off": lambda: GrowShrinkWaysPolicy(
-        dead_band=math.inf, name="grow-shrink-off"
-    ),
-    "bandwidth-steal": lambda: BandwidthStealPolicy(),
-    "bandwidth-steal-off": lambda: BandwidthStealPolicy(
-        low_watermark=-1.0, name="bandwidth-steal-off"
-    ),
+    "grow-shrink": GrowShrinkWaysPolicy,
+    "bandwidth-steal": BandwidthStealPolicy,
 }
 
 
@@ -512,14 +418,6 @@ def policy_names() -> Tuple[str, ...]:
     """All registered policy names, in registry order."""
 
     return tuple(_REGISTRY)
-
-
-def disabled_variant(name: str) -> str:
-    """Name of the adaptation-disabled variant of an adaptive policy."""
-
-    if name not in ADAPTIVE_POLICIES:
-        raise ValueError(f"no disabled variant for policy {name!r}")
-    return f"{name}-off"
 
 
 def make_policy(name: str) -> Policy:

@@ -13,15 +13,9 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from repro.cache.backend import (
-    AnyCache,
-    AnyPartitionedCache,
-    record_lookup_span,
-)
+from repro.cache.backend import AnyCache, AnyPartitionedCache
 from repro.cache.shadow import ShadowTagArray
 from repro.mem.dram import DramModel
-from repro.obs import get_observer
-from repro.obs.trace import derive_trace_id
 from repro.util.validation import check_non_negative
 
 
@@ -77,10 +71,6 @@ class MemoryHierarchy:
         self.l1_latency = l1_latency
         self.l2_latency = l2_latency
         self._shadows: Dict[int, ShadowTagArray] = {}
-        # Per-hierarchy request counter: together with the core id it
-        # names each traced request, so trace ids are deterministic in
-        # the access stream and never depend on host randomness.
-        self._trace_sequence = 0
 
     def attach_shadow(self, core_id: int, shadow: ShadowTagArray) -> None:
         """Attach a duplicate tag array observing ``core_id``'s L2 stream."""
@@ -136,78 +126,6 @@ class MemoryHierarchy:
             self.l1_latency + self.l2_latency + dram_latency,
             l2_hit=False,
         )
-
-    def access_traced(
-        self,
-        core_id: int,
-        address: int,
-        *,
-        is_write: bool = False,
-        now: float = 0.0,
-        trace=None,
-        trace_id: Optional[str] = None,
-        parent=None,
-    ) -> AccessOutcome:
-        """Run one access and record its latency decomposition as spans.
-
-        State evolution is exactly :meth:`access` (which this calls);
-        the spans are reconstructed from the outcome, so tracing can
-        never fork the simulated trajectory.  The trace is a tree rooted
-        at ``mem.request``: an ``l1.lookup`` child, then ``l2.lookup``
-        and ``dram.access`` children as far as the access travelled,
-        laid out back to back from ``now`` in cycles.
-
-        ``trace`` defaults to the active observer's trace log (a no-op
-        sink when observability is off); ``trace_id`` defaults to
-        ``derive_trace_id("mem", core_id, <request sequence>)``.
-        """
-        if trace is None:
-            trace = get_observer().trace
-        outcome = self.access(core_id, address, is_write=is_write)
-        if trace_id is None:
-            trace_id = derive_trace_id("mem", core_id, self._trace_sequence)
-            self._trace_sequence += 1
-        root = trace.start_span(
-            trace_id,
-            "mem.request",
-            now,
-            parent=parent,
-            core=core_id,
-            level=outcome.level.value,
-            write=is_write,
-        )
-        cursor = now
-        record_lookup_span(
-            trace,
-            trace_id,
-            level="l1",
-            start=cursor,
-            latency=self.l1_latency,
-            hit=outcome.level is ServiceLevel.L1,
-            parent=root,
-        )
-        cursor += self.l1_latency
-        if outcome.level is not ServiceLevel.L1:
-            record_lookup_span(
-                trace,
-                trace_id,
-                level="l2",
-                start=cursor,
-                latency=self.l2_latency,
-                hit=bool(outcome.l2_hit),
-                parent=root,
-            )
-            cursor += self.l2_latency
-            if outcome.level is ServiceLevel.MEMORY:
-                trace.span(
-                    trace_id,
-                    "dram.access",
-                    cursor,
-                    now + outcome.latency_cycles,
-                    parent=root,
-                )
-        trace.end_span(root, now + outcome.latency_cycles)
-        return outcome
 
     def access_block(
         self,

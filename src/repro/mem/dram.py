@@ -72,33 +72,6 @@ class DramModel:
             return self.effective_latency_cycles
         return self.latency_cycles
 
-    def access_traced(
-        self,
-        address: int,
-        *,
-        trace,
-        trace_id: str,
-        now: float = 0.0,
-        parent=None,
-    ):
-        """Serve one read and record it as a ``dram.access`` span.
-
-        ``trace`` is a :class:`repro.obs.trace.TraceLog`; the span runs
-        from ``now`` (cycles) for the access latency and notes whether a
-        degradation window inflated it.  Returns ``(latency, span)``.
-        """
-        degraded = self.is_degraded
-        latency = self.access(address)
-        span = trace.span(
-            trace_id,
-            "dram.access",
-            now,
-            now + latency,
-            parent=parent,
-            degraded=degraded,
-        )
-        return latency, span
-
     def record_writeback(self) -> None:
         """Account one dirty-victim write-back (bandwidth only)."""
         self.writebacks += 1

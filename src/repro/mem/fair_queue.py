@@ -230,31 +230,6 @@ class FairQueueBus(_BusBase):
         self._last_vft[core_id] = start + self.service_cycles / share
         return start
 
-    def set_share(self, core_id: int, share: float) -> bool:
-        """Retarget ``core_id``'s share at runtime; return True iff changed.
-
-        The policy engine's actuation-idempotence law relies on the no-op
-        check: re-applying an already-applied share returns ``False`` and
-        leaves the VFT chain untouched.  New cores start their VFT chain at
-        zero, exactly as at construction.
-        """
-        if share <= 0:
-            raise ValueError(
-                f"share for core {core_id} must be positive, got {share}"
-            )
-        current = self.shares.get(core_id)
-        if current == share:
-            return False
-        others = sum(s for c, s in self.shares.items() if c != core_id)
-        if others + share > 1.0 + 1e-9:
-            raise ValueError(
-                f"share {share} for core {core_id} would push the total to "
-                f"{others + share}, exceeding the bus capacity"
-            )
-        self.shares[core_id] = share
-        self._last_vft.setdefault(core_id, 0.0)
-        return True
-
     def guaranteed_latency_bound(self, core_id: int, backlog: int) -> float:
         """Worst-case latency of the ``backlog``-th queued request.
 

@@ -450,7 +450,7 @@ class QosServer:
                     self._take_sample(obs, now)
                 if changed:
                     self._on_breaker_change(obs, now)
-            if self.policy is not None and self.policy.adaptive:
+            if self.policy is not None:
                 self._policy_tick(obs, now, snapshot)
 
     def _policy_tick(self, obs, now: float, health) -> None:

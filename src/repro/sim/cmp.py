@@ -140,26 +140,6 @@ class CmpNode:
             self.publish_metrics()
         return {core_id: self.core(core_id).result for core_id in traces}
 
-    def trace_request(
-        self,
-        core_id: int,
-        address: int,
-        *,
-        is_write: bool = False,
-        now: float = 0.0,
-    ):
-        """Run one access through the real hierarchy with causal tracing.
-
-        The per-request window into the node: the returned outcome is
-        exactly what :meth:`MemoryHierarchy.access` produces, and the
-        active observer's trace log gains a ``mem.request`` span tree
-        decomposing the latency (L1 → L2 → DRAM).  With observability
-        off the spans go to the null sink and only the access happens.
-        """
-        return self.hierarchy.access_traced(
-            core_id, address, is_write=is_write, now=now
-        )
-
     # -- inspection ---------------------------------------------------------------
 
     def l2_occupancies(self) -> Dict[int, int]:

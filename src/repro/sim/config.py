@@ -119,8 +119,6 @@ class SimulationConfig:
 
     instructions_per_job: int = 200_000_000
     accepted_jobs_target: int = 10
-    requested_ways: int = 7
-    requested_cores: int = 1
     probe_interarrival_fraction: float = 1.0 / 512.0
     seed: int = 42
     enable_bandwidth_model: bool = True
@@ -139,8 +137,6 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         check_positive("instructions_per_job", self.instructions_per_job)
         check_positive("accepted_jobs_target", self.accepted_jobs_target)
-        check_positive("requested_ways", self.requested_ways)
-        check_positive("requested_cores", self.requested_cores)
         check_positive(
             "probe_interarrival_fraction", self.probe_interarrival_fraction
         )

@@ -175,7 +175,7 @@ class SystemResult:
     # observer is live (the monitor exists for the run's duration).
     slo: Optional[SloReport] = None
     # Effective adaptive-policy actions committed during the run; 0 for
-    # policy-free runs, static wrappers, and disabled adaptive policies.
+    # policy-free runs and disabled adaptive policies.
     policy_decisions: int = 0
 
     def counter_snapshot(self) -> Dict[str, object]:
@@ -228,8 +228,8 @@ class SystemResult:
                 self.per_job_ways_history[job_id]
             )
         # Present only when an adaptive policy actually acted, so runs
-        # without a policy (and runs under static wrappers or disabled
-        # adaptive policies) keep a byte-identical snapshot surface.
+        # without a policy (and runs under disabled adaptive policies)
+        # keep a byte-identical snapshot surface.
         if self.policy_decisions:
             snapshot["policy.decisions"] = self.policy_decisions
         if self.resilience is not None:
@@ -461,8 +461,7 @@ class QoSSystemSimulator:
         self._bus_saturated = False
 
         # Closed-loop adaptive policy (None: open-loop, exactly the
-        # pre-policy simulator).  Static wrappers never schedule epochs,
-        # so they are trajectory-identical to policy=None.
+        # pre-policy simulator: no decision epoch is ever scheduled).
         self.policy = policy
         self._policy_epoch_seconds = self.machine.cycles_to_seconds(
             self.machine.repartition_interval_instructions
@@ -576,10 +575,9 @@ class QoSSystemSimulator:
         self.events.schedule(0.0, self._on_probe)
         if self.policy is not None:
             self.policy.reset()
-            if self.policy.adaptive:
-                self.events.schedule(
-                    self._policy_epoch_seconds, self._on_policy_epoch
-                )
+            self.events.schedule(
+                self._policy_epoch_seconds, self._on_policy_epoch
+            )
         if self.fault_config is not None:
             if self.fault_config.has_any_faults:
                 horizon = self.fault_config.horizon

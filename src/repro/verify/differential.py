@@ -18,14 +18,14 @@ arms, and every observable compared:
   events and draws no RNG streams, so the trajectory must be
   byte-identical; only the presence of the (all-zero) resilience
   report may differ.
-- **policy** — the sweep under an adaptive policy's *disabled*
-  variant (``grow-shrink`` with an infinite dead-band,
-  ``bandwidth-steal`` that never steals) versus the degenerate
-  static wrapper.  A disabled adaptive policy still schedules
-  decision epochs; the pair pins that observing without acting
-  leaves every counter and artifact stream byte-identical — at both
-  ``jobs=1`` and ``jobs=N`` — modulo the engine's own event-count
-  bookkeeping, which legitimately counts the no-op epochs.
+- **policy** — the sweep under a *disabled* instance of an adaptive
+  policy (``grow-shrink`` with an infinite dead-band,
+  ``bandwidth-steal`` that never steals) versus no policy at all.  A
+  disabled policy still schedules decision epochs; the pair pins that
+  observing without acting leaves every counter and artifact stream
+  byte-identical — at both ``jobs=1`` and ``jobs=N`` — modulo the
+  engine's own event-count bookkeeping, which must count the no-op
+  epochs (so a disconnected epoch hook fails the pair).
 
 Both arms of a pair profile their miss curves through
 :func:`~repro.workloads.profiler.profile_benchmark` directly — the
@@ -42,16 +42,24 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.runner import run_all_configurations, run_configuration
 from repro.cache.backend import forced_backend
 from repro.core.config import CONFIGURATIONS
+from repro.core.policy import (
+    BandwidthStealPolicy,
+    GrowShrinkWaysPolicy,
+    Policy,
+    make_policy,
+    policy_names,
+)
 from repro.faults.model import FaultConfig
 from repro.obs import Observer, observed
 from repro.obs.diff import diff_snapshots
-from repro.sim.config import SimulationConfig
+from repro.sim.config import MachineConfig, SimulationConfig
 from repro.sim.system import SystemResult
 from repro.verify.report import CheckResult, PairReport, VerifyReport
 from repro.workloads.benchmarks import get_benchmark
@@ -92,8 +100,8 @@ class Scenario:
     profile_accesses: int = 40_000
     profile_warmup: int = 15_000
     record_trace: bool = True
-    # Adaptive policy exercised by the "policy" pair (its disabled
-    # variant vs the degenerate static wrapper).
+    # Registry policy exercised by the "policy" pair (a disabled
+    # instance of it vs no policy).
     pair_policy: str = "grow-shrink"
     # Optional registry policy applied to BOTH arms of the other pairs,
     # pinning that adaptive decisions stay deterministic across
@@ -101,18 +109,13 @@ class Scenario:
     policy: Optional[str] = None
 
     def __post_init__(self) -> None:
-        from repro.core.policy import ADAPTIVE_POLICIES, policy_names
-
-        if self.pair_policy not in ADAPTIVE_POLICIES:
-            raise ValueError(
-                f"pair_policy must be adaptive, one of "
-                f"{sorted(ADAPTIVE_POLICIES)}; got {self.pair_policy!r}"
-            )
-        if self.policy is not None and self.policy not in policy_names():
-            raise ValueError(
-                f"unknown policy {self.policy!r}; expected among "
-                f"{sorted(policy_names())}"
-            )
+        for label in ("pair_policy", "policy"):
+            name = getattr(self, label)
+            if name is not None and name not in policy_names():
+                raise ValueError(
+                    f"unknown policy {name!r} for {label}; expected "
+                    f"among {sorted(policy_names())}"
+                )
         unknown = [
             name for name in self.configurations if name not in CONFIGURATIONS
         ]
@@ -164,6 +167,10 @@ class Scenario:
         if self.workload in MIX_ROLES:
             return sorted({name for name, _ in MIX_ROLES[self.workload]})
         return [self.workload]
+
+    def build_policy(self) -> Optional[Policy]:
+        """A fresh instance of :attr:`policy`, or ``None``."""
+        return make_policy(self.policy) if self.policy is not None else None
 
     def sim_config(self) -> SimulationConfig:
         return SimulationConfig(
@@ -237,7 +244,7 @@ def _run_sweep_arm(
     *,
     curves: Dict[str, MissRatioCurve],
     jobs: int,
-    policy: Optional[str] = None,
+    policy: Optional[Policy] = None,
 ) -> ArmResult:
     """Run the scenario's sweep under a fresh observer; capture artifacts."""
     telemetry = Observer(record_samples=True)
@@ -251,7 +258,7 @@ def _run_sweep_arm(
             curves=curves,
             record_trace=scenario.record_trace,
             jobs=jobs,
-            policy=policy if policy is not None else scenario.policy,
+            policy=policy if policy is not None else scenario.build_policy(),
         )
     return ArmResult(
         results=results,
@@ -271,6 +278,7 @@ def _run_fault_arm(
     """Run each configuration serially with the given fault config."""
     telemetry = Observer(record_samples=True)
     results: Dict[str, SystemResult] = {}
+    policy = scenario.build_policy()
     with observed(telemetry):
         for name in configurations:
             results[name] = run_configuration(
@@ -279,7 +287,7 @@ def _run_fault_arm(
                 curves=curves,
                 record_trace=scenario.record_trace,
                 fault_config=fault_config,
-                policy=scenario.policy,
+                policy=policy,
             )
     return ArmResult(
         results=results,
@@ -580,30 +588,86 @@ def _faults_pair(
     return report
 
 
+def disabled_policy(name: str) -> Policy:
+    """An adaptation-disabled instance of registry policy ``name``.
+
+    It schedules every decision epoch but never acts.  Its name is
+    deliberately unregistered, so ``checkpoint_simulator`` refuses it
+    instead of resuming the active policy.
+    """
+    if name == "grow-shrink":
+        return GrowShrinkWaysPolicy(dead_band=math.inf, name=f"{name}-off")
+    if name == "bandwidth-steal":
+        return BandwidthStealPolicy(low_watermark=-1.0, name=f"{name}-off")
+    raise ValueError(f"unknown policy {name!r}")
+
+
+def _epoch_due(results: Dict[str, SystemResult]) -> bool:
+    """Whether a QoS-simulated run (EqualPart takes no policy) outlasted
+    the first decision epoch, so a disabled policy must have fired one."""
+    machine = MachineConfig()
+    epoch = machine.cycles_to_seconds(
+        machine.repartition_interval_instructions
+    )
+    return any(
+        result.makespan_seconds > epoch
+        for name, result in results.items()
+        if not CONFIGURATIONS[name].equal_partition
+    )
+
+
+def events_fired_check(
+    name: str,
+    bare_metrics: List[str],
+    disabled_metrics: List[str],
+    *,
+    epoch_due: bool = True,
+) -> CheckResult:
+    """The disabled arm must fire more engine events than the bare arm.
+
+    Those extra events are its decision epochs; without them the pair
+    would compare two policy-free runs and pass vacuously.  With no
+    epoch due (``epoch_due`` false) none can fire, and the check passes.
+    """
+    if not epoch_due:
+        return CheckResult(name, True, ("no run outlasted one epoch",))
+    bare, disabled = (
+        sum(
+            record["value"]
+            for record in map(json.loads, lines)
+            if record.get("name") == "engine.events_fired"
+        )
+        for lines in (bare_metrics, disabled_metrics)
+    )
+    violations = []
+    if disabled <= bare:
+        violations.append(
+            f"disabled arm fired {disabled} engine events vs {bare} "
+            "without a policy: no decision epoch ran"
+        )
+    return CheckResult.from_violations(name, violations)
+
+
 def _policy_pair(
     scenario: Scenario, *, rel_tol: float, abs_tol: float
 ) -> PairReport:
-    from repro.core.policy import disabled_variant
-
-    disabled = disabled_variant(scenario.pair_policy)
+    disabled = disabled_policy(scenario.pair_policy)
     report = PairReport(
         kind="policy",
-        subject=(
-            f"{scenario.describe()}, {disabled} vs static 'strict' wrapper"
-        ),
+        subject=f"{scenario.describe()}, {disabled.name} vs no policy",
     )
     # One shared curve set: the pair flips only the policy, and a
-    # disabled adaptive policy must be indistinguishable from the
-    # degenerate static wrapper — epochs fire, nothing actuates.  The
-    # epoch events themselves inflate the engine's own bookkeeping
-    # (events-fired totals, pending counts at stop), so engine.* series
-    # and engine.run_end records are exempt; every simulator-level
-    # counter, metric, event, and trace line must agree byte-for-byte.
+    # disabled adaptive policy must be indistinguishable from no policy
+    # — epochs fire, nothing actuates.  The epoch events themselves
+    # inflate the engine's own bookkeeping (events-fired totals, pending
+    # counts at stop), so engine.* series and engine.run_end records are
+    # exempt from the stream comparison and checked to have grown;
+    # every simulator-level counter, metric, event, and trace line must
+    # agree byte-for-byte.
     curves = profile_scenario_curves(scenario)
+    bare = dataclasses.replace(scenario, policy=None)
     for jobs in (1, scenario.jobs):
-        arm_a = _run_sweep_arm(
-            scenario, curves=curves, jobs=jobs, policy="strict"
-        )
+        arm_a = _run_sweep_arm(bare, curves=curves, jobs=jobs)
         arm_b = _run_sweep_arm(
             scenario, curves=curves, jobs=jobs, policy=disabled
         )
@@ -624,6 +688,14 @@ def _policy_pair(
                 f"metrics[{suffix}]",
                 _without_series(arm_a.metrics_lines, "engine."),
                 _without_series(arm_b.metrics_lines, "engine."),
+            )
+        )
+        report.checks.append(
+            events_fired_check(
+                f"epochs-fired[{suffix}]",
+                arm_a.metrics_lines,
+                arm_b.metrics_lines,
+                epoch_due=_epoch_due(arm_a.results),
             )
         )
         report.checks.append(

@@ -21,7 +21,7 @@ import re
 import time
 from typing import Optional, Sequence, Tuple
 
-from repro.core.policy import ADAPTIVE_POLICIES
+from repro.core.policy import policy_names
 from repro.util.rng import DeterministicRng
 from repro.verify.cases import VerifyCase, load_case, save_case
 from repro.verify.differential import (
@@ -46,18 +46,9 @@ _FUZZ_CONFIGURATIONS = (
     "EqualPart",
 )
 
-#: Policies a fuzz case may apply to both arms of its pairs.  ``None``
-#: (no policy) stays the most likely draw; the rest cover a static
-#: wrapper, both disabled variants, and both live adaptive policies.
-_FUZZ_POLICIES = (
-    None,
-    None,
-    "strict",
-    "grow-shrink-off",
-    "bandwidth-steal-off",
-    "grow-shrink",
-    "bandwidth-steal",
-)
+#: Policies a fuzz case may apply to both arms of its pairs: ``None``
+#: (no policy) half the time, else one of the two adaptive policies.
+_FUZZ_POLICIES = (None, None, "grow-shrink", "bandwidth-steal")
 
 _BUDGET_PATTERN = re.compile(
     r"^\s*(\d+(?:\.\d+)?)\s*(s|sec|secs|m|min|mins|h)?\s*$"
@@ -136,7 +127,7 @@ def random_scenario(
     scenario = dataclasses.replace(
         scenario,
         policy=rng.choice(_FUZZ_POLICIES),
-        pair_policy=rng.choice(ADAPTIVE_POLICIES),
+        pair_policy=rng.choice(policy_names()),
     )
     return scenario, pairs
 

@@ -612,9 +612,9 @@ def _check_policy_capacity_conservation(seed: int, policy: str) -> List[str]:
     violations: List[str] = []
     audit, _ = _policy_run(seed, policy)
     l2_ways = MachineConfig().l2_ways
-    if make_policy(policy).adaptive and not audit:
+    if not audit:
         violations.append(
-            f"{policy}: adaptive policy produced no epoch audit records "
+            f"{policy}: policy produced no epoch audit records "
             "(epoch hook disconnected?)"
         )
     for now, reserved, spare in audit:

@@ -20,7 +20,6 @@ usable anywhere the synthetic patterns are.
 from __future__ import annotations
 
 import gzip
-import io
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Union
 

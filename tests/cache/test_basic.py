@@ -1,6 +1,5 @@
 """Tests for the plain set-associative cache."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -7,7 +7,6 @@ victims, access for access.  These properties pin the partitioning
 layers' correctness to the simple reference implementation.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

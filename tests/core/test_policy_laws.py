@@ -24,12 +24,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.policy import (
-    ADAPTIVE_POLICIES,
     BandwidthStealPolicy,
     GrowShrinkWaysPolicy,
     SetBusGrant,
     SetWays,
-    disabled_variant,
     make_policy,
     policy_names,
 )
@@ -44,34 +42,25 @@ pytestmark = pytest.mark.policy
 
 
 class TestRegistry:
-    def test_registry_covers_static_modes_and_adaptive(self):
-        names = policy_names()
-        for expected in ("strict", "elastic", "opportunistic"):
-            assert expected in names
-        for adaptive in ADAPTIVE_POLICIES:
-            assert adaptive in names
-            assert disabled_variant(adaptive) in names
+    def test_registry_is_the_two_adaptive_policies(self):
+        assert policy_names() == ("grow-shrink", "bandwidth-steal")
 
     def test_make_policy_returns_fresh_instances(self):
         a = make_policy("grow-shrink")
         b = make_policy("grow-shrink")
         assert a is not b
-        assert a.adaptive and a.name == "grow-shrink"
+        assert a.name == "grow-shrink"
 
     def test_make_policy_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown policy"):
             make_policy("thermostat")
 
-    def test_disabled_variants_are_inert_but_adaptive(self):
-        # They must schedule epochs (adaptive=True) yet never act —
-        # that is exactly what the differential policy pair pins.
-        for adaptive in ADAPTIVE_POLICIES:
-            off = make_policy(disabled_variant(adaptive))
-            assert off.adaptive
-
-    def test_static_wrappers_are_not_adaptive(self):
-        for name in ("strict", "elastic", "opportunistic"):
-            assert not make_policy(name).adaptive
+    def test_static_modes_and_disabled_instances_are_not_registered(self):
+        # Static modes are per-job targets, not policies, and disabled
+        # instances are built by the differential pair itself.
+        for name in ("strict", "grow-shrink-off"):
+            with pytest.raises(ValueError, match="unknown policy"):
+                make_policy(name)
 
 
 class TestConformanceSuite:

@@ -313,6 +313,29 @@ class TestHousekeeping:
 
         run(scenario())
 
+    def test_bandwidth_steal_policy_grants_on_an_idle_server(self):
+        """``serve --policy bandwidth-steal``: each housekeeping tick is
+        a policy epoch, and an idle server's low pressure earns the
+        bus grant, surfaced in ``/stats``."""
+
+        async def scenario():
+            server = await start_server(
+                housekeeping_interval=0.01, policy="bandwidth-steal"
+            )
+            reader, writer = await connect(server)
+            for _ in range(200):  # a few ticks; bounded at ~2 s
+                await asyncio.sleep(0.01)
+                _, stats = await _get_json(reader, writer, "/stats")
+                if stats["policy"]["decisions"]:
+                    break
+            assert stats["policy"]["name"] == "bandwidth-steal"
+            assert stats["policy"]["granted"] is True
+            assert stats["policy"]["decisions"] >= 1
+            writer.close()
+            await server.drain()
+
+        run(scenario())
+
     def test_sustained_overload_walks_the_breaker(self):
         async def scenario():
             server = await start_server(

@@ -1,7 +1,5 @@
 """Tests for the trace-driven CMP node (real microarchitecture)."""
 
-import pytest
-
 from repro.cache.geometry import CacheGeometry
 from repro.cache.partitioned import PartitionClass
 from repro.sim.cmp import CmpNode

@@ -11,7 +11,6 @@ invariants hold for *every* schedule the simulator produces:
   instructions.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

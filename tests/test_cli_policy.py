@@ -4,10 +4,9 @@ The adaptive policy layer adds decision epochs, actuation, and
 ``policy.decision`` events to the trajectory — all of which must stay
 a pure function of the seed.  These tests pin the contract at the CLI
 surface: the same policy-driven ``fig7`` command twice gives
-byte-identical metric and event artifacts (decisions included), a
-static wrapper's artifacts match a no-policy run exactly, and
-``repro top --once`` renders a policy-bearing stats payload to the
-same bytes every time.
+byte-identical metric and event artifacts (decisions included), only
+the two adaptive policies are accepted, and ``repro top --once``
+renders a policy-bearing stats payload to the same bytes every time.
 """
 
 import json
@@ -71,6 +70,24 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig7", "--policy", "thermostat"])
 
+    @pytest.mark.parametrize("command", ["fig7", "serve"])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "strict",
+            "elastic",
+            "opportunistic",
+            "grow-shrink-off",
+            "bandwidth-steal-off",
+        ],
+    )
+    def test_static_modes_and_off_variants_exit_2(self, command, name):
+        """Static modes are per-job targets and disabled instances are
+        built by ``verify diff``; neither is a ``--policy`` value."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, "--policy", name])
+        assert exit_info.value.code == 2
+
     def test_serve_accepts_policy(self):
         args = build_parser().parse_args(
             ["serve", "--policy", "bandwidth-steal"]
@@ -118,16 +135,6 @@ class TestSeededDeterminism:
         assert decisions, "adaptive fig7 run emitted no decisions"
         for record in decisions:
             assert record["policy"] == "grow-shrink"
-
-    def test_static_wrapper_matches_no_policy_run(
-        self, tmp_path, no_misscache
-    ):
-        """``--policy strict`` is a degenerate wrapper: its artifacts
-        are the no-policy run's artifacts, byte for byte."""
-        bare = _run_fig7(tmp_path, "bare")
-        wrapped = _run_fig7(tmp_path, "wrapped", ("--policy", "strict"))
-        assert bare[0].read_bytes() == wrapped[0].read_bytes()
-        assert bare[1].read_bytes() == wrapped[1].read_bytes()
 
 
 class TestTopRendersPolicy:

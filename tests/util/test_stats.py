@@ -1,6 +1,5 @@
 """Tests for running statistics and histograms."""
 
-import math
 import statistics
 
 import pytest

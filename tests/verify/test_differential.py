@@ -75,7 +75,7 @@ class TestPairDispatch:
         assert PAIR_NAMES == ("backend", "jobs", "faults", "policy")
 
     def test_rejects_non_adaptive_pair_policy(self):
-        with pytest.raises(ValueError, match="must be adaptive"):
+        with pytest.raises(ValueError, match="unknown policy 'strict'"):
             Scenario(pair_policy="strict")
 
     def test_rejects_unknown_scenario_policy(self):
@@ -122,9 +122,49 @@ class TestPairsAgree:
 
 @pytest.mark.policy
 class TestPolicyPair:
-    """Disabled adaptation is byte-identical to the static wrapper —
-    on every backend, and with an *active* policy both arms of the
-    other pairs still agree (adaptive decisions are deterministic)."""
+    """Disabled adaptation is byte-identical to running without a
+    policy — on every backend, and with an *active* policy both arms of
+    the other pairs still agree (adaptive decisions are deterministic)."""
+
+    def test_epochs_check_fails_on_equal_event_totals(self):
+        """A disabled arm that fired no extra engine events ran no
+        decision epoch, so the pair must not pass it."""
+        import json
+
+        from repro.verify.differential import events_fired_check
+
+        def metrics(fired):
+            return [
+                json.dumps(
+                    {
+                        "name": "engine.events_fired",
+                        "type": "counter",
+                        "value": fired,
+                    }
+                )
+            ]
+
+        check = events_fired_check("epochs", metrics(3509), metrics(3509))
+        assert not check.passed
+        assert "no decision epoch ran" in check.details[0]
+        assert events_fired_check(
+            "epochs", metrics(3509), metrics(3537)
+        ).passed
+        # No run outlasted one epoch interval: nothing could fire.
+        assert events_fired_check(
+            "epochs", metrics(10), metrics(10), epoch_due=False
+        ).passed
+
+    def test_equalpart_only_scenario_passes(self):
+        """EqualPart takes no policy, so no epoch falls due and the
+        epochs check passes vacuously instead of failing the pair."""
+        scenario = Scenario(configurations=("EqualPart",), **REDUCED)
+        report = run_pair(scenario, "policy")
+        assert report.passed, [
+            (check.name, check.details)
+            for check in report.checks
+            if not check.passed
+        ]
 
     def test_bandwidth_steal_variant(self, reduced_scenario):
         import dataclasses

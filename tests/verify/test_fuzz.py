@@ -167,3 +167,16 @@ class TestMutationSmoke:
         out.write_text(json.dumps(v1))
         with pytest.raises(ValueError, match="version 1 not supported"):
             load_case(out)
+
+    def test_case_naming_a_static_mode_policy_is_refused(self, tmp_path):
+        """A static mode is not a registered policy, so a case that
+        names one as its scenario policy fails validation."""
+        out = tmp_path / "verify-case.json"
+        case = {
+            "version": 2,
+            "scenario": {"workload": "bzip2", "policy": "strict"},
+            "pairs": ["jobs"],
+        }
+        out.write_text(json.dumps(case))
+        with pytest.raises(ValueError, match="unknown policy"):
+            load_case(out)

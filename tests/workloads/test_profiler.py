@@ -1,7 +1,7 @@
 """Tests for miss-ratio-curve profiling."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.workloads.benchmarks import BENCHMARKS
