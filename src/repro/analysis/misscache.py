@@ -16,9 +16,8 @@ function of:
   depend on, so editing the trace generators or the cache kernel
   invalidates all stored curves instead of silently serving stale ones.
 
-The key deliberately excludes the cache backend: reference and fast
-produce identical curves (pinned by the differential suite), so a curve
-profiled under either is valid for both.
+Curves are profiled on the fast kernel; the differential suite pins it
+to the reference model, which is why the key carries no backend.
 
 The storage mechanics — atomic fsync'd writes, quarantine-on-corrupt
 (``<digest>.corrupt``), hit/miss/store counters — live in the shared

@@ -16,7 +16,7 @@ of a handful of points the setup cost ate the parallel win —
   session state still matches, so consecutive sweeps in one CLI run
   share workers.
 - **Shared read-only state via the pool initializer.**  The resolved
-  session knobs (cache backend, miss-cache enable/dir — captured as a
+  session knobs (miss-cache enable/dir — captured as a
   :class:`SessionState`) plus one optional caller-provided ``shared``
   payload (curves, machine config, workload profiles) ship to each
   worker exactly once, at fork.  Per-task payloads shrink to small
@@ -46,7 +46,7 @@ of a handful of points the setup cost ate the parallel win —
 Workers also expose a diagnostic surface: :meth:`WorkerPool.\
 fingerprints` probes every live worker (a barrier makes each worker
 answer exactly once) so ``verify diff --pair jobs`` can show the
-backend/miss-cache state of the pool that *actually ran the sweep*
+miss-cache state of the pool that *actually ran the sweep*
 rather than of a throwaway lookalike.
 """
 
@@ -114,16 +114,14 @@ def worker_fingerprint(_item: object = None) -> dict:
 
     Captures the settings that must survive the trip into a
     multiprocessing worker for ``--jobs N`` to reproduce the serial
-    run: the resolved cache backend and the miss-cache enable flag and
-    directory.  Module-level (picklable) so it can be mapped over a
-    pool; callable inline for the serial baseline.
+    run: the miss-cache enable flag and directory.  Module-level
+    (picklable) so it can be mapped over a pool; callable inline for
+    the serial baseline.
     """
     from repro.analysis import misscache
-    from repro.cache.backend import default_backend
 
     return {
         "pid": os.getpid(),
-        "cache_backend": default_backend(),
         "miss_cache_enabled": misscache.enabled(),
         "miss_cache_dir": str(misscache.cache_dir()),
     }
@@ -141,26 +139,21 @@ class SessionState:
     captured state stops matching a cached pool's.
     """
 
-    cache_backend: str
     miss_cache_enabled: bool
     miss_cache_dir: str
 
     @staticmethod
     def capture() -> "SessionState":
         from repro.analysis import misscache
-        from repro.cache.backend import default_backend
 
         return SessionState(
-            cache_backend=default_backend(),
             miss_cache_enabled=misscache.enabled(),
             miss_cache_dir=str(misscache.cache_dir()),
         )
 
     def install(self) -> None:
         from repro.analysis import misscache
-        from repro.cache.backend import set_default_backend
 
-        set_default_backend(self.cache_backend)
         misscache.set_enabled(self.miss_cache_enabled)
         misscache.set_cache_dir(self.miss_cache_dir)
 

@@ -50,13 +50,10 @@ def sensitivity_point(
     curve: Optional[MissRatioCurve] = None,
     num_sets: int = 64,
     accesses: int = 40_000,
-    backend: Optional[str] = None,
 ) -> SensitivityPoint:
     """Measure one benchmark's Figure 4 coordinates from its curve."""
     if curve is None:
-        curve = get_curve(
-            profile, num_sets=num_sets, accesses=accesses, backend=backend
-        )
+        curve = get_curve(profile, num_sets=num_sets, accesses=accesses)
     cpi_model = profile.cpi_model()
     return SensitivityPoint(
         benchmark=profile.name,
@@ -72,12 +69,9 @@ def sensitivity_point(
 
 def _sensitivity_worker(name: str) -> SensitivityPoint:
     """Profile one benchmark's point (module-level for pickling)."""
-    num_sets, accesses, backend = current_shared()
+    num_sets, accesses = current_shared()
     return sensitivity_point(
-        BENCHMARKS[name],
-        num_sets=num_sets,
-        accesses=accesses,
-        backend=backend,
+        BENCHMARKS[name], num_sets=num_sets, accesses=accesses
     )
 
 
@@ -86,7 +80,6 @@ def sensitivity_points(
     *,
     num_sets: int = 64,
     accesses: int = 40_000,
-    backend: Optional[str] = None,
     jobs: Optional[int] = 1,
 ) -> List[SensitivityPoint]:
     """Figure 4 coordinates for the given (default: all 15) benchmarks.
@@ -102,7 +95,7 @@ def sensitivity_points(
         _sensitivity_worker,
         names,
         jobs=jobs,
-        shared=(num_sets, accesses, backend),
+        shared=(num_sets, accesses),
     )
 
 

@@ -4,8 +4,8 @@ This package implements every cache mechanism the paper's QoS framework
 relies on, from scratch:
 
 - :mod:`repro.cache.geometry` — cache geometry and address slicing.
-- :mod:`repro.cache.replacement` — replacement policies (LRU and
-  alternatives used by ablations).
+- :mod:`repro.cache.replacement` — the LRU recency stack of the
+  reference caches.
 - :mod:`repro.cache.stats` — hit/miss/eviction statistics, per-core.
 - :mod:`repro.cache.basic` — a plain set-associative cache (the private
   L1s of the machine model).
@@ -19,20 +19,14 @@ relies on, from scratch:
   sampling, the microarchitecture support for resource stealing
   (Section 4.3).
 - :mod:`repro.cache.fastsim` — flat-state fast twins of the basic and
-  partitioned caches (LRU only), counter-identical to the reference
+  partitioned caches, counter-identical to the reference
   implementations but without per-access object allocation.
-- :mod:`repro.cache.backend` — the ``reference``/``fast`` backend
-  selector all construction sites go through.
+- :mod:`repro.cache.backend` — the builders all construction sites go
+  through: runs build ``fast``; tests and ``verify`` build
+  ``reference`` by name.
 """
 
-from repro.cache.backend import (
-    BACKENDS,
-    default_backend,
-    make_cache,
-    make_partitioned_cache,
-    resolve_backend,
-    set_default_backend,
-)
+from repro.cache.backend import BACKENDS, make_cache, make_partitioned_cache
 from repro.cache.basic import (
     HIT,
     AccessResult,
@@ -46,7 +40,7 @@ from repro.cache.fastsim import (
 from repro.cache.geometry import CacheGeometry
 from repro.cache.global_partition import GlobalPartitionedCache
 from repro.cache.partitioned import PartitionClass, WayPartitionedCache
-from repro.cache.replacement import FifoPolicy, LruPolicy, RandomPolicy
+from repro.cache.replacement import LruPolicy
 from repro.cache.shadow import ShadowTagArray
 from repro.cache.stats import CacheStats
 
@@ -64,12 +58,7 @@ __all__ = [
     "ShadowTagArray",
     "CacheStats",
     "LruPolicy",
-    "FifoPolicy",
-    "RandomPolicy",
     "BACKENDS",
-    "default_backend",
-    "set_default_backend",
-    "resolve_backend",
     "make_cache",
     "make_partitioned_cache",
 ]

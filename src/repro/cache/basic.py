@@ -16,7 +16,7 @@ from itertools import repeat
 from typing import Iterable, List, Optional, Sequence, Union
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.replacement import ReplacementPolicy, make_policy
+from repro.cache.replacement import LruPolicy
 from repro.cache.stats import CacheStats
 
 
@@ -113,15 +113,9 @@ def _broadcast_cores(core_ids: CoreSpec) -> Iterable[int]:
 
 
 class SetAssociativeCache:
-    """Single-level set-associative cache with a pluggable policy."""
+    """Single-level set-associative LRU cache."""
 
-    def __init__(
-        self,
-        geometry: CacheGeometry,
-        *,
-        policy: str = "lru",
-        name: str = "cache",
-    ) -> None:
+    def __init__(self, geometry: CacheGeometry, *, name: str = "cache") -> None:
         self.geometry = geometry
         self.name = name
         self.stats = CacheStats()
@@ -129,9 +123,8 @@ class SetAssociativeCache:
             [CacheLine() for _ in range(geometry.associativity)]
             for _ in range(geometry.num_sets)
         ]
-        self._policies: List[ReplacementPolicy] = [
-            make_policy(policy, geometry.associativity)
-            for _ in range(geometry.num_sets)
+        self._policies: List[LruPolicy] = [
+            LruPolicy(geometry.associativity) for _ in range(geometry.num_sets)
         ]
 
     # -- main interface ----------------------------------------------------

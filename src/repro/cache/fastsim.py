@@ -33,8 +33,9 @@ access for access — is pinned by the differential property suite in
 ``tests/cache/test_fastsim_differential.py``.  The LRU victim rule
 matches because a full set's valid lines are always all present in the
 reference policy's recency stack, so "LRU among candidates" equals
-"first candidate in LRU-first iteration order".  Backend selection
-lives in :mod:`repro.cache.backend`.
+"first candidate in LRU-first iteration order".  Every run builds this
+kernel (:mod:`repro.cache.backend`); the reference model is built only
+where something is checked against it.
 """
 
 from __future__ import annotations
@@ -93,24 +94,9 @@ def _materialise_stats(
 
 
 class FastSetAssociativeCache:
-    """Drop-in fast twin of :class:`~repro.cache.basic.SetAssociativeCache`.
+    """Drop-in fast twin of :class:`~repro.cache.basic.SetAssociativeCache`."""
 
-    LRU only — the ablation policies (FIFO, Random) stay on the
-    reference implementation, which the backend selector enforces.
-    """
-
-    def __init__(
-        self,
-        geometry: CacheGeometry,
-        *,
-        policy: str = "lru",
-        name: str = "cache",
-    ) -> None:
-        if policy != "lru":
-            raise ValueError(
-                f"the fast backend implements LRU only, got policy "
-                f"{policy!r}; use the reference backend for ablations"
-            )
+    def __init__(self, geometry: CacheGeometry, *, name: str = "cache") -> None:
         self.geometry = geometry
         self.name = name
         self._sets: List[Dict[int, int]] = [

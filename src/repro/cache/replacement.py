@@ -1,42 +1,13 @@
-"""Replacement policies for set-associative caches.
+"""LRU replacement for the reference caches.
 
 The machine model uses LRU everywhere (Section 6), but the partitioned
 L2's *victim scope* is decided by the partitioning layer — the policy
 here only orders blocks *within* whatever candidate scope it is given.
-FIFO and Random are provided for ablation benches that quantify how much
-the paper's results depend on LRU ordering.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, Sequence
-
-from repro.util.rng import DeterministicRng
-
-
-class ReplacementPolicy(Protocol):
-    """Within-set block ordering protocol.
-
-    A policy instance is owned by one cache set.  ``touch`` is called on
-    every access (hit or fill) with the way index used; ``victim``
-    selects which of the candidate ways to evict.
-    """
-
-    def touch(self, way: int) -> None:
-        """Record an access to ``way`` (most-recently-used update)."""
-        ...
-
-    def insert(self, way: int) -> None:
-        """Record a fill of ``way`` with a brand-new block."""
-        ...
-
-    def invalidate(self, way: int) -> None:
-        """Record that ``way`` no longer holds a valid block."""
-        ...
-
-    def victim(self, candidates: Sequence[int]) -> int:
-        """Choose the way to evict among ``candidates`` (non-empty)."""
-        ...
+from typing import List, Sequence
 
 
 class LruPolicy:
@@ -92,82 +63,3 @@ class LruPolicy:
             raise ValueError(
                 f"way {way} out of range [0, {self.associativity})"
             )
-
-
-class FifoPolicy:
-    """First-in-first-out: eviction order is fill order, hits don't move."""
-
-    def __init__(self, associativity: int) -> None:
-        if associativity <= 0:
-            raise ValueError(f"associativity must be positive, got {associativity}")
-        self.associativity = associativity
-        self._queue: List[int] = []  # oldest first
-
-    def touch(self, way: int) -> None:
-        # Hits do not change FIFO order.
-        if way not in self._queue:
-            self._queue.append(way)
-
-    def insert(self, way: int) -> None:
-        if way in self._queue:
-            self._queue.remove(way)
-        self._queue.append(way)
-
-    def invalidate(self, way: int) -> None:
-        if way in self._queue:
-            self._queue.remove(way)
-
-    def victim(self, candidates: Sequence[int]) -> int:
-        if not candidates:
-            raise ValueError("victim() requires at least one candidate")
-        candidate_set = set(candidates)
-        untouched = sorted(candidate_set.difference(self._queue))
-        if untouched:
-            return untouched[0]
-        for way in self._queue:
-            if way in candidate_set:
-                return way
-        raise AssertionError("unreachable: every candidate is tracked")
-
-
-class RandomPolicy:
-    """Uniform-random victim selection (deterministic via seeded RNG)."""
-
-    def __init__(self, associativity: int, rng: Optional[DeterministicRng] = None) -> None:
-        if associativity <= 0:
-            raise ValueError(f"associativity must be positive, got {associativity}")
-        self.associativity = associativity
-        self._rng = rng if rng is not None else DeterministicRng(0, "random-policy")
-
-    def touch(self, way: int) -> None:
-        pass
-
-    def insert(self, way: int) -> None:
-        pass
-
-    def invalidate(self, way: int) -> None:
-        pass
-
-    def victim(self, candidates: Sequence[int]) -> int:
-        if not candidates:
-            raise ValueError("victim() requires at least one candidate")
-        return self._rng.choice(sorted(candidates))
-
-
-POLICY_FACTORIES = {
-    "lru": LruPolicy,
-    "fifo": FifoPolicy,
-    "random": RandomPolicy,
-}
-
-
-def make_policy(name: str, associativity: int) -> ReplacementPolicy:
-    """Instantiate a replacement policy by name ('lru', 'fifo', 'random')."""
-    try:
-        factory = POLICY_FACTORIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown replacement policy {name!r}; "
-            f"expected one of {sorted(POLICY_FACTORIES)}"
-        ) from None
-    return factory(associativity)

@@ -38,7 +38,6 @@ from repro.analysis.report import (
 )
 from repro.analysis.runner import run_all_configurations
 from repro.analysis.sensitivity import sensitivity_points
-from repro.cache.backend import BACKENDS, set_default_backend
 from repro.core.config import CONFIGURATIONS
 from repro.faults import (
     FaultConfig,
@@ -60,13 +59,10 @@ from repro.workloads.profiler import get_curve, load_curves, save_curves
 WORKLOAD_CHOICES = sorted(BENCHMARKS) + ["Mix-1", "Mix-2"]
 
 
-def _cmd_list(_: argparse.Namespace) -> int:
+def _cmd_list(args: argparse.Namespace) -> int:
     print("benchmarks:", ", ".join(sorted(BENCHMARKS)))
     print("mixes: Mix-1, Mix-2")
-    print(
-        "commands: fig1, fig4, fig5 <workload>, fig6 <workload>, "
-        "fig7 [workload], curves <benchmarks...>, faults [workload]"
-    )
+    print("commands:", ", ".join(args.command_names))
     return 0
 
 
@@ -768,11 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(0 = all cores; default 1 = serial)",
     )
     perf.add_argument(
-        "--cache-backend", choices=BACKENDS, default=None,
-        help="cache implementation: the fast flat kernel (default) or "
-        "the reference object model",
-    )
-    perf.add_argument(
         "--no-miss-cache", action="store_true",
         help="disable the on-disk miss-curve store (always re-profile)",
     )
@@ -802,7 +793,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run under a closed-loop adaptive policy (default none)",
     )
 
-    commands.add_parser("list", help="list workloads and commands")
+    listing = commands.add_parser("list", help="list workloads and commands")
 
     commands.add_parser(
         "fig1", help="Figure 1 motivation series", parents=[perf]
@@ -1291,6 +1282,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="find the smallest cluster meeting --target acceptance",
     )
     cluster.add_argument("--target", type=float, default=0.95)
+    # Read off the parser so the listing cannot drift from it.
+    listing.set_defaults(command_names=tuple(commands.choices))
     return parser
 
 
@@ -1350,10 +1343,8 @@ def _run_observed(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    # The perf knobs are session-wide: the setters mirror into the
-    # environment so --jobs workers inherit them.
-    if getattr(args, "cache_backend", None) is not None:
-        set_default_backend(args.cache_backend)
+    # The miss-cache switch is session-wide: the setter mirrors into the
+    # environment so --jobs workers inherit it.
     if getattr(args, "no_miss_cache", False):
         misscache.set_enabled(False)
     if (

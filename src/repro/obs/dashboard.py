@@ -140,8 +140,6 @@ def render_serve_frame(
         title += "  DRAINING"
     lines.append(title)
     meta: List[str] = []
-    if "cache_backend" in stats:
-        meta.append(f"backend {stats['cache_backend']}")
     if "fingerprint" in stats:
         meta.append(f"code {str(stats['fingerprint'])[:12]}")
     if history is not None:

@@ -34,21 +34,14 @@ class CmpNode:
 
     def __init__(self, machine: Optional[MachineConfig] = None) -> None:
         self.machine = machine if machine is not None else MachineConfig()
-        backend = self.machine.resolved_cache_backend
-        self.cache_backend = backend
         self.l1_caches: Dict[int, AnyCache] = {
             core_id: make_cache(
-                self.machine.l1_geometry,
-                name=f"l1-core{core_id}",
-                backend=backend,
+                self.machine.l1_geometry, name=f"l1-core{core_id}"
             )
             for core_id in range(self.machine.num_cores)
         }
         self.l2: AnyPartitionedCache = make_partitioned_cache(
-            self.machine.l2_geometry,
-            self.machine.num_cores,
-            name="l2",
-            backend=backend,
+            self.machine.l2_geometry, self.machine.num_cores, name="l2"
         )
         self.dram = self.machine.make_dram()
         self.hierarchy = MemoryHierarchy(

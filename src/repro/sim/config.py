@@ -8,9 +8,7 @@ knobs (instruction counts, arrival process, measurement size).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
-from repro.cache.backend import BACKENDS, resolve_backend
 from repro.cache.geometry import CacheGeometry
 from repro.mem.bandwidth import BandwidthModel
 from repro.mem.dram import DramModel
@@ -43,10 +41,6 @@ class MachineConfig:
     # OS scheduler timeslice (used by the EqualPart baseline's
     # timesharing model; Linux-like ~10 ms).
     timeslice_seconds: float = 0.01
-    # Cache implementation: "reference" (object model), "fast" (flat
-    # kernel), or None to follow the session default
-    # (repro.cache.backend.default_backend()).
-    cache_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         check_positive("num_cores", self.num_cores)
@@ -59,19 +53,6 @@ class MachineConfig:
             self.repartition_interval_instructions,
         )
         check_positive("timeslice_seconds", self.timeslice_seconds)
-        if (
-            self.cache_backend is not None
-            and self.cache_backend not in BACKENDS
-        ):
-            raise ValueError(
-                f"unknown cache backend {self.cache_backend!r}; expected "
-                f"one of {BACKENDS}"
-            )
-
-    @property
-    def resolved_cache_backend(self) -> str:
-        """The backend this machine will actually construct caches on."""
-        return resolve_backend(self.cache_backend)
 
     @property
     def l2_ways(self) -> int:
@@ -121,18 +102,12 @@ class SimulationConfig:
     accepted_jobs_target: int = 10
     probe_interarrival_fraction: float = 1.0 / 512.0
     seed: int = 42
-    enable_bandwidth_model: bool = True
-    stealing_min_ways: int = 1
     profile_num_sets: int = 64
     profile_accesses: int = 40_000
     # Admission queue discipline: the paper's plain FCFS, or EASY
     # backfilling (later jobs may be admitted when they cannot delay
     # the blocked head's earliest start).
     queue_policy: str = "fcfs"
-    # Section 3.2: a reserved job still running when its reserved
-    # timeslot expires is terminated (only reachable when a JobSpec
-    # declares its own, under-estimated max_wall_clock).
-    enforce_wall_clock: bool = True
 
     def __post_init__(self) -> None:
         check_positive("instructions_per_job", self.instructions_per_job)
@@ -140,7 +115,6 @@ class SimulationConfig:
         check_positive(
             "probe_interarrival_fraction", self.probe_interarrival_fraction
         )
-        check_positive("stealing_min_ways", self.stealing_min_ways)
         check_positive("profile_num_sets", self.profile_num_sets)
         check_positive("profile_accesses", self.profile_accesses)
         if self.queue_policy not in ("fcfs", "backfill"):

@@ -84,7 +84,6 @@ class EqualPartSimulator:
                 get_benchmark(benchmark),
                 num_sets=self.sim_config.profile_num_sets,
                 accesses=self.sim_config.profile_accesses,
-                backend=self.machine.cache_backend,
             )
         return self._curves[benchmark]
 
@@ -207,12 +206,9 @@ class EqualPartSimulator:
                 transfers_per_cycle += (
                     share * mpi * writeback_factor / state.cpi_model.cpi(mpi)
                 )
-        if self.sim_config.enable_bandwidth_model:
-            multiplier = self.bandwidth.penalty_multiplier(
-                transfers_per_cycle, self.machine.memory_latency
-            )
-        else:
-            multiplier = 1.0
+        multiplier = self.bandwidth.penalty_multiplier(
+            transfers_per_cycle, self.machine.memory_latency
+        )
 
         for core, jobs_on_core in per_core.items():
             share = 1.0 / len(jobs_on_core)

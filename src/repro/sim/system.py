@@ -91,6 +91,8 @@ from repro.workloads.composer import JobSpec, WorkloadSpec
 from repro.workloads.profiler import MissRatioCurve, get_curve
 
 _PROGRESS_EPSILON = 1e-3  # instructions; tolerance for float completion
+#: Floor below which resource stealing never shrinks an Elastic job.
+STEALING_MIN_WAYS = 1
 
 
 @dataclass
@@ -512,7 +514,6 @@ class QoSSystemSimulator:
                 get_benchmark(benchmark),
                 num_sets=self.sim_config.profile_num_sets,
                 accesses=self.sim_config.profile_accesses,
-                backend=self.machine.cache_backend,
             )
         return self._curves[benchmark]
 
@@ -997,17 +998,16 @@ class QoSSystemSimulator:
         # starting at ``now`` is dispatched: an overrunning job (stalled
         # core, displacement) whose wall-clock check has not fired yet
         # at this instant is terminated first (Section 3.2).
-        if self.sim_config.enforce_wall_clock:
-            for other in self._states.values():
-                if (
-                    other is not state
-                    and other.reserved_running
-                    and other.reservation is not None
-                    and other.reservation.end <= now
-                    and other.job.instructions - other.progress
-                    > _PROGRESS_EPSILON
-                ):
-                    self._terminate(other, now)
+        for other in self._states.values():
+            if (
+                other is not state
+                and other.reserved_running
+                and other.reservation is not None
+                and other.reservation.end <= now
+                and other.job.instructions - other.progress
+                > _PROGRESS_EPSILON
+            ):
+                self._terminate(other, now)
         free_cores = [
             core
             for core in range(self.machine.num_cores)
@@ -1047,8 +1047,7 @@ class QoSSystemSimulator:
             state.job.assigned_core = core
 
         if (
-            self.sim_config.enforce_wall_clock
-            and state.reservation is not None
+            state.reservation is not None
             and state.reservation.end != float("inf")
         ):
             self.events.schedule(
@@ -1063,7 +1062,7 @@ class QoSSystemSimulator:
             state.steal = ResourceStealingController(
                 slack=mode.slack,
                 baseline_ways=state.spec.requested_ways,
-                min_ways=self.sim_config.stealing_min_ways,
+                min_ways=STEALING_MIN_WAYS,
                 interval_instructions=(
                     self.machine.repartition_interval_instructions
                 ),
@@ -1173,36 +1172,27 @@ class QoSSystemSimulator:
             transfers_per_cycle += (
                 state.cpu_share * mpi * writeback_factor / cpi
             )
-        if self.sim_config.enable_bandwidth_model:
-            bus = self.bandwidth.breakdown(
-                transfers_per_cycle, self.machine.memory_latency
-            )
-            opp_multiplier = bus["penalty_multiplier"]
-            self._bus_saturated = bus["saturated"]
-            self._last_bus_utilisation = bus["utilisation"]
-            # An active bandwidth-steal grant hands opportunistic
-            # traffic the idle bus: no queueing penalty.  Reserved jobs
-            # were never penalised, and utilisation is computed from
-            # base CPI, so the grant cannot feed back into the sensor.
-            if self._policy_bus_grant:
-                opp_multiplier = 1.0
-        else:
-            bus = None
+        bus = self.bandwidth.breakdown(
+            transfers_per_cycle, self.machine.memory_latency
+        )
+        opp_multiplier = bus["penalty_multiplier"]
+        self._bus_saturated = bus["saturated"]
+        self._last_bus_utilisation = bus["utilisation"]
+        # An active bandwidth-steal grant hands opportunistic traffic
+        # the idle bus: no queueing penalty.  Reserved jobs were never
+        # penalised, and utilisation is computed from base CPI, so the
+        # grant cannot feed back into the sensor.
+        if self._policy_bus_grant:
             opp_multiplier = 1.0
-            self._bus_saturated = False
-            self._last_bus_utilisation = 0.0
         obs = get_observer()
         if obs.enabled:
             obs.metrics.gauge("mem.bus.penalty_multiplier").set(
                 opp_multiplier
             )
-            if bus is not None:
-                obs.metrics.gauge("mem.bus.utilisation").set(
-                    bus["utilisation"]
-                )
-                obs.metrics.gauge("mem.bus.queueing_delay_cycles").set(
-                    bus["queueing_delay_cycles"]
-                )
+            obs.metrics.gauge("mem.bus.utilisation").set(bus["utilisation"])
+            obs.metrics.gauge("mem.bus.queueing_delay_cycles").set(
+                bus["queueing_delay_cycles"]
+            )
             if self._bus_saturated:
                 obs.metrics.counter("mem.bus.saturated_intervals").inc()
 

@@ -5,9 +5,9 @@ and scaled-down profiling/instruction knobs — is executed twice per
 *pair*, with exactly one implementation choice flipped between the
 arms, and every observable compared:
 
-- **backend** — miss curves profiled and the sweep run under the
-  ``reference`` cache backend versus the ``fast`` kernel.  Curves must
-  match point-for-point and every downstream scalar byte-for-byte.
+- **backend** — miss curves profiled on the ``reference`` cache model
+  versus the ``fast`` kernel, and the sweep run on each set.  Curves
+  must match point-for-point and every downstream scalar byte-for-byte.
 - **jobs** — the same sweep with ``jobs=1`` versus ``jobs=N``
   multiprocessing.  Counter snapshots *and* the metrics/events/trace
   JSONL artifact streams must be byte-identical (the observer-merge
@@ -28,10 +28,10 @@ arms, and every observable compared:
   epochs (so a disconnected epoch hook fails the pair).
 
 Both arms of a pair profile their miss curves through
-:func:`~repro.workloads.profiler.profile_benchmark` directly — the
-``get_curve`` memo and the on-disk miss-curve store deliberately key
-without the backend, so going through them would compare one cached
-curve against itself.
+:func:`~repro.workloads.profiler.profile_benchmark` directly —
+``get_curve`` always profiles on the fast kernel and its memo and
+on-disk store carry no backend, so going through them would compare
+one cached curve against itself.
 
 Numeric comparisons reuse :func:`repro.obs.diff.diff_snapshots`
 (tolerance class ``|b-a| <= max(abs_tol, rel_tol*max(|a|,|b|))``);
@@ -47,7 +47,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.runner import run_all_configurations, run_configuration
-from repro.cache.backend import forced_backend
 from repro.core.config import CONFIGURATIONS
 from repro.core.policy import (
     BandwidthStealPolicy,
@@ -209,7 +208,7 @@ class Scenario:
 
 
 def profile_scenario_curves(
-    scenario: Scenario, *, backend: Optional[str] = None
+    scenario: Scenario, *, backend: str = "fast"
 ) -> Dict[str, MissRatioCurve]:
     """Profile the scenario's miss curves, bypassing every curve cache.
 
@@ -412,12 +411,8 @@ def _backend_pair(
         kind="backend",
         subject=f"{scenario.describe()}, reference vs fast",
     )
-    with forced_backend("reference"):
-        reference_curves = profile_scenario_curves(
-            scenario, backend="reference"
-        )
-    with forced_backend("fast"):
-        fast_curves = profile_scenario_curves(scenario, backend="fast")
+    reference_curves = profile_scenario_curves(scenario, backend="reference")
+    fast_curves = profile_scenario_curves(scenario)
 
     curve_violations: List[str] = []
     for name in scenario.benchmarks():
@@ -446,10 +441,10 @@ def _backend_pair(
         CheckResult.from_violations("miss-curves-identical", curve_violations)
     )
 
-    with forced_backend("reference"):
-        arm_a = _run_sweep_arm(scenario, curves=reference_curves, jobs=1)
-    with forced_backend("fast"):
-        arm_b = _run_sweep_arm(scenario, curves=fast_curves, jobs=1)
+    # The arms are handed their curves, so neither builds a cache: any
+    # divergence downstream comes from the curves alone.
+    arm_a = _run_sweep_arm(scenario, curves=reference_curves, jobs=1)
+    arm_b = _run_sweep_arm(scenario, curves=fast_curves, jobs=1)
     report.checks.append(
         CheckResult.from_violations(
             "counters-identical",
@@ -461,14 +456,8 @@ def _backend_pair(
             ),
         )
     )
-    # cache.builds series legitimately carry a backend label; everything
-    # else in the metric stream must agree.
     report.checks.append(
-        _compare_stream(
-            "metrics",
-            _without_series(arm_a.metrics_lines, "cache.builds"),
-            _without_series(arm_b.metrics_lines, "cache.builds"),
-        )
+        _compare_stream("metrics", arm_a.metrics_lines, arm_b.metrics_lines)
     )
     report.checks.append(
         _compare_stream("events", arm_a.events_lines, arm_b.events_lines)

@@ -125,7 +125,7 @@ def measure_miss_rates(
     accesses: int = 40_000,
     warmup: int = 15_000,
     seed: int = 1234,
-    backend: Optional[str] = None,
+    backend: str = "fast",
 ) -> Dict[int, float]:
     """Raw per-way miss rates, exactly as the cache measured them.
 
@@ -172,16 +172,16 @@ def profile_benchmark(
     accesses: int = 40_000,
     warmup: int = 15_000,
     seed: int = 1234,
-    backend: Optional[str] = None,
+    backend: str = "fast",
 ) -> MissRatioCurve:
     """Measure ``profile``'s miss-ratio curve by direct cache simulation.
 
     For each candidate way count ``w`` the benchmark's trace runs alone
     through a ``w``-way LRU cache with ``num_sets`` sets (a partition
     view of the shared L2).  ``warmup`` accesses fill the cache before
-    ``accesses`` measured ones.  ``backend`` selects the cache
-    implementation (:mod:`repro.cache.backend`); both backends produce
-    identical curves.
+    ``accesses`` measured ones.  ``backend`` names the cache
+    implementation (:mod:`repro.cache.backend`); both produce identical
+    curves, and only checks against the reference model pass it.
     """
     points = measure_miss_rates(
         profile,
@@ -226,16 +226,13 @@ def get_curve(
     block_bytes: int = 64,
     accesses: int = 40_000,
     seed: int = 1234,
-    backend: Optional[str] = None,
 ) -> MissRatioCurve:
     """Memoised :func:`profile_benchmark` (one curve per configuration).
 
     Two layers of memoisation: the in-process dict below, then the
     content-addressed on-disk store (:mod:`repro.analysis.misscache`)
-    shared across processes and runs.  Neither key includes the cache
-    backend — both backends produce identical curves (pinned by the
-    differential test suite), so a curve profiled under one backend is
-    valid under the other.
+    shared across processes and runs.  Curves are profiled on the fast
+    kernel, which the differential suite pins to the reference model.
     """
     key = (profile_digest(profile), num_sets, block_bytes, accesses, seed)
     if key not in _CURVE_CACHE:
@@ -257,7 +254,6 @@ def get_curve(
                 block_bytes=block_bytes,
                 accesses=accesses,
                 seed=seed,
-                backend=backend,
             )
             misscache.store_curve(
                 cached,

@@ -197,11 +197,9 @@ class TestGetCurveIntegration:
     def test_curves_identical_across_backends(self):
         profile = get_benchmark("gobmk")
         kwargs = dict(num_sets=8, accesses=2_000, seed=7)
-        fast = get_curve(profile, backend="fast", **kwargs)
-        clear_curve_cache()
-        misscache.set_enabled(False)  # force a real re-profile
-        reference = get_curve(profile, backend="reference", **kwargs)
-        assert fast.points == reference.points
+        stored = get_curve(profile, **kwargs)
+        reference = profile_benchmark(profile, backend="reference", **kwargs)
+        assert stored.points == reference.points
 
     def test_entry_payload_is_inspectable_json(self, isolated_store):
         profile = get_benchmark("bzip2")

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.analysis import misscache
 from repro.analysis.parallel import parallel_map, pool_fingerprints
 from repro.analysis.pool import (
     SessionState,
@@ -25,7 +26,6 @@ from repro.analysis.pool import (
     shared_pool,
     shutdown_shared_pools,
 )
-from repro.cache.backend import forced_backend
 from repro.obs import Observer, observed
 
 
@@ -134,10 +134,14 @@ class TestPoolPersistence:
     def test_shared_pool_reforks_on_session_state_change(self):
         pool = shared_pool(2)
         pool.map(_pid, [0, 1])
-        with forced_backend("reference"):
+        flipped = not misscache.enabled()
+        misscache.set_enabled(flipped)
+        try:
             replacement = shared_pool(2)
             assert replacement is not pool
-            assert replacement.state.cache_backend == "reference"
+            assert replacement.state.miss_cache_enabled is flipped
+        finally:
+            misscache.set_enabled(None)
 
     def test_parallel_map_uses_process_wide_pool(self):
         first = set(parallel_map(_pid, list(range(8)), jobs=2))
@@ -266,5 +270,5 @@ class TestFingerprints:
         with WorkerPool(2) as pool:
             probes = pool.fingerprints()
         for probe in probes:
-            assert probe["cache_backend"] == state.cache_backend
             assert probe["miss_cache_enabled"] == state.miss_cache_enabled
+            assert probe["miss_cache_dir"] == state.miss_cache_dir

@@ -1,10 +1,10 @@
-"""The cache-backend selector: exactly ``reference`` and ``fast``.
+"""The cache builders: runs build ``fast``; ``reference`` only by name.
 
-A name outside :data:`BACKENDS` must be refused wherever one can
-arrive from outside the program — an explicit ``make_cache`` argument,
-the ``--cache-backend`` flag, and the ``REPRO_CACHE_BACKEND``
-environment variable — and the CLI's import graph pulls in no numeric
-extension library.
+The reference model is the oracle the fast kernel is checked against,
+not a way to run.  Nothing outside the call site — no flag, no
+environment variable, no machine field — can switch a run onto it, a
+name outside :data:`BACKENDS` is refused, and the CLI's import graph
+pulls in no numeric extension library.
 """
 
 import subprocess
@@ -12,10 +12,16 @@ import sys
 
 import pytest
 
-from repro.cache import backend
-from repro.cache.backend import BACKENDS, make_cache
+from repro.cache.backend import BACKENDS, make_cache, make_partitioned_cache
+from repro.cache.basic import SetAssociativeCache
+from repro.cache.fastsim import (
+    FastSetAssociativeCache,
+    FastWayPartitionedCache,
+)
 from repro.cache.geometry import CacheGeometry
+from repro.cache.partitioned import WayPartitionedCache
 from repro.cli import build_parser
+from repro.sim.config import MachineConfig
 
 GEOMETRY = CacheGeometry.from_sets(4, 4, 64)
 EXPECTED = r"expected one of \('reference', 'fast'\)"
@@ -30,20 +36,50 @@ def test_make_cache_refuses_fast_vec():
         make_cache(GEOMETRY, backend="fast-vec")
 
 
-def test_cache_backend_flag_refuses_fast_vec(capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        build_parser().parse_args(
-            ["fig5", "bzip2", "--cache-backend", "fast-vec"]
-        )
-    assert exit_info.value.code == 2
-    assert "invalid choice: 'fast-vec'" in capsys.readouterr().err
-
-
-def test_environment_fast_vec_refused_at_first_build(monkeypatch):
-    monkeypatch.setattr(backend, "_default_backend", None)
-    monkeypatch.setenv("REPRO_CACHE_BACKEND", "fast-vec")
+def test_partitioned_builder_refuses_unknown_names():
     with pytest.raises(ValueError, match=EXPECTED):
-        make_cache(GEOMETRY)
+        make_partitioned_cache(GEOMETRY, 2, backend="fast-vec")
+
+
+def test_environment_cannot_select_the_reference_model(monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_BACKEND", "reference")
+    assert type(make_cache(GEOMETRY)) is FastSetAssociativeCache
+    assert type(make_partitioned_cache(GEOMETRY, 2)) is (
+        FastWayPartitionedCache
+    )
+
+
+def test_reference_model_is_built_by_name():
+    assert type(make_cache(GEOMETRY, backend="reference")) is (
+        SetAssociativeCache
+    )
+    assert type(
+        make_partitioned_cache(GEOMETRY, 2, backend="reference")
+    ) is WayPartitionedCache
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig5", "Mix-1"],
+        ["fig7"],
+        ["faults"],
+        ["sweep", "run", "spec.json"],
+    ],
+    ids=["fig5", "fig7", "faults", "sweep-run"],
+)
+def test_cache_backend_flag_is_gone(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(argv + ["--cache-backend=reference"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --cache-backend" in (
+        capsys.readouterr().err
+    )
+
+
+def test_machine_config_has_no_backend_field():
+    with pytest.raises(TypeError, match="cache_backend"):
+        MachineConfig(cache_backend="reference")
 
 
 def test_cli_import_leaves_numpy_out():

@@ -7,9 +7,9 @@ from repro.cache.basic import SetAssociativeCache
 from repro.cache.geometry import CacheGeometry
 
 
-def small_cache(associativity=4, num_sets=8, policy="lru"):
+def small_cache(associativity=4, num_sets=8):
     geometry = CacheGeometry.from_sets(num_sets, associativity, 64)
-    return SetAssociativeCache(geometry, policy=policy)
+    return SetAssociativeCache(geometry)
 
 
 def addr(set_index, tag, geometry=None):

@@ -30,7 +30,7 @@ accesses_strategy = st.lists(
 @given(accesses_strategy)
 @settings(max_examples=60, deadline=None)
 def test_way_partitioned_single_owner_equals_plain_lru(accesses):
-    reference = SetAssociativeCache(GEOMETRY, policy="lru")
+    reference = SetAssociativeCache(GEOMETRY)
     partitioned = WayPartitionedCache(GEOMETRY, num_cores=1)
     partitioned.set_target(0, GEOMETRY.associativity)
     partitioned.set_class(0, PartitionClass.RESERVED)
@@ -50,7 +50,7 @@ def test_way_partitioned_single_owner_equals_plain_lru(accesses):
 @given(accesses_strategy)
 @settings(max_examples=60, deadline=None)
 def test_global_partitioned_single_owner_equals_plain_lru(accesses):
-    reference = SetAssociativeCache(GEOMETRY, policy="lru")
+    reference = SetAssociativeCache(GEOMETRY)
     partitioned = GlobalPartitionedCache(GEOMETRY, num_cores=1)
     partitioned.set_target(0, GEOMETRY.associativity)
 
@@ -104,9 +104,7 @@ class TestPartitionedIsolation:
         in a *private* 2-way cache of the same sets, no matter what a
         co-runner does.  (It may miss less: spare capacity it borrows
         transiently only adds hits.)"""
-        private = SetAssociativeCache(
-            CacheGeometry.from_sets(4, 2, 64), policy="lru"
-        )
+        private = SetAssociativeCache(CacheGeometry.from_sets(4, 2, 64))
         shared = WayPartitionedCache(GEOMETRY, num_cores=2)
         shared.set_target(0, 2)
         shared.set_target(1, 2)

@@ -64,7 +64,7 @@ class TestBasicCacheDifferential:
     @given(accesses=accesses_strategy)
     @settings(max_examples=25, deadline=None)
     def test_scalar_path_identical(self, geometry, accesses):
-        reference = SetAssociativeCache(geometry, policy="lru")
+        reference = SetAssociativeCache(geometry)
         fast = FastSetAssociativeCache(geometry)
         block_bytes = geometry.block_bytes
         for block, is_write, core_id in accesses:
@@ -84,7 +84,7 @@ class TestBasicCacheDifferential:
     @settings(max_examples=25, deadline=None)
     def test_batch_path_identical(self, accesses):
         geometry = CacheGeometry.from_sets(4, 4, 64)
-        reference = SetAssociativeCache(geometry, policy="lru")
+        reference = SetAssociativeCache(geometry)
         fast = FastSetAssociativeCache(geometry)
         addresses = [block * 64 for block, _, _ in accesses]
         writes = [w for _, w, _ in accesses]
@@ -98,7 +98,7 @@ class TestBasicCacheDifferential:
     @settings(max_examples=20, deadline=None)
     def test_maintenance_surface_identical(self, accesses):
         geometry = CacheGeometry.from_sets(4, 2, 64)
-        reference = SetAssociativeCache(geometry, policy="lru")
+        reference = SetAssociativeCache(geometry)
         fast = FastSetAssociativeCache(geometry)
         for index, (block, is_write, core_id) in enumerate(accesses):
             address = block * 64
@@ -122,7 +122,7 @@ class TestBasicCacheDifferential:
         order must survive arbitrary interleaving of the two.
         """
         geometry = CacheGeometry.from_sets(4, 4, 64)
-        reference = SetAssociativeCache(geometry, policy="lru")
+        reference = SetAssociativeCache(geometry)
         fast = FastSetAssociativeCache(geometry)
         for index in range(0, len(accesses), 7):
             window = accesses[index:index + 7]
@@ -156,11 +156,6 @@ class TestBasicCacheDifferential:
         )
         assert a == b
         assert_same_stats(broadcast, explicit)
-
-    def test_fast_backend_rejects_non_lru(self):
-        geometry = CacheGeometry.from_sets(4, 4, 64)
-        with pytest.raises(ValueError, match="LRU only"):
-            FastSetAssociativeCache(geometry, policy="fifo")
 
     def test_fast_backend_rejects_negative_core(self):
         cache = FastSetAssociativeCache(CacheGeometry.from_sets(4, 4, 64))

@@ -1,15 +1,10 @@
-"""Tests for replacement policies."""
+"""Tests for the LRU replacement policy."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cache.replacement import (
-    FifoPolicy,
-    LruPolicy,
-    RandomPolicy,
-    make_policy,
-)
+from repro.cache.replacement import LruPolicy
 
 
 class TestLruPolicy:
@@ -78,52 +73,3 @@ class TestLruPolicy:
         assert policy.victim(range(8)) in range(8)
         assert policy.victim([3, 5]) in (3, 5)
 
-
-class TestFifoPolicy:
-    def test_eviction_order_is_fill_order(self):
-        policy = FifoPolicy(4)
-        for way in (2, 0, 3, 1):
-            policy.insert(way)
-        assert policy.victim(range(4)) == 2
-
-    def test_hits_do_not_change_order(self):
-        policy = FifoPolicy(4)
-        for way in (0, 1, 2, 3):
-            policy.insert(way)
-        policy.touch(0)  # hit on the oldest
-        assert policy.victim(range(4)) == 0
-
-    def test_reinsert_moves_to_back(self):
-        policy = FifoPolicy(2)
-        policy.insert(0)
-        policy.insert(1)
-        policy.insert(0)  # refilled
-        assert policy.victim(range(2)) == 1
-
-
-class TestRandomPolicy:
-    def test_victim_in_candidates(self):
-        policy = RandomPolicy(8)
-        for _ in range(50):
-            assert policy.victim([1, 4, 6]) in (1, 4, 6)
-
-    def test_deterministic_with_same_seed(self):
-        from repro.util.rng import DeterministicRng
-
-        a = RandomPolicy(8, DeterministicRng(7, "x"))
-        b = RandomPolicy(8, DeterministicRng(7, "x"))
-        picks_a = [a.victim(range(8)) for _ in range(20)]
-        picks_b = [b.victim(range(8)) for _ in range(20)]
-        assert picks_a == picks_b
-
-
-class TestFactory:
-    @pytest.mark.parametrize("name,cls", [
-        ("lru", LruPolicy), ("fifo", FifoPolicy), ("random", RandomPolicy),
-    ])
-    def test_make_policy(self, name, cls):
-        assert isinstance(make_policy(name, 4), cls)
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError, match="unknown replacement policy"):
-            make_policy("plru", 4)

@@ -79,9 +79,7 @@ class TestStealingCriterion:
         from repro.cache.basic import SetAssociativeCache
 
         shadow = make_shadow(baseline_ways=2, sample_period=1, num_sets=1)
-        main = SetAssociativeCache(
-            CacheGeometry.from_sets(1, 2, 64), policy="lru"
-        )
+        main = SetAssociativeCache(CacheGeometry.from_sets(1, 2, 64))
         for tag in (1, 2, 1, 2, 3, 1, 4, 2, 1):
             address = addr(0, tag, shadow)
             shadow.observe(address, main_hit=main.access(address).hit)
@@ -154,9 +152,7 @@ class TestAgainstReferenceCache:
         from repro.cache.basic import SetAssociativeCache
 
         shadow = make_shadow(baseline_ways=3, sample_period=1, num_sets=1)
-        reference = SetAssociativeCache(
-            CacheGeometry.from_sets(1, 3, 64), policy="lru"
-        )
+        reference = SetAssociativeCache(CacheGeometry.from_sets(1, 3, 64))
         for tag in tags:
             address = addr(0, tag, shadow)
             expected = reference.access(address).hit

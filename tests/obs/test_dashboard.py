@@ -17,7 +17,6 @@ def make_stats(**overrides):
     stats = {
         "uptime": 12.5,
         "draining": False,
-        "cache_backend": "fast",
         "fingerprint": "abcdef0123456789",
         "queue_depth": 3,
         "inflight": 2,
@@ -99,7 +98,6 @@ class TestServeFrame:
         frame = render_serve_frame(make_stats())
         assert "offered 100 = admitted 70 + rejected 20 + shed 10" in frame
         assert "(downgraded 5)" in frame
-        assert "backend fast" in frame
         assert "code abcdef012345" in frame  # truncated to 12 chars
         assert "up 12.5s" in frame
         assert "DRAINING" not in frame

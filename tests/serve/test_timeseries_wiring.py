@@ -9,7 +9,6 @@ zero-cost-when-disabled contract.
 
 import asyncio
 
-from repro.cache.backend import default_backend
 from repro.obs import Observer, observed
 from repro.obs.timeseries import load_history_jsonl
 from repro.serve.loadgen import _get_json, _post_json
@@ -106,7 +105,7 @@ class TestHistoryEndpoint:
 
 
 class TestStatsExtensions:
-    def test_stats_carries_uptime_backend_and_fingerprint(self):
+    def test_stats_carries_uptime_and_fingerprint(self):
         async def scenario():
             server = await start_server()
             reader, writer = await connect(server)
@@ -115,7 +114,7 @@ class TestStatsExtensions:
             await server.drain()
             assert status == 200
             assert body["uptime"] >= 0.0
-            assert body["cache_backend"] == default_backend()
+            assert "cache_backend" not in body
             fingerprint = body["fingerprint"]
             assert isinstance(fingerprint, str) and len(fingerprint) >= 12
             # Memoised: the digest is stable across calls.

@@ -12,7 +12,7 @@ from repro.core.config import (
 from repro.core.job import JobState
 from repro.core.modes import ExecutionMode, ModeKind
 from repro.sim.config import MachineConfig, SimulationConfig
-from repro.sim.system import QoSSystemSimulator
+from repro.sim.system import STEALING_MIN_WAYS, QoSSystemSimulator
 from repro.workloads.arrival import DeadlineClass
 from repro.workloads.composer import single_benchmark_workload
 
@@ -120,7 +120,7 @@ class TestHybrid2:
                 continue
             history = result.per_job_ways_history[job.job_id]
             reserved_phases = [w for w in history if w > 0]
-            assert min(reserved_phases) >= SIM.stealing_min_ways
+            assert min(reserved_phases) >= STEALING_MIN_WAYS
 
 
 class TestAutoDowngrade:

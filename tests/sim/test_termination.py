@@ -18,8 +18,8 @@ from repro.workloads.arrival import DeadlineClass
 from repro.workloads.composer import JobSpec, WorkloadSpec
 
 
-def workload_with_underestimate(honest_jobs=2):
-    """One job declaring half the wall-clock it needs, plus honest ones."""
+def workload_with_underestimate():
+    """One job declaring half the wall-clock it needs, plus two honest ones."""
     strict = ExecutionMode.strict()
     # The fake bzip2 curve gives T(7 ways) ~= 0.29 s; declaring 0.1 s
     # is a gross under-estimate.
@@ -37,7 +37,7 @@ def workload_with_underestimate(honest_jobs=2):
             deadline_class=DeadlineClass.RELAXED,
             requested_ways=7,
         )
-        for _ in range(honest_jobs)
+        for _ in range(2)
     )
     return WorkloadSpec(
         name="underestimate",
@@ -103,23 +103,7 @@ class TestTermination:
         assert result.throughput.jobs_measured == 2
 
 
-class TestEnforcementToggle:
-    def test_disabled_enforcement_lets_the_job_finish(
-        self, fake_curves_module
-    ):
-        workload = workload_with_underestimate(honest_jobs=1)
-        result = QoSSystemSimulator(
-            workload,
-            curves=fake_curves_module,
-            sim_config=SimulationConfig(
-                accepted_jobs_target=2, enforce_wall_clock=False
-            ),
-        ).run()
-        assert all(
-            j.state is JobState.COMPLETED for j in result.jobs
-        )
-        assert result.terminations == 0
-
+class TestHonestWorkloads:
     def test_honest_workloads_never_terminate(self, fake_curves_module):
         from repro.core.config import ALL_STRICT
         from repro.workloads.composer import single_benchmark_workload

@@ -63,6 +63,16 @@ class TestExecution:
         assert "bzip2" in out
         assert "Mix-1" in out
 
+    def test_list_names_every_subcommand(self, capsys):
+        assert main(["list"]) == 0
+        (line,) = [
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("commands: ")
+        ]
+        listed = line[len("commands: "):].split(", ")
+        assert sorted(listed) == sorted(cli.HANDLERS)
+
     def test_fig1_runs(self, capsys):
         assert main(["fig1"]) == 0
         out = capsys.readouterr().out

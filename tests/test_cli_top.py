@@ -15,7 +15,6 @@ from repro.obs.timeseries import history_point, write_history_jsonl
 def stats_payload():
     return {
         "uptime": 3.0,
-        "cache_backend": "reference",
         "fingerprint": "0123456789abcdef",
         "queue_depth": 0,
         "inflight": 0,
@@ -77,7 +76,6 @@ class TestFileMode:
         ) == 0
         out = capsys.readouterr().out
         assert "offered 5 = admitted 4 + rejected 1 + shed 0" in out
-        assert "backend reference" in out
         assert "history 2 samples" in out
 
     def test_once_is_byte_deterministic(self, tmp_path, capsys):
