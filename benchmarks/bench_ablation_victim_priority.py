@@ -36,8 +36,7 @@ def bound_stream(benchmark, base, seed):
         base_address=base,
     )
     while True:
-        for address, is_write in generator.address_stream(1024):
-            yield address, is_write
+        yield from zip(*generator.address_block(1024))
 
 
 def donor_excess_after(donor_class, recipient_accesses):

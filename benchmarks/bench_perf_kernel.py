@@ -15,6 +15,10 @@ Times the pieces of the performance layer on a fixed workload:
 3. **Miss-curve cache** — a cold profiling pass vs a warm re-run
    served from the on-disk store.
 
+Each timed comparison runs ``ROUNDS`` alternating rounds and reports
+the median round, and the pools are forked before the jobs sweep's
+timed region, so one stall on a shared host cannot decide a gate.
+
 Writes ``BENCH_perf.json`` so successive commits leave a perf
 trajectory, and exits non-zero when a gated number regresses — CI runs
 ``--smoke`` so a kernel regression fails the build.  With ``--stamp``
@@ -34,6 +38,7 @@ import gc
 import json
 import math
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -61,6 +66,9 @@ SWEEP_BENCHMARKS = ("bzip2", "hmmer", "gobmk", "sjeng")
 #: Candidate worker counts for the jobs sweep, clamped to visible CPUs.
 JOBS_CANDIDATES = (1, 2, 4, 8)
 
+#: Timed rounds per comparison; every reported time is the median round.
+ROUNDS = 5
+
 
 def generate_trace(accesses, num_sets, block_bytes, num_cores, seed=2024):
     """A deterministic multi-core trace from the bzip2 mixture."""
@@ -74,12 +82,10 @@ def generate_trace(accesses, num_sets, block_bytes, num_cores, seed=2024):
             rng=DeterministicRng(seed, f"bench-core-{core}"),
             base_address=core << 26,
         )
-        for address, is_write in generator.address_stream(
-            accesses // num_cores
-        ):
-            addresses.append(address)
-            writes.append(is_write)
-            cores.append(core)
+        block, block_writes = generator.address_block(accesses // num_cores)
+        addresses += block
+        writes += block_writes
+        cores += [core] * len(block)
     return addresses, writes, cores
 
 
@@ -109,11 +115,16 @@ def bench_kernel(accesses, num_sets=512, block_bytes=64, num_cores=4):
     addresses, writes, cores = trace
     results = {}
     counters = {}
-    for backend in ("reference", "fast"):
-        l2 = build_l2(backend, num_sets, block_bytes, num_cores)
-        counters[backend], elapsed = _timed_block(
-            l2, addresses, writes, cores
-        )
+    rounds = {"reference": [], "fast": []}
+    for _ in range(ROUNDS):
+        for backend in rounds:
+            l2 = build_l2(backend, num_sets, block_bytes, num_cores)
+            counters[backend], elapsed = _timed_block(
+                l2, addresses, writes, cores
+            )
+            rounds[backend].append(elapsed)
+    for backend, seconds in rounds.items():
+        elapsed = statistics.median(seconds)
         results[f"{backend}_accesses_per_sec"] = round(
             len(addresses) / elapsed
         )
@@ -141,25 +152,46 @@ def _profile_point(payload):
     return name, curve.points
 
 
+def _identity(item):
+    return item
+
+
+def _timed_map(payloads, jobs):
+    start = time.perf_counter()
+    output = parallel_map(_profile_point, payloads, jobs=jobs)
+    return output, time.perf_counter() - start
+
+
 def bench_parallel(num_sets, accesses, jobs_values):
     """Jobs sweep over SWEEP_BENCHMARKS; every level must match serial."""
     payloads = [(name, num_sets, accesses) for name in SWEEP_BENCHMARKS]
-    start = time.perf_counter()
     expected = parallel_map(_profile_point, payloads, jobs=1)
-    serial_seconds = time.perf_counter() - start
-    sweep = []
+    # The persistent pool forks once per process, not once per sweep,
+    # so fork every level's pool before the timed region and report
+    # its start-up on its own.
+    pool_start = {}
     for jobs in jobs_values:
         start = time.perf_counter()
-        output = parallel_map(_profile_point, payloads, jobs=jobs)
-        elapsed = time.perf_counter() - start
-        if output != expected:
-            raise SystemExit(
-                f"FAIL: jobs={jobs} sweep output differs from serial"
-            )
+        parallel_map(_identity, range(jobs), jobs=jobs)
+        pool_start[jobs] = time.perf_counter() - start
+    rounds = {jobs: [] for jobs in [1, *jobs_values]}
+    for _ in range(ROUNDS):
+        for jobs, seconds in rounds.items():
+            output, elapsed = _timed_map(payloads, jobs)
+            if output != expected:
+                raise SystemExit(
+                    f"FAIL: jobs={jobs} sweep output differs from serial"
+                )
+            seconds.append(elapsed)
+    serial_seconds = statistics.median(rounds[1])
+    sweep = []
+    for jobs in jobs_values:
+        elapsed = statistics.median(rounds[jobs])
         speedup = round(serial_seconds / max(elapsed, 1e-9), 2)
         sweep.append(
             {
                 "jobs": jobs,
+                "pool_start_seconds": round(pool_start[jobs], 4),
                 "seconds": round(elapsed, 4),
                 "speedup": speedup,
                 "efficiency": round(speedup / jobs, 2),
@@ -264,7 +296,7 @@ def main(argv=None):
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="small trace sizes for CI; relaxed speedup thresholds",
+        help="small kernel trace for CI; relaxed speedup thresholds",
     )
     parser.add_argument(
         "--max-jobs",
@@ -300,11 +332,15 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
+    # The sweep keeps its full size in smoke mode: a few seconds of
+    # serial profiling is the least a jobs=2 reading needs to rise
+    # above a shared host's noise.
+    sweep_sets, sweep_accesses = 64, 40_000
     if args.smoke:
-        kernel_accesses, sweep_sets, sweep_accesses = 40_000, 16, 4_000
+        kernel_accesses = 40_000
         min_kernel_speedup, min_jobs_speedup = 2.0, 1.2
     else:
-        kernel_accesses, sweep_sets, sweep_accesses = 400_000, 64, 40_000
+        kernel_accesses = 400_000
         min_kernel_speedup, min_jobs_speedup = 5.0, 1.5
 
     visible = visible_cpu_count()
@@ -319,7 +355,10 @@ def main(argv=None):
     jobs_values = [min(n, len(SWEEP_BENCHMARKS)) for n in jobs_values]
     jobs_values = sorted(set(jobs_values))
 
-    print(f"kernel: {kernel_accesses} accesses, reference vs fast ...")
+    print(
+        f"kernel: {kernel_accesses} accesses, reference vs fast, "
+        f"median of {ROUNDS} rounds ..."
+    )
     kernel = bench_kernel(kernel_accesses)
     print(
         f"  reference {kernel['reference_accesses_per_sec']:,} acc/s, "
@@ -337,7 +376,7 @@ def main(argv=None):
         print(
             f"  jobs={entry['jobs']}: {entry['seconds']}s "
             f"({entry['speedup']}x, efficiency {entry['efficiency']}, "
-            "output identical)"
+            f"output identical; pool start {entry['pool_start_seconds']}s)"
         )
 
     print("miss-cache: cold vs warm profiling pass ...")
@@ -353,6 +392,7 @@ def main(argv=None):
         "mode": "smoke" if args.smoke else "standard",
         "cpu_count": os.cpu_count(),
         "visible_cpus": visible,
+        "rounds": ROUNDS,
         "kernel": kernel,
         "parallel": parallel,
         "miss_cache": cache,

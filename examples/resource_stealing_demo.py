@@ -39,8 +39,7 @@ def endless_trace(benchmark, base, seed):
 
     def stream():
         while True:
-            for address, is_write in generator.address_stream(1024):
-                yield MemoryAccess(address, is_write)
+            yield from map(MemoryAccess, *generator.address_block(1024))
 
     return stream()
 

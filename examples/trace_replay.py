@@ -97,8 +97,7 @@ def main():
 
     def synthetic_stream():
         while True:
-            for address, is_write in co_runner.address_stream(1024):
-                yield MemoryAccess(address, is_write)
+            yield from map(MemoryAccess, *co_runner.address_block(1024))
 
     results = node.run_interleaved(
         {0: replay_stream(), 1: synthetic_stream()},

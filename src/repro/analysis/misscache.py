@@ -150,12 +150,14 @@ def reset_stats() -> None:
 #: Modules whose source determines curve values.  Editing any of them
 #: changes the fingerprint and orphans previously stored entries.
 _FINGERPRINT_MODULES = (
+    "repro.cache.backend",
     "repro.cache.basic",
     "repro.cache.fastsim",
     "repro.cache.geometry",
     "repro.cache.replacement",
     "repro.util.rng",
     "repro.workloads.benchmarks",
+    "repro.workloads.generator",
     "repro.workloads.patterns",
     "repro.workloads.profiler",
 )

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.analysis import misscache
 from repro.analysis.parallel import parallel_map, resolve_jobs
 from repro.analysis.pool import current_shared
 from repro.analysis.store import ResultStore, content_digest, modules_fingerprint
@@ -47,16 +48,11 @@ SWEEP_FILE_VERSION = 1
 #: Version of the sweep *report* schema (the orchestrator's output).
 SWEEP_REPORT_VERSION = 1
 
-#: Modules whose source determines a sweep point's artifact.  Editing
-#: any of them changes every scenario digest, so stale artifacts are
-#: never served for new code.  The curve-producing modules are covered
-#: transitively: ``sim.system`` drives profiling through the same
-#: stack the miss-curve store fingerprints.
-_FINGERPRINT_MODULES = (
-    "repro.cache.basic",
-    "repro.cache.fastsim",
-    "repro.cache.geometry",
-    "repro.cache.replacement",
+#: Modules whose source determines a sweep point's artifact: the
+#: curve-producing modules the miss-curve store fingerprints, plus the
+#: simulator.  Editing any of them changes every scenario digest, so
+#: stale artifacts are never served for new code.
+_FINGERPRINT_MODULES = misscache._FINGERPRINT_MODULES + (
     "repro.core.admission",
     "repro.core.config",
     "repro.core.metrics",
@@ -65,11 +61,7 @@ _FINGERPRINT_MODULES = (
     "repro.sim.engine",
     "repro.sim.equalpart",
     "repro.sim.system",
-    "repro.util.rng",
-    "repro.workloads.benchmarks",
     "repro.workloads.composer",
-    "repro.workloads.patterns",
-    "repro.workloads.profiler",
 )
 
 

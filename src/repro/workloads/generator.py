@@ -3,15 +3,16 @@
 A benchmark's L2 access stream is modelled as a weighted interleaving
 of pattern primitives (loops, Zipf pools, streams).  Each component gets
 a private, non-overlapping address region; per access, one component is
-drawn by weight and asked for its next address.
+drawn by weight and asked for its next address.  Traces come out as two
+flat lists (:meth:`TraceGenerator.address_block`), which the profiler
+draws once per curve and replays into a cache at every way count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.cpu.core import MemoryAccess
 from repro.util.rng import DeterministicRng
 from repro.util.validation import check_fraction, check_positive
 from repro.workloads.patterns import AccessPattern
@@ -93,28 +94,28 @@ class TraceGenerator:
         """Total footprint of all components, in ways-worth of blocks."""
         return sum(component.pattern.footprint_ways for component in self.components)
 
-    def accesses(self, count: int) -> Iterator[MemoryAccess]:
-        """Yield ``count`` accesses from the bound mixture."""
+    def address_block(self, count: int) -> Tuple[List[int], List[bool]]:
+        """Draw the next ``count`` accesses as ``(addresses, writes)``.
+
+        Two flat lists, the shape ``access_block`` takes, rather than an
+        object or tuple per access.  Successive calls continue the same
+        stream, so a trace drawn in several blocks is the same trace.
+        """
         if not self._bound:
             raise RuntimeError("bind() must be called before generating")
         check_positive("count", count)
+        addresses: List[int] = []
+        writes: List[bool] = []
+        write_rng, write_fraction = self._write_rng, self.write_fraction
         components = self.components
         if len(components) == 1:
             only = components[0].pattern
             for _ in range(count):
-                yield MemoryAccess(
-                    only.next_address(),
-                    is_write=self._write_rng.uniform() < self.write_fraction,
-                )
-            return
+                addresses.append(only.next_address())
+                writes.append(write_rng.uniform() < write_fraction)
+            return addresses, writes
         for _ in range(count):
             component = self._pick_rng.weighted_choice(components, self._weights)
-            yield MemoryAccess(
-                component.pattern.next_address(),
-                is_write=self._write_rng.uniform() < self.write_fraction,
-            )
-
-    def address_stream(self, count: int) -> Iterator[Tuple[int, bool]]:
-        """Yield ``(address, is_write)`` tuples (lighter than dataclasses)."""
-        for access in self.accesses(count):
-            yield access.address, access.is_write
+            addresses.append(component.pattern.next_address())
+            writes.append(write_rng.uniform() < write_fraction)
+        return addresses, writes

@@ -18,8 +18,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cache.backend import make_cache
 from repro.cache.geometry import CacheGeometry
@@ -42,6 +43,9 @@ class MissRatioCurve:
     benchmark: str
     l2_accesses_per_instruction: float
     points: Dict[int, float] = field(default_factory=dict)
+    #: The profiled way counts, ascending (curves are built once and
+    #: queried hundreds of thousands of times per run).
+    _ways: List[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         check_positive(
@@ -49,11 +53,12 @@ class MissRatioCurve:
         )
         if 0 not in self.points:
             self.points[0] = 1.0  # no allocation: every access misses
+        self._ways = sorted(self.points)
         self._enforce_monotone()
 
     def _enforce_monotone(self) -> None:
         running_min = 1.0
-        for ways in sorted(self.points):
+        for ways in self._ways:
             value = min(self.points[ways], running_min)
             if not 0.0 <= self.points[ways] <= 1.0:
                 raise ValueError(
@@ -66,7 +71,7 @@ class MissRatioCurve:
     @property
     def max_ways(self) -> int:
         """Largest way count the curve was profiled at."""
-        return max(self.points)
+        return self._ways[-1]
 
     def miss_rate(self, ways: float) -> float:
         """Miss rate at ``ways``, linearly interpolated between points.
@@ -77,13 +82,14 @@ class MissRatioCurve:
         to the last point.
         """
         check_non_negative("ways", ways)
-        known = sorted(self.points)
+        known = self._ways
         if ways >= known[-1]:
             return self.points[known[-1]]
-        lower = max(w for w in known if w <= ways)
-        upper = min(w for w in known if w >= ways)
-        if lower == upper:
-            return self.points[lower]
+        index = bisect_left(known, ways)
+        upper = known[index]
+        if upper == ways:
+            return self.points[upper]
+        lower = known[index - 1]
         t = (ways - lower) / (upper - lower)
         return self.points[lower] * (1 - t) + self.points[upper] * t
 
@@ -110,7 +116,7 @@ class MissRatioCurve:
         ill-defined (Section 3.2).
         """
         check_non_negative("target_miss_rate", target_miss_rate)
-        for ways in sorted(self.points):
+        for ways in self._ways:
             if self.points[ways] <= target_miss_rate:
                 return ways
         return None
@@ -137,29 +143,30 @@ def measure_miss_rates(
     """
     check_positive("accesses", accesses)
     check_non_negative("warmup", warmup)
-    from itertools import islice
-
-    points: Dict[int, float] = {}
+    ways_list = list(ways_list)
     for ways in ways_list:
         if ways <= 0:
             raise ValueError(f"ways must be positive, got {ways}")
+    # ``bind`` sees only the set count and block size, so the trace
+    # cannot depend on the way count: draw it once, replay it into
+    # every way count's cache.
+    generator = profile.make_generator()
+    generator.bind(
+        num_sets=num_sets,
+        block_bytes=block_bytes,
+        rng=DeterministicRng(seed, f"profile-{profile.name}"),
+    )
+    warm = generator.address_block(warmup) if warmup else None
+    addresses, writes = generator.address_block(accesses)
+    points: Dict[int, float] = {}
+    for ways in ways_list:
         geometry = CacheGeometry.from_sets(num_sets, ways, block_bytes)
         cache = make_cache(
             geometry, name=f"{profile.name}-{ways}w", backend=backend
         )
-        generator = profile.make_generator()
-        generator.bind(
-            num_sets=num_sets,
-            block_bytes=block_bytes,
-            rng=DeterministicRng(seed, f"profile-{profile.name}"),
-        )
-        stream = generator.address_stream(warmup + accesses)
-        if warmup:
-            addresses, writes = zip(*islice(stream, warmup))
-            cache.access_block(addresses, writes)
-        addresses, writes = zip(*stream)
-        measured = cache.access_block(addresses, writes)
-        points[ways] = measured.miss_rate
+        if warm:
+            cache.access_block(*warm)
+        points[ways] = cache.access_block(addresses, writes).miss_rate
     return points
 
 
@@ -273,8 +280,8 @@ def clear_curve_cache() -> None:
 
 
 # -----------------------------------------------------------------------------
-# Curve persistence: profiling the fifteen benchmarks takes a couple of
-# minutes; saving the curves lets CLIs and notebooks skip re-profiling.
+# Curve persistence: profiling the fifteen benchmarks takes seconds;
+# saving the curves lets CLIs and notebooks skip re-profiling.
 # -----------------------------------------------------------------------------
 
 

@@ -53,7 +53,7 @@ def write_trace(accesses: Iterable[MemoryAccess], path: PathLike) -> int:
 def record_trace(generator, path: PathLike, *, count: int) -> int:
     """Capture ``count`` accesses of a bound trace generator to a file."""
     check_positive("count", count)
-    return write_trace(generator.accesses(count), path)
+    return write_trace(map(MemoryAccess, *generator.address_block(count)), path)
 
 
 class TraceFormatError(ValueError):

@@ -1,6 +1,7 @@
 """The on-disk miss-curve store: keying, round-trips, integration."""
 
 import json
+import sys
 
 import pytest
 
@@ -9,6 +10,7 @@ from repro.workloads.benchmarks import get_benchmark
 from repro.workloads.profiler import (
     clear_curve_cache,
     get_curve,
+    measure_miss_rates,
     profile_benchmark,
 )
 
@@ -57,6 +59,38 @@ class TestKeying:
 
     def test_key_includes_code_fingerprint(self):
         assert len(misscache.code_fingerprint()) == 64
+
+    def test_fingerprint_covers_every_module_profiling_runs(self):
+        # Modules whose functions run while profiling but cannot change
+        # a curve value: the observer only counts cache builds, and the
+        # validators only raise.
+        allowlist = {"repro.obs", "repro.util.validation"}
+        ran = set()
+
+        def record(frame, event, arg):
+            if event == "call":
+                ran.add(frame.f_globals.get("__name__") or "")
+
+        previous = sys.getprofile()
+        sys.setprofile(record)
+        try:
+            # Stored curves are profiled on the default (fast) kernel.
+            measure_miss_rates(
+                get_benchmark("bzip2"),
+                ways_list=(1, 2),
+                num_sets=4,
+                accesses=50,
+                warmup=10,
+            )
+        finally:
+            sys.setprofile(previous)
+        unfingerprinted = {
+            module
+            for module in ran
+            if module.startswith("repro.")
+            and module not in misscache._FINGERPRINT_MODULES
+        }
+        assert unfingerprinted <= allowlist, sorted(unfingerprinted - allowlist)
 
 
 class TestRoundTrip:

@@ -30,8 +30,7 @@ def bound_trace(benchmark, *, num_sets=64, seed=7, base=0):
 
     def stream():
         while True:
-            for address, is_write in generator.address_stream(1024):
-                yield MemoryAccess(address, is_write)
+            yield from map(MemoryAccess, *generator.address_block(1024))
 
     return stream()
 

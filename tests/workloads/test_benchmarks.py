@@ -73,7 +73,7 @@ class TestProfileMechanics:
             generator.bind(
                 num_sets=16, block_bytes=64, rng=DeterministicRng(5, "t")
             )
-            streams.append(list(generator.address_stream(300)))
+            streams.append(generator.address_block(300))
         assert streams[0] == streams[1]
 
     def test_cpi_model_uses_machine_latencies(self):

@@ -69,6 +69,47 @@ class TestMissRatioCurve:
         assert curve.miss_rate(high) <= curve.miss_rate(low) + 1e-12
 
 
+def linear_scan_miss_rate(curve, ways):
+    """``miss_rate`` as it was: re-sort the points and scan them twice."""
+    known = sorted(curve.points)
+    if ways >= known[-1]:
+        return curve.points[known[-1]]
+    lower = max(w for w in known if w <= ways)
+    upper = min(w for w in known if w >= ways)
+    if lower == upper:
+        return curve.points[lower]
+    t = (ways - lower) / (upper - lower)
+    return curve.points[lower] * (1 - t) + curve.points[upper] * t
+
+
+class TestBisectedQueries:
+    """The stored, sorted way points answer exactly as the linear scan."""
+
+    curves = st.dictionaries(
+        st.integers(min_value=1, max_value=32),
+        st.floats(min_value=0.0, max_value=1.0),
+        min_size=1,
+        max_size=12,
+    )
+
+    @given(curves, st.lists(st.floats(min_value=0.0, max_value=40.0), max_size=20))
+    def test_miss_rate_matches_linear_scan(self, points, fractional):
+        curve = small_curve(points)
+        exact = list(curve.points) + [float(ways) for ways in curve.points]
+        beyond = [curve.max_ways, curve.max_ways + 0.5, curve.max_ways + 7]
+        for ways in exact + beyond + [0, 0.0] + fractional:
+            assert curve.miss_rate(ways) == linear_scan_miss_rate(curve, ways)
+
+    @given(curves, st.floats(min_value=0.0, max_value=1.0))
+    def test_way_queries_match_the_points(self, points, target):
+        curve = small_curve(points)
+        assert curve.max_ways == max(curve.points)
+        reaching = [w for w in sorted(curve.points) if curve.points[w] <= target]
+        assert curve.min_ways_for_miss_rate(target) == (
+            reaching[0] if reaching else None
+        )
+
+
 class TestProfiling:
     @pytest.fixture(scope="class")
     def gobmk_curve(self):

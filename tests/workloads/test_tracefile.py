@@ -166,7 +166,7 @@ class TestFileTracePattern:
             num_sets=16, block_bytes=64, rng=DeterministicRng(5, "t")
         )
         assert misses(read_trace(path)) == misses(
-            reference.accesses(2000)
+            map(MemoryAccess, *reference.address_block(2000))
         )
 
 
