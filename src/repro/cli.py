@@ -206,7 +206,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_faults(args: argparse.Namespace) -> int:
     """Run a workload under fault injection and print the resilience report."""
     if args.resume:
-        checkpoint = load_checkpoint(args.resume)
+        try:
+            checkpoint = load_checkpoint(args.resume)
+        except (OSError, ValueError) as error:
+            print(f"faults: {error}", file=sys.stderr)
+            return 2
         print(f"resumed: {checkpoint.describe()}", file=sys.stderr)
         simulator = resume_simulator(checkpoint)
     else:
@@ -538,148 +542,30 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run the admission/allocation server until drained (SIGTERM)."""
-    import asyncio
-
-    from repro.serve import ServerConfig, serve_main
-
-    config = ServerConfig(
-        host=args.host,
-        port=args.port,
-        cores=args.cores,
-        cache_ways=args.cache_ways,
-        bandwidth_share=args.bandwidth_share,
-        queue_limit=args.queue_limit,
-        max_inflight=args.max_inflight,
-        max_loop_lag=args.max_loop_lag,
-        default_timeout=args.default_timeout,
-        drain_grace=args.drain_grace,
-        breaker_trip_after=args.breaker_trip_after,
-        breaker_recover_after=args.breaker_recover_after,
-        seed=args.seed,
-        metrics_out=args.serve_metrics_out,
-        events_out=args.serve_events_out,
-        history_capacity=args.history_capacity,
-        sample_every=args.sample_every,
-        history_out=args.serve_history_out,
-        flight_out=args.serve_flight_out,
-        flight_window=args.flight_window,
-        policy=args.policy,
-    )
-    return asyncio.run(serve_main(config))
-
-
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    """Offer a seeded bursty schedule to a running server; report."""
-    import asyncio
-    import json as _json
-
-    from repro.serve import LoadConfig, LoadGenerator, build_schedule
-
-    config = LoadConfig(
-        seed=args.seed,
-        requests=args.requests,
-        tenants=args.tenants,
-        mean_rate=args.mean_rate,
-        burst_factor=args.burst_factor,
-    )
-    schedule = build_schedule(config)
-    generator = LoadGenerator(
-        args.host, args.port,
-        connections=args.connections,
-        time_scale=args.time_scale,
-    )
-    report = asyncio.run(generator.run(schedule))
-    payload = report.to_dict()
-    server = payload.pop("server", None)
-    print(_json.dumps(payload, indent=2, sort_keys=True))
-    if server is not None:
-        accounting = server.get("accounting", {})
-        print(
-            f"server: offered={accounting.get('offered')} "
-            f"admitted={accounting.get('admitted')} "
-            f"rejected={accounting.get('rejected')} "
-            f"shed={accounting.get('shed')} "
-            f"conserves={accounting.get('conserves')}"
-        )
-    if args.json:
-        from repro.util.atomicio import write_atomic_text
-
-        payload["server"] = server
-        write_atomic_text(
-            args.json,
-            _json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        )
-        print(f"report written to {args.json}")
-    if not report.conserves:
-        return 1
-    return 0 if report.transport_errors == 0 else 1
-
-
-def _http_get_json(host: str, port: int, path: str) -> dict:
-    """One stdlib GET returning parsed JSON (the ``repro top`` poll)."""
-    import http.client
-    import json as _json
-
-    connection = http.client.HTTPConnection(host, port, timeout=5.0)
-    try:
-        connection.request("GET", path)
-        response = connection.getresponse()
-        payload = response.read()
-        if response.status != 200:
-            raise OSError(
-                f"GET {path} -> {response.status}: "
-                f"{payload[:200].decode('utf-8', 'replace')}"
-            )
-        return _json.loads(payload)
-    finally:
-        connection.close()
-
-
 def _cmd_top(args: argparse.Namespace) -> int:
-    """Live ANSI dashboard over a serve target or a sweep stream.
+    """Live ANSI dashboard over a sweep progress stream.
 
-    Three sources, in precedence order: ``--sweep`` tails a progress
-    stream, ``--history``/``--stats`` render flushed artefacts (the
-    deterministic CI mode), and otherwise ``--host``/``--port`` poll a
-    running server.  ``--once`` prints a single frame with no escape
-    codes — rendering is pure, so the same inputs give the same bytes.
+    ``--sweep`` names a sweep in the results store or a
+    ``*.progress.jsonl`` path.  ``--once`` prints a single frame with
+    no escape codes — rendering is pure, so the same stream gives the
+    same bytes.
     """
-    import json as _json
     import time as _time
     from pathlib import Path
 
-    from repro.obs.dashboard import render_serve_frame, render_sweep_frame
-    from repro.obs.timeseries import load_history_jsonl
+    from repro.obs.dashboard import render_sweep_frame
+    from repro.obs.timeseries import HistorySchemaError, load_history_jsonl
 
     def one_frame() -> str:
-        if args.sweep:
-            path = Path(args.sweep)
-            if not path.is_file():
-                from repro.analysis.store import ResultStore
-                from repro.analysis.sweep import progress_path_for
+        path = Path(args.sweep)
+        if not path.is_file():
+            from repro.analysis.store import ResultStore
+            from repro.analysis.sweep import progress_path_for
 
-                path = progress_path_for(
-                    ResultStore(args.store_dir), args.sweep
-                )
-            if not path.is_file():
-                raise OSError(f"no sweep progress stream at {path}")
-            return render_sweep_frame(load_history_jsonl(path))
-        if args.history or args.stats:
-            stats = (
-                _json.loads(Path(args.stats).read_text())
-                if args.stats
-                else {}
-            )
-            history = None
-            if args.history:
-                records = load_history_jsonl(args.history)
-                history = {"samples": records}
-            return render_serve_frame(stats, history)
-        stats = _http_get_json(args.host, args.port, "/stats")
-        history = _http_get_json(args.host, args.port, "/metrics/history")
-        return render_serve_frame(stats, history)
+            path = progress_path_for(ResultStore(args.store_dir), args.sweep)
+        if not path.is_file():
+            raise OSError(f"no sweep progress stream at {path}")
+        return render_sweep_frame(load_history_jsonl(path))
 
     try:
         if args.once:
@@ -696,7 +582,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
             _time.sleep(args.interval)
     except KeyboardInterrupt:
         return 0
-    except OSError as error:
+    except (OSError, HistorySchemaError) as error:
         print(f"top: {error}", file=sys.stderr)
         return 2
 
@@ -1120,135 +1006,11 @@ def build_parser() -> argparse.ArgumentParser:
         "case", help="path to a verify-case.json written by fuzz"
     )
 
-    serve = commands.add_parser(
-        "serve",
-        help="run the admission/allocation server (SIGTERM drains)",
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument(
-        "--port", type=int, default=8181,
-        help="TCP port (0 = pick a free one and print it)",
-    )
-    serve.add_argument("--cores", type=int, default=4)
-    serve.add_argument("--cache-ways", type=int, default=16)
-    serve.add_argument("--bandwidth-share", type=float, default=1.0)
-    serve.add_argument(
-        "--queue-limit", type=int, default=64,
-        help="bounded admit queue; beyond it requests are shed",
-    )
-    serve.add_argument(
-        "--max-inflight", type=int, default=256,
-        help="in-flight admissions above which health degrades",
-    )
-    serve.add_argument(
-        "--max-loop-lag", type=float, default=0.25,
-        help="event-loop lag (seconds) that counts as overload",
-    )
-    serve.add_argument(
-        "--default-timeout", type=float, default=2.0,
-        help="decision deadline for requests that do not set one",
-    )
-    serve.add_argument(
-        "--drain-grace", type=float, default=5.0,
-        help="seconds to let queued work finish during drain",
-    )
-    serve.add_argument(
-        "--breaker-trip-after", type=int, default=5,
-        help="consecutive overloaded ticks before degrading a rung",
-    )
-    serve.add_argument(
-        "--breaker-recover-after", type=int, default=20,
-        help="consecutive healthy ticks before recovering a rung",
-    )
-    serve.add_argument("--seed", type=int, default=0)
-    # dest names avoid the shared --metrics-out/--events-out plumbing:
-    # the server owns its observer for its whole lifetime and flushes
-    # artifacts at drain, not at command exit.
-    serve.add_argument(
-        "--metrics-out", dest="serve_metrics_out", default=None,
-        metavar="PATH",
-        help="write the final metrics snapshot here on drain",
-    )
-    serve.add_argument(
-        "--events-out", dest="serve_events_out", default=None,
-        metavar="PATH",
-        help="write the event stream here on drain",
-    )
-    serve.add_argument(
-        "--history-out", dest="serve_history_out", default=None,
-        metavar="PATH",
-        help="write the metric history (JSONL) here on drain",
-    )
-    serve.add_argument(
-        "--flight-out", dest="serve_flight_out", default=None,
-        metavar="PATH",
-        help="flight-recorder dump target (written on breaker trip "
-        "and on drain)",
-    )
-    serve.add_argument(
-        "--history-capacity", type=int, default=512,
-        help="history ring capacity; overflow halves resolution",
-    )
-    serve.add_argument(
-        "--sample-every", type=int, default=4,
-        help="housekeeping ticks between history samples",
-    )
-    serve.add_argument(
-        "--flight-window", type=float, default=30.0,
-        help="seconds of telemetry the flight recorder retains",
-    )
-    serve.add_argument(
-        "--policy", choices=policy_names(), default=None,
-        help="advisory closed-loop policy observing server health "
-        "each housekeeping tick (decisions surface in /stats)",
-    )
-
-    loadgen = commands.add_parser(
-        "loadgen",
-        help="drive a running server with seeded bursty load",
-    )
-    loadgen.add_argument("--host", default="127.0.0.1")
-    loadgen.add_argument("--port", type=int, default=8181)
-    loadgen.add_argument("--seed", type=int, default=0)
-    loadgen.add_argument("--requests", type=int, default=500)
-    loadgen.add_argument("--tenants", type=int, default=8)
-    loadgen.add_argument(
-        "--mean-rate", type=float, default=100.0,
-        help="offered requests/second (mean; bursts exceed it)",
-    )
-    loadgen.add_argument(
-        "--burst-factor", type=float, default=4.0,
-        help="on-phase rate multiplier (1 = smooth Poisson)",
-    )
-    loadgen.add_argument(
-        "--connections", type=int, default=8,
-        help="concurrent keep-alive client connections",
-    )
-    loadgen.add_argument(
-        "--time-scale", type=float, default=1.0,
-        help="multiply all inter-arrival gaps (0.1 = 10x faster)",
-    )
-    loadgen.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="also write the load report as JSON here",
-    )
-
     top = commands.add_parser(
-        "top",
-        help="live dashboard over a serve target or sweep progress",
-    )
-    top.add_argument("--host", default="127.0.0.1")
-    top.add_argument("--port", type=int, default=8181)
-    top.add_argument(
-        "--stats", default=None, metavar="PATH",
-        help="render a saved /stats JSON payload instead of polling",
+        "top", help="live dashboard over a sweep progress stream"
     )
     top.add_argument(
-        "--history", default=None, metavar="PATH",
-        help="render a saved metric-history JSONL instead of polling",
-    )
-    top.add_argument(
-        "--sweep", default=None, metavar="NAME_OR_PATH",
+        "--sweep", required=True, metavar="NAME_OR_PATH",
         help="tail a sweep progress stream (name in the store, or a "
         "*.progress.jsonl path)",
     )
@@ -1301,8 +1063,6 @@ HANDLERS = {
     "obs": _cmd_obs,
     "sweep": _cmd_sweep,
     "verify": _cmd_verify,
-    "serve": _cmd_serve,
-    "loadgen": _cmd_loadgen,
     "top": _cmd_top,
 }
 

@@ -5,12 +5,9 @@ reserved/best-effort split consistent, redistributes *spare* (unreserved
 plus stolen) ways among Opportunistic jobs, and can push the resulting
 targets into a real :class:`~repro.cache.partitioned.WayPartitionedCache`.
 
-Both consumers share it:
-
-- the system simulator, which only needs the allocation numbers to look
-  up miss rates on each job's curve, and
-- cache-level integration tests/benches, which sync the ledger into an
-  actual partitioned cache.
+Its one consumer is the trace-driven node (:class:`~repro.sim.cmp.CmpNode`),
+which syncs the ledger into an actual partitioned cache.  The system
+simulator keeps its own allocation numbers and does not use it.
 """
 
 from __future__ import annotations

@@ -119,7 +119,10 @@ def load_checkpoint(path: PathLike) -> SimulationCheckpoint:
     path = Path(path)
     with open(path, "rb") as handle:
         checkpoint = handle.read()
-    loaded = pickle.loads(checkpoint)
+    try:
+        loaded = pickle.loads(checkpoint)
+    except (pickle.UnpicklingError, EOFError):
+        raise ValueError(f"{path} is not a simulation checkpoint") from None
     if not isinstance(loaded, SimulationCheckpoint):
         raise ValueError(f"{path} is not a simulation checkpoint")
     if loaded.version != CHECKPOINT_VERSION:

@@ -66,7 +66,6 @@ from repro.obs.timeseries import (
     MetricsSampler,
     history_point,
     load_history_jsonl,
-    validate_history_jsonl,
     validate_history_record,
     write_history_jsonl,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "observed",
     "reset_observer",
     "set_observer",
-    "validate_history_jsonl",
     "validate_history_record",
     "validate_jsonl",
     "validate_record",

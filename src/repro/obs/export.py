@@ -177,7 +177,7 @@ def prometheus_lines(records: List[dict]) -> Iterator[str]:
 
 
 def prometheus_text(records: List[dict]) -> str:
-    """The full Prometheus exposition as one string (for ``/metrics``).
+    """The full Prometheus exposition as one string.
 
     An empty snapshot renders as the empty string — a lone ``"\\n"``
     is not a valid exposition body.
@@ -270,8 +270,7 @@ def load_events_jsonl(path) -> List[dict]:
 def write_prometheus(records: List[dict], path) -> str:
     """Write the Prometheus text rendering to ``path``; returns path."""
     with open(path, "w", encoding="utf-8") as handle:
-        for line in prometheus_lines(records):
-            handle.write(line + "\n")
+        handle.write(prometheus_text(records))
     return str(path)
 
 

@@ -1,38 +1,40 @@
-"""Time-series telemetry: bounded metric history and a flight recorder.
+"""Time-series telemetry: the history record, its stream, and a ring.
 
 The paper evaluates its QoS policies by watching allocations and IPC
 evolve *over time* (Figures 4-7); the snapshot artefacts of
-:mod:`repro.obs` only show the end state.  This module adds the
-continuous view the live layers (``repro serve``, ``repro sweep``)
-need, without unbounding memory or breaking determinism:
+:mod:`repro.obs` only show the end state.  This module gives the live
+layers (``repro sweep`` progress, the perf-trajectory bench file) a
+continuous view without breaking determinism:
 
 - a **history record** schema (versioned JSONL, envelope
   ``{v, seq, t, kind}`` like the event log, plus an optional ``series``
-  mapping of metric key to finite number) shared by the serve metric
-  history, the sweep progress stream, the flight recorder, and the
-  perf-trajectory bench file — one loader/validator serves them all;
-- :class:`HistoryRing` — a fixed-capacity ring of history points that
-  **downsamples deterministically on overflow**: when full it drops
-  every other retained point and doubles its stride, so the buffer
-  always spans the whole run at geometrically decreasing resolution
-  (the classic decimating recorder), and two identically-fed rings
-  retain identical points;
-- :class:`MetricsSampler` — snapshots a registry's counters and gauges
-  into a ring at caller-driven times (the serve housekeeping tick, a
-  simulated-time hook), so sampling stays seed-deterministic: the
-  clock is an argument, never read from the host;
-- :class:`FlightRecorder` — a crash buffer holding the last *window*
-  seconds of samples and events, dumped atomically (fsync + rename) to
-  a history JSONL file on fault, breaker trip, or SIGTERM drain — the
-  post-mortem artefact for a run that died;
+  mapping of metric key to finite number) — one loader/validator
+  serves every history stream;
 - :class:`HistoryWriter` — append-only JSONL writer that keeps ``seq``
   dense across process restarts (a resumed sweep appends to its
   progress stream; a torn tail from a SIGKILL mid-write is trimmed on
-  reopen).
+  reopen);
+- :func:`load_history_jsonl` — the loader, which validates every
+  record and stops at a torn tail, so a reader tailing a live stream
+  never trips over a write in flight.
 
-Everything here is pure bookkeeping over values the caller provides;
-when observability is disabled the serve/sweep layers never construct
-these objects, preserving the zero-cost-when-disabled contract.
+Three in-memory recorders build on the same schema.  Nothing in the
+package constructs them; only their tests do:
+
+- :class:`HistoryRing` — a fixed-capacity ring of history points that
+  **downsamples deterministically on overflow**: when full it drops
+  every other retained point and doubles its stride, so the buffer
+  always spans the whole run at geometrically decreasing resolution,
+  and two identically-fed rings retain identical points;
+- :class:`MetricsSampler` — snapshots a registry's counters and gauges
+  into a ring at caller-driven times, so sampling stays
+  seed-deterministic: the clock is an argument, never read from the
+  host;
+- :class:`FlightRecorder` — a crash buffer holding the last *window*
+  seconds of samples and events, dumped atomically (fsync + rename) to
+  a history JSONL file.
+
+Everything here is pure bookkeeping over values the caller provides.
 """
 
 from __future__ import annotations
@@ -73,7 +75,8 @@ def history_point(
     """Build one envelope-less history point, validating its payload.
 
     Points carry no ``v``/``seq`` — those are assigned at
-    serialisation time (:func:`history_records`), so a ring can drop
+    serialisation time (:class:`HistoryWriter` as it appends,
+    :func:`history_records` for a whole batch), so a ring can drop
     points freely and the written file still has a dense sequence.
     """
     if not kind:
@@ -213,39 +216,20 @@ def validate_history_record(
             )
 
 
-def validate_history_jsonl(path) -> int:
-    """Validate a history file; returns the record count.
-
-    Raises :class:`HistorySchemaError` on the first violation — the
-    CI dashboard-smoke job runs this over the flight-recorder dump.
-    """
-    count = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise HistorySchemaError(
-                    f"{path}:{line_number + 1}: invalid JSON: {error}"
-                ) from None
-            validate_history_record(record, expect_seq=count)
-            count += 1
-    return count
-
-
 def load_history_jsonl(path) -> List[dict]:
     """Parse and validate a history JSONL file into records.
 
-    The loader for every history-shaped artefact: a serve run's
-    ``--history-out``, a sweep's progress stream, a flight-recorder
-    dump, and ``BENCH_history.jsonl``.
+    The loader for every history-shaped artefact: a sweep's progress
+    stream, ``BENCH_history.jsonl``, and a written ring or
+    flight-recorder dump.  An unterminated final line is
+    an append cut short (or still in flight) and is not a record — the
+    rule :class:`HistoryWriter` applies when it reopens the stream.
     """
     records: List[dict] = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle):
+            if not line.endswith("\n"):
+                break
             line = line.strip()
             if not line:
                 continue
@@ -272,11 +256,11 @@ class HistoryRing:
     stride) — so the retained set is always "every stride-th point
     since the start", spanning the whole run at decreasing resolution.
     Two rings fed the same appends retain identical points, which is
-    what makes history endpoints and dumps reproducible.
+    what makes a written ring reproducible.
 
-    ``force=True`` retains a point regardless of the stride filter —
-    the drain-time final sample uses it so the last record's counter
-    totals always equal the final accounting.
+    ``force=True`` retains a point regardless of the stride filter, so
+    a final sample can always be kept and the last record's counter
+    totals equal the final accounting.
     """
 
     def __init__(self, capacity: int = 512) -> None:
@@ -323,7 +307,7 @@ class HistoryRing:
         return self._points[-1] if self._points else None
 
     def to_payload(self) -> dict:
-        """The JSON body of ``GET /metrics/history``."""
+        """The retained history plus the stride/offered/dropped counts."""
         return {
             "version": HISTORY_VERSION,
             "stride": self.stride,
@@ -344,9 +328,8 @@ class MetricsSampler:
     """Snapshots a registry's scalar series into a :class:`HistoryRing`.
 
     The caller owns the clock: :meth:`sample` takes ``t`` explicitly
-    (server-relative seconds for serve, simulated time for sim hooks),
-    so the stream stays deterministic for a deterministic caller.  The
-    serve housekeeping loop calls this every ``sample_every`` ticks.
+    (wall-clock seconds or simulated time), so the stream stays
+    deterministic for a deterministic caller.
     """
 
     def __init__(self, ring: Optional[HistoryRing] = None) -> None:
@@ -385,8 +368,8 @@ class FlightRecorder:
 
     Fed from the same stream the history ring sees
     (:meth:`note_sample`) plus the observer's event log
-    (:meth:`note_events`, incremental by sequence number).  On fault,
-    breaker trip, or SIGTERM drain, :meth:`dump` writes everything
+    (:meth:`note_events`, incremental by sequence number).  When the
+    caller hits a fault or shuts down, :meth:`dump` writes everything
     still inside the window — newest context, oldest first — as one
     atomic history JSONL file: a ``flight.meta`` record naming the
     reason, the buffered samples, then the buffered events wrapped as
@@ -418,7 +401,7 @@ class FlightRecorder:
 
         ``records`` is the *full* log (``observer.events.records``);
         only entries past the last absorbed sequence are buffered, so
-        calling this every housekeeping tick is O(new events).
+        calling this periodically is O(new events).
         """
         fresh = records[self._events_seen:]
         self._events_seen = len(records)
@@ -483,7 +466,7 @@ class HistoryWriter:
 
     A resumed sweep reopens its progress stream and keeps appending;
     ``seq`` continues from the existing record count so the file stays
-    valid under :func:`validate_history_jsonl`.  A torn final line (a
+    valid under :func:`load_history_jsonl`.  A torn final line (a
     SIGKILL mid-write) is trimmed on reopen rather than poisoning the
     stream.
     """

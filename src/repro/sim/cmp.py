@@ -3,9 +3,12 @@
 Where :mod:`repro.sim.system` models timing analytically from miss
 curves, this module wires the *actual* substrates together — private
 L1s, the way-partitioned shared L2, duplicate tag arrays, DRAM — so
-experiments that are about the microarchitecture itself (the Figure 8a
-shadow-tag validation, partitioning ablations, convergence tests) run
-against real caches.
+stealing's shadow-tag feedback can run against real caches.  No figure
+or bench runs it: the Figure 8 bench uses the analytic sweep and the
+partitioning ablation builds its caches directly.  Its callers are the
+microarchitecture tests (``tests/sim/test_cmp.py``,
+``tests/sim/test_stealing_microarch.py``) and two examples
+(``trace_replay.py``, ``resource_stealing_demo.py``).
 """
 
 from __future__ import annotations

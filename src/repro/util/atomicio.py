@@ -1,8 +1,8 @@
 """Crash-safe file writes: fsync'd temp file + atomic rename.
 
 Every on-disk artefact this repo produces (miss-curve store entries,
-checkpoints, exported results, verify cases, server drain snapshots) is
-a single file that readers expect to be either complete or absent.  A
+checkpoints, exported results, verify cases) is a single file that
+readers expect to be either complete or absent.  A
 plain ``open(...).write(...)`` breaks that contract twice over: a
 killed process can leave a truncated file at the final path, and even a
 completed ``write`` can be lost or torn by a power cut because nothing

@@ -2,7 +2,7 @@
 
 The callback contract — ``progress(done, total)`` with monotone
 ``done`` ending at ``total`` — on the serial and pool paths, and the
-sweep progress stream it feeds (DESIGN.md §14.4): begin/progress/end
+sweep progress stream it feeds (DESIGN.md §13.3): begin/progress/end
 records, the served-from-store vs executed split, and dense ``seq``
 across an interrupted-then-resumed campaign.
 """
@@ -185,7 +185,7 @@ class TestSweepProgressStream:
         ).exists()
 
     def test_report_bytes_unchanged_by_progress(self, tmp_path):
-        # The §13.3 byte-stable report must not absorb heartbeat state.
+        # The §12.3 byte-stable report must not absorb heartbeat state.
         spec = sweep_from_dict(spec_payload())
         with_stream = run_sweep(
             spec, store_dir=tmp_path / "a", progress_out=True

@@ -1,11 +1,11 @@
-"""LAC under adversarial interleavings (ISSUE 6 satellite).
+"""LAC under adversarial interleavings.
 
-The serve layer (:mod:`repro.serve`) drives the Local Admission
-Controller with request patterns the batch experiments never produce:
-rapid admit/release/cancel storms, repeated rejection followed by
-re-admission through :meth:`reserve_window`, and long mixed sequences
-where any capacity-accounting drift would compound.  These tests pin
-the invariants that make that safe:
+These tests drive the Local Admission Controller with request patterns
+the batch experiments never produce: rapid admit/release/cancel
+storms, repeated rejection followed by re-admission through
+:meth:`reserve_window`, and long mixed sequences where any
+capacity-accounting drift would compound.  They pin the invariants
+that make that safe:
 
 - **capacity conservation** — at every step, ``used_at`` never exceeds
   capacity at any reservation boundary, and ``used + available`` spans

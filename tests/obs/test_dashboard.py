@@ -1,58 +1,15 @@
-"""Tests for the `repro top` frame renderers (`repro.obs.dashboard`).
+"""Tests for the `repro top` frame renderer (`repro.obs.dashboard`).
 
-The renderers are pure functions of their payloads; byte-identical
-output for identical input is the contract the CI dashboard-smoke job
-pins with `cmp`, so these tests check it directly alongside content.
+The renderer is a pure function of its stream; byte-identical output
+for identical input is the contract the CI sweep-smoke job pins with
+`cmp`, so these tests check it directly alongside content.
 """
 
 from repro.obs.dashboard import (
     progress_bar,
-    render_serve_frame,
     render_sweep_frame,
     sparkline,
 )
-
-
-def make_stats(**overrides):
-    stats = {
-        "uptime": 12.5,
-        "draining": False,
-        "fingerprint": "abcdef0123456789",
-        "queue_depth": 3,
-        "inflight": 2,
-        "accounting": {
-            "offered": 100,
-            "admitted": 70,
-            "rejected": 20,
-            "shed": 10,
-            "downgraded": 5,
-            "conserves": True,
-        },
-        "breaker": {
-            "rung": 1,
-            "ceiling": "elastic",
-            "open": False,
-            "transitions": 4,
-        },
-        "health": {"state": "live", "pressure": 0.42},
-    }
-    stats.update(overrides)
-    return stats
-
-
-def make_history(samples):
-    return {
-        "version": 1,
-        "stride": 1,
-        "offered": len(samples),
-        "dropped": 0,
-        "samples": samples,
-    }
-
-
-def sample(seq, t, series):
-    return {"v": 1, "seq": seq, "t": t, "kind": "sample",
-            "series": series}
 
 
 class TestSparkline:
@@ -78,84 +35,6 @@ class TestProgressBar:
 
     def test_zero_total_does_not_divide_by_zero(self):
         assert progress_bar(0, 0, width=4).startswith("[....]")
-
-
-class TestServeFrame:
-    def test_byte_identical_for_identical_inputs(self):
-        stats = make_stats()
-        history = make_history(
-            [sample(0, 1.0, {"serve.offered": 10}),
-             sample(1, 2.0, {"serve.offered": 30})]
-        )
-        assert render_serve_frame(stats, history) == render_serve_frame(
-            make_stats(), make_history(
-                [sample(0, 1.0, {"serve.offered": 10}),
-                 sample(1, 2.0, {"serve.offered": 30})]
-            )
-        )
-
-    def test_conservation_line_and_meta(self):
-        frame = render_serve_frame(make_stats())
-        assert "offered 100 = admitted 70 + rejected 20 + shed 10" in frame
-        assert "(downgraded 5)" in frame
-        assert "code abcdef012345" in frame  # truncated to 12 chars
-        assert "up 12.5s" in frame
-        assert "DRAINING" not in frame
-
-    def test_broken_conservation_is_flagged(self):
-        stats = make_stats()
-        stats["accounting"]["conserves"] = False
-        assert "≠ BROKEN" in render_serve_frame(stats)
-
-    def test_breaker_rung_cells(self):
-        frame = render_serve_frame(make_stats())
-        assert "breaker [■■□□] ceiling=elastic" in frame
-        stats = make_stats(breaker={"rung": 3, "ceiling": "best_effort",
-                                    "open": True, "transitions": 9})
-        frame = render_serve_frame(stats)
-        assert "[■■■■]" in frame and "OPEN" in frame
-
-    def test_draining_flag(self):
-        assert "DRAINING" in render_serve_frame(
-            make_stats(draining=True)
-        )
-
-    def test_rate_sparkline_from_history(self):
-        history = make_history(
-            [sample(0, 0.0, {"serve.offered": 0}),
-             sample(1, 1.0, {"serve.offered": 50}),
-             sample(2, 2.0, {"serve.offered": 60})]
-        )
-        frame = render_serve_frame(make_stats(), history)
-        assert "offered/s" in frame
-        assert "now=10" in frame  # (60-50)/(2-1)
-        assert "history 3 samples (stride 1)" in frame
-
-    def test_tenant_table(self):
-        history = make_history(
-            [sample(0, 1.0, {
-                "serve.tenant.offered{tenant=acme}": 8,
-                "serve.tenant.violations{tenant=acme}": 2,
-                "serve.tenant.offered{tenant=beta}": 4,
-            })]
-        )
-        frame = render_serve_frame(make_stats(), history)
-        assert "tenant" in frame
-        acme_line = next(
-            line for line in frame.splitlines()
-            if line.startswith("acme")
-        )
-        assert "25.0%" in acme_line
-        beta_line = next(
-            line for line in frame.splitlines()
-            if line.startswith("beta")
-        )
-        assert "0.0%" in beta_line
-
-    def test_degrades_without_history(self):
-        frame = render_serve_frame(make_stats())
-        assert "history" not in frame
-        assert frame.endswith("\n")
 
 
 def progress_record(seq, kind, t, series, **fields):

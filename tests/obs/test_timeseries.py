@@ -22,7 +22,6 @@ from repro.obs.timeseries import (
     history_point,
     history_records,
     load_history_jsonl,
-    validate_history_jsonl,
     validate_history_record,
     write_history_jsonl,
 )
@@ -106,8 +105,8 @@ class TestRecordsAndValidation:
         ]
         path = tmp_path / "h.jsonl"
         write_history_jsonl(points, path)
-        assert validate_history_jsonl(path) == 2
         records = load_history_jsonl(path)
+        assert len(records) == 2
         assert records[0]["series"] == {"x": 1}
         assert records[1]["note"] == "n"
         assert [r["seq"] for r in records] == [0, 1]
@@ -128,7 +127,7 @@ class TestRecordsAndValidation:
         path = tmp_path / "h.jsonl"
         path.write_text("{not json\n")
         with pytest.raises(HistorySchemaError):
-            validate_history_jsonl(path)
+            load_history_jsonl(path)
 
 
 class TestHistoryRing:
@@ -189,7 +188,7 @@ class TestHistoryRing:
             ring.append(history_point(float(i), "s"))
         path = tmp_path / "ring.jsonl"
         ring.write_jsonl(path)
-        assert validate_history_jsonl(path) == len(ring)
+        assert len(load_history_jsonl(path)) == len(ring)
 
     def test_rejects_tiny_capacity(self):
         with pytest.raises(ValueError):
@@ -216,8 +215,7 @@ class TestMetricsSampler:
 
     def test_null_registry_yields_empty_series(self):
         # The zero-cost contract: a disabled observer's registry
-        # produces an empty (but valid) series — and the serve layer
-        # never even calls this when obs is off.
+        # produces an empty (but valid) series.
         sampler = MetricsSampler()
         point = sampler.sample(NullMetricsRegistry(), 0.0)
         assert point["series"] == {}
@@ -302,7 +300,7 @@ class TestHistoryWriter:
         with HistoryWriter(path) as writer:
             assert writer.seq == 2
             writer.write(history_point(2.0, "c"))
-        assert validate_history_jsonl(path) == 3
+        assert [r["seq"] for r in load_history_jsonl(path)] == [0, 1, 2]
 
     def test_torn_tail_is_trimmed_on_reopen(self, tmp_path):
         path = tmp_path / "progress.jsonl"
@@ -323,7 +321,7 @@ class TestHistoryWriter:
         with HistoryWriter(path) as writer:
             assert writer.seq == 0
             writer.write(history_point(0.0, "a"))
-        assert validate_history_jsonl(path) == 1
+        assert len(load_history_jsonl(path)) == 1
 
     def test_creates_parent_directories(self, tmp_path):
         path = tmp_path / "deep" / "nest" / "h.jsonl"

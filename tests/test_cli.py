@@ -518,3 +518,41 @@ class TestFaultsCommand:
         assert main(["faults", "--resume", str(ckpt)]) == 0
         out = capsys.readouterr().out
         assert "faults injected" in out
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("missing", "No such file"),
+            ("foreign", "not a simulation checkpoint"),
+            ("stale", "checkpoint version 1"),
+        ],
+    )
+    def test_resume_rejects_bad_checkpoint(
+        self, tmp_path, capsys, kind, message
+    ):
+        """A bad ``--resume`` path is a CLI error, not a traceback."""
+        import dataclasses
+
+        from repro.core.config import ALL_STRICT
+        from repro.faults import checkpoint_simulator, save_checkpoint
+        from repro.sim.system import QoSSystemSimulator
+        from repro.workloads.composer import single_benchmark_workload
+
+        path = tmp_path / f"{kind}.ckpt"
+        if kind == "foreign":
+            path.write_bytes(b"not a pickle\n")
+        elif kind == "stale":
+            simulator = QoSSystemSimulator(
+                single_benchmark_workload("bzip2", ALL_STRICT),
+                curves={
+                    "bzip2": linear_curve("bzip2", 0.0275, high=0.6, low=0.18)
+                },
+            )
+            stale = dataclasses.replace(
+                checkpoint_simulator(simulator), version=1
+            )
+            save_checkpoint(stale, path)
+        assert main(["faults", "--resume", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("faults: ")
+        assert message in err

@@ -1,133 +1,89 @@
-"""The `repro top` CLI: parsing, file/sweep sources, determinism.
+"""The `repro top` CLI: parsing, sweep sources, determinism.
 
-The live-poll loop is covered end to end by the CI dashboard-smoke
-job; here we pin the offline sources (`--stats`/`--history` files and
-`--sweep` streams), the `--once` byte-determinism contract, and the
-error paths.
+`top` renders a sweep progress stream, named in the results store or
+given by path.  Here we pin the `--once` byte-determinism contract,
+the torn-tail rule a live stream needs, and the error paths.
 """
 
-import json
+import pytest
 
 from repro.cli import build_parser, main
-from repro.obs.timeseries import history_point, write_history_jsonl
+from repro.obs.timeseries import HistoryWriter, history_point
 
 
-def stats_payload():
-    return {
-        "uptime": 3.0,
-        "fingerprint": "0123456789abcdef",
-        "queue_depth": 0,
-        "inflight": 0,
-        "accounting": {
-            "offered": 5, "admitted": 4, "rejected": 1, "shed": 0,
-            "downgraded": 0, "conserves": True,
-        },
-        "breaker": {"rung": 0, "ceiling": "strict", "open": False,
-                    "transitions": 0},
-        "health": {"state": "live", "pressure": 0.1},
-    }
+def sweep_points():
+    """A two-point sweep that began with one point already stored."""
+    return [
+        history_point(
+            0.0, "sweep.begin",
+            series={"total": 4, "served": 1, "pending": 3, "workers": 2},
+            sweep="demo",
+        ),
+        history_point(
+            2.0, "sweep.progress",
+            series={"done": 3, "executed": 2, "served": 1,
+                    "pending": 1, "total": 4, "workers": 2,
+                    "throughput": 1.0, "eta_seconds": 1.0},
+            sweep="demo",
+        ),
+    ]
 
 
-def write_stats(tmp_path):
-    path = tmp_path / "stats.json"
-    path.write_text(json.dumps(stats_payload()))
-    return path
-
-
-def write_history(tmp_path):
-    path = tmp_path / "history.jsonl"
-    write_history_jsonl(
-        [
-            history_point(0.0, "sample",
-                          series={"serve.offered": 0}, uptime=0.0),
-            history_point(1.0, "sample",
-                          series={"serve.offered": 5}, uptime=1.0),
-        ],
-        path,
-    )
+def write_progress(tmp_path, points):
+    path = tmp_path / "demo.progress.jsonl"
+    with HistoryWriter(path) as writer:
+        for point in points:
+            writer.write(point)
     return path
 
 
 class TestParser:
     def test_defaults(self):
-        args = build_parser().parse_args(["top"])
-        assert args.host == "127.0.0.1"
-        assert args.port == 8181
-        assert args.once is False
-        assert args.interval == 1.0
-
-    def test_sources_parse(self):
-        args = build_parser().parse_args(
-            ["top", "--stats", "s.json", "--history", "h.jsonl",
-             "--once"]
-        )
-        assert args.stats == "s.json" and args.once is True
         args = build_parser().parse_args(["top", "--sweep", "name"])
         assert args.sweep == "name"
+        assert args.store_dir is None
+        assert args.once is False
+        assert args.interval == 1.0
+        assert args.frames is None
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["top"])  # --sweep is the only source
 
 
 class TestFileMode:
-    def test_renders_stats_and_history(self, tmp_path, capsys):
-        stats = write_stats(tmp_path)
-        history = write_history(tmp_path)
-        assert main(
-            ["top", "--stats", str(stats), "--history", str(history),
-             "--once"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "offered 5 = admitted 4 + rejected 1 + shed 0" in out
-        assert "history 2 samples" in out
-
     def test_once_is_byte_deterministic(self, tmp_path, capsys):
-        stats = write_stats(tmp_path)
-        history = write_history(tmp_path)
-        argv = ["top", "--stats", str(stats), "--history", str(history),
-                "--once"]
+        path = write_progress(tmp_path, sweep_points())
+        argv = ["top", "--sweep", str(path), "--once"]
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
         assert "\x1b" not in first  # no escape codes in --once mode
 
-    def test_stats_only(self, tmp_path, capsys):
-        stats = write_stats(tmp_path)
-        assert main(["top", "--stats", str(stats), "--once"]) == 0
-        assert "repro top — serve" in capsys.readouterr().out
-
-    def test_missing_file_exits_2(self, tmp_path, capsys):
-        rc = main(
-            ["top", "--history", str(tmp_path / "nope.jsonl"), "--once"]
-        )
-        assert rc == 2
-        assert "top:" in capsys.readouterr().err
-
 
 class TestSweepMode:
     def test_renders_progress_stream_by_path(self, tmp_path, capsys):
-        path = tmp_path / "demo.progress.jsonl"
-        write_history_jsonl(
-            [
-                history_point(
-                    0.0, "sweep.begin",
-                    series={"total": 4, "served": 1, "pending": 3,
-                            "workers": 2},
-                    sweep="demo",
-                ),
-                history_point(
-                    2.0, "sweep.progress",
-                    series={"done": 3, "executed": 2, "served": 1,
-                            "pending": 1, "total": 4, "workers": 2,
-                            "throughput": 1.0, "eta_seconds": 1.0},
-                    sweep="demo",
-                ),
-            ],
-            path,
-        )
+        path = write_progress(tmp_path, sweep_points())
         assert main(["top", "--sweep", str(path), "--once"]) == 0
         out = capsys.readouterr().out
         assert "repro top — sweep  demo" in out
         assert "served-from-store 1  executed 2  pending 1" in out
         assert "began with 1 stored / 3 to run" in out
+
+    def test_torn_tail_renders_the_complete_records(self, tmp_path, capsys):
+        # A SIGKILL mid-append (or a write still in flight) leaves an
+        # unterminated final line; the frame shows what came before it.
+        path = write_progress(tmp_path, sweep_points())
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"v":1,"seq":2,"t":3.0,"kind":"sweep.pro')
+        assert main(["top", "--sweep", str(path), "--once"]) == 0
+        assert "] 3/4" in capsys.readouterr().out
+
+    def test_malformed_record_exits_2(self, tmp_path, capsys):
+        path = write_progress(tmp_path, sweep_points())
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"v":1,"seq":2,"t":3.0,"kind":"sweep.pro\n')
+        assert main(["top", "--sweep", str(path), "--once"]) == 2
+        assert "top:" in capsys.readouterr().err
 
     def test_unknown_sweep_name_exits_2(self, tmp_path, capsys):
         rc = main(
@@ -136,11 +92,3 @@ class TestSweepMode:
         )
         assert rc == 2
         assert "no sweep progress stream" in capsys.readouterr().err
-
-
-class TestLiveMode:
-    def test_unreachable_server_exits_2(self, capsys):
-        # Port 1 on localhost is essentially never listening.
-        rc = main(["top", "--port", "1", "--once"])
-        assert rc == 2
-        assert "top:" in capsys.readouterr().err
