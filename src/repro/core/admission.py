@@ -139,8 +139,28 @@ class LocalAdmissionController:
             for r in self._reservations
             if start < r.start < end
         ]
+        capacity = self.capacity
         for point in breakpoints:
-            if not request.fits_within(self.available_at(point)):
+            # ``request.fits_within(self.available_at(point))`` on plain
+            # numbers: the same sums in timeline order, the same clamps
+            # and the same tolerance, but no vectors to build and
+            # validate at every breakpoint.
+            check_non_negative("time", point)
+            cores = ways = 0
+            bandwidth = 0
+            for r in self._reservations:
+                if r.start <= point < r.end:
+                    resources = r.resources
+                    cores += resources.cores
+                    ways += resources.cache_ways
+                    bandwidth += resources.bandwidth_share
+            if (
+                request.cores > max(0, capacity.cores - cores)
+                or request.cache_ways > max(0, capacity.cache_ways - ways)
+                or request.bandwidth_share
+                > max(0.0, capacity.bandwidth_share - min(1.0, bandwidth))
+                + 1e-12
+            ):
                 return False
         return True
 
@@ -384,23 +404,3 @@ class LocalAdmissionController:
     def cancel(self, reservation: Reservation) -> None:
         """Drop a reservation entirely (job rejected downstream)."""
         self.release(reservation, at_time=0.0)
-
-    def prune(self, *, before: float) -> int:
-        """Forget reservations that ended at or before ``before``.
-
-        Batch experiments never need this — a run books tens of
-        reservations and exits.  A long-running admission *service*
-        does: the timeline otherwise accumulates every reservation
-        ever granted, and both :meth:`earliest_fit` (candidate starts)
-        and :meth:`window_fits` (breakpoints) scan it linearly, so
-        admission latency would grow without bound.  Pruning strictly-
-        past reservations cannot change any admission decision at
-        ``now >= before``: a reservation with ``end <= before`` can
-        neither overlap a future window nor contribute a candidate
-        start at or after ``before``.  Returns how many were dropped.
-        """
-        check_non_negative("before", before)
-        kept = [r for r in self._reservations if r.end > before]
-        dropped = len(self._reservations) - len(kept)
-        self._reservations = kept
-        return dropped

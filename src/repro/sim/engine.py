@@ -1,13 +1,15 @@
 """A minimal deterministic discrete-event engine.
 
-Events are ``(time, sequence, callback)`` triples in a binary heap; ties
+Events are ``(time, sequence, handle)`` tuples in a binary heap; ties
 in time break by insertion order, which keeps simulations exactly
-reproducible.  Cancellation uses lazy invalidation: cancelled handles
-stay in the heap and are skipped on pop (cheaper than heap surgery, and
-the simulators cancel often when rates change).  To keep rate-change
-heavy simulations from growing the heap without bound, the queue
-compacts itself — rebuilding the heap without cancelled entries —
-whenever cancelled entries outnumber live ones.
+reproducible.  Sequence numbers are unique, so heap comparisons never
+reach the handle and run as plain tuple compares.  Cancellation uses
+lazy invalidation: cancelled handles stay in the heap and are skipped
+on pop (cheaper than heap surgery, and the simulators cancel often
+when rates change).  To keep rate-change heavy simulations from growing
+the heap without bound, the queue compacts itself — rebuilding the heap
+without cancelled entries — whenever cancelled entries outnumber live
+ones.
 
 :meth:`EventQueue.run` additionally supports *graceful* budgets: an
 event-count budget and a wall-clock budget that stop the loop and
@@ -22,8 +24,8 @@ import heapq
 import itertools
 import math
 import time as _time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 from repro.obs import get_observer
 
@@ -64,38 +66,27 @@ class RunBudget:
             )
 
 
-@dataclass(order=True)
-class _HeapEntry:
-    time: float
-    sequence: int
-    callback: EventCallback = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    popped: bool = field(default=False, compare=False)
-
-
 class EventHandle:
-    """Opaque handle allowing an event to be cancelled."""
+    """One scheduled callback; cancelling it keeps it from firing.
 
-    def __init__(self, entry: _HeapEntry, queue: "EventQueue") -> None:
-        self._entry = entry
+    The heap holds ``(time, sequence, handle)`` tuples.  A cancelled
+    handle stays in the heap and is dropped when it reaches the top.
+    """
+
+    __slots__ = ("callback", "cancelled", "popped", "_queue")
+
+    def __init__(self, callback: EventCallback, queue: "EventQueue") -> None:
+        self.callback = callback
+        self.cancelled = False
+        self.popped = False
         self._queue = queue
-
-    @property
-    def time(self) -> float:
-        """The scheduled firing time."""
-        return self._entry.time
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` was called."""
-        return self._entry.cancelled
 
     def cancel(self) -> None:
         """Prevent the event from firing (idempotent)."""
-        if self._entry.cancelled:
+        if self.cancelled:
             return
-        self._entry.cancelled = True
-        if not self._entry.popped:
+        self.cancelled = True
+        if not self.popped:
             self._queue._note_cancelled()
 
 
@@ -107,7 +98,7 @@ class EventQueue:
     COMPACT_MIN_SIZE = 64
 
     def __init__(self) -> None:
-        self._heap: List[_HeapEntry] = []
+        self._heap: List[Tuple[float, int, EventHandle]] = []
         self._sequence = itertools.count()
         self._cancelled_in_heap = 0
         self.now = 0.0
@@ -121,9 +112,9 @@ class EventQueue:
             raise ValueError(
                 f"cannot schedule in the past: {time} < now {self.now}"
             )
-        entry = _HeapEntry(time, next(self._sequence), callback)
-        heapq.heappush(self._heap, entry)
-        return EventHandle(entry, self)
+        handle = EventHandle(callback, self)
+        heapq.heappush(self._heap, (time, next(self._sequence), handle))
+        return handle
 
     def schedule_after(self, delay: float, callback: EventCallback) -> EventHandle:
         """Schedule relative to the current time."""
@@ -134,18 +125,18 @@ class EventQueue:
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or ``None`` if empty."""
         self._drop_cancelled()
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def step(self) -> bool:
         """Fire the next live event; return False when the queue is empty."""
         self._drop_cancelled()
         if not self._heap:
             return False
-        entry = heapq.heappop(self._heap)
-        entry.popped = True
-        self.now = entry.time
+        time, _, handle = heapq.heappop(self._heap)
+        handle.popped = True
+        self.now = time
         self.events_fired += 1
-        entry.callback(entry.time)
+        handle.callback(time)
         return True
 
     def run(
@@ -244,7 +235,7 @@ class EventQueue:
         relative (time, sequence) ordering — and therefore the event
         schedule — is unchanged.
         """
-        self._heap = [entry for entry in self._heap if not entry.cancelled]
+        self._heap = [item for item in self._heap if not item[2].cancelled]
         heapq.heapify(self._heap)
         self._cancelled_in_heap = 0
         obs = get_observer()
@@ -252,13 +243,12 @@ class EventQueue:
             obs.metrics.counter("engine.compactions").inc()
 
     def _drop_cancelled(self) -> None:
-        while self._heap and self._heap[0].cancelled:
-            entry = heapq.heappop(self._heap)
-            entry.popped = True
+        while self._heap and self._heap[0][2].cancelled:
+            heapq.heappop(self._heap)[2].popped = True
             self._cancelled_in_heap -= 1
 
     def __len__(self) -> int:
-        return sum(1 for entry in self._heap if not entry.cancelled)
+        return sum(1 for item in self._heap if not item[2].cancelled)
 
     @property
     def heap_size(self) -> int:

@@ -144,6 +144,24 @@ class _JobRun:
         )
 
 
+@dataclass(frozen=True)
+class _JobRequest:
+    """A pending job's admission request, less the probe's date.
+
+    Everything here follows from the job's template and the simulator's
+    configuration, so it is built once per pending job; a probe only
+    dates the deadline (``now + deadline_span``) and builds the
+    :class:`Job` the LAC tests.
+    """
+
+    spec: JobSpec
+    tw: float  # uncontended wall-clock time, or the user's declared limit
+    max_wall_clock: float  # tw padded by RESERVATION_MARGIN
+    deadline_span: float  # deadline minus arrival
+    resources: ResourceVector
+    auto_down: bool
+
+
 @dataclass
 class SystemResult:
     """Everything the benches and tests read out of one simulation."""
@@ -447,7 +465,9 @@ class QoSSystemSimulator:
         self.rng = DeterministicRng(self.sim_config.seed, "system-sim")
 
         self._curves = dict(curves) if curves else {}
-        self._pending: List[JobSpec] = list(workload.jobs)
+        # One request per template job, built by start() (it needs the
+        # curves); backfill takes requests out of the middle.
+        self._pending: List[_JobRequest] = []
         self._pending_index = 0
         self._states: Dict[int, _JobRun] = {}
         self._accepted: List[Job] = []
@@ -461,6 +481,11 @@ class QoSSystemSimulator:
         self._last_advance = 0.0
         self._finished = False
         self._bus_saturated = False
+        # Running jobs as of the last derivation in _recompute, and
+        # whether the next call must derive again although it may
+        # re-date: set when a job completes or is terminated.
+        self._running: List[_JobRun] = []
+        self._derive_next = True
 
         # Closed-loop adaptive policy (None: open-loop, exactly the
         # pre-policy simulator: no decision epoch is ever scheduled).
@@ -572,6 +597,9 @@ class QoSSystemSimulator:
             # skip the projection work entirely.
             self._slo = SloMonitor()
         self._mean_gap = self._mean_probe_gap()
+        self._pending = [
+            self._request_for(spec) for spec in self.workload.jobs
+        ]
         self._probe_rng = self.rng.stream("probes")
         self.events.schedule(0.0, self._on_probe)
         if self.policy is not None:
@@ -629,20 +657,21 @@ class QoSSystemSimulator:
         self._advance_all(now)
         if self._pending_index < len(self._pending):
             self._probes += 1
-            spec = self._pending[self._pending_index]
-            accepted = self._try_admit(spec, now)
-            if accepted:
+            request = self._pending[self._pending_index]
+            admitted = self._try_admit(request, now)
+            if admitted:
                 self._pending_index += 1
             else:
                 self._rejections += 1
                 if self.sim_config.queue_policy == "backfill":
-                    self._try_backfill(now)
-            self._recompute(now)
+                    admitted = self._try_backfill(now)
+            # A probe that admitted nothing changed no allocation.
+            self._recompute(now, redate=not admitted)
         if self._pending_index < len(self._pending):
             gap = self._probe_rng.exponential(self._mean_gap)
             self.events.schedule(now + gap, self._on_probe)
 
-    def _try_backfill(self, now: float) -> None:
+    def _try_backfill(self, now: float) -> bool:
         """EASY backfill: admit a later job that cannot delay the head.
 
         An extension over the paper's plain FCFS LAC (enabled with
@@ -651,31 +680,30 @@ class QoSSystemSimulator:
         as long as the head's earliest *unconstrained* start does not
         move — the classic EASY-backfilling criterion from batch
         scheduling, whose vocabulary (Section 3.2) the paper borrows.
+        Returns whether a job was admitted.
         """
         head = self._pending[self._pending_index]
-        head_job, _, _ = self._build_job(head, now)
-        head_resources = head_job.target.resources
-        head_duration = head.mode.reservation_duration(
-            head_job.target.timeslot.max_wall_clock
+        head_duration = head.spec.mode.reservation_duration(
+            head.max_wall_clock
         )
         if head_duration <= 0:
-            return  # an Opportunistic head is never blocked
+            return False  # an Opportunistic head is never blocked
         head_before = self.lac.earliest_fit(
-            head_resources, head_duration, not_before=now
+            head.resources, head_duration, not_before=now
         )
 
         index = self._pending_index + 1
         while index < len(self._pending):
-            spec = self._pending[index]
-            job, auto_down, tw = self._build_job(spec, now)
+            request = self._pending[index]
+            job = self._probe_job(request, now)
             decision = self.lac.admit(
-                job, now=now, auto_downgrade=auto_down
+                job, now=now, auto_downgrade=request.auto_down
             )
             if not decision.accepted:
                 index += 1
                 continue
             head_after = self.lac.earliest_fit(
-                head_resources, head_duration, not_before=now
+                head.resources, head_duration, not_before=now
             )
             delays_head = (
                 head_before is not None
@@ -687,11 +715,12 @@ class QoSSystemSimulator:
                 index += 1
                 continue
             self._backfills += 1
-            self._register_accepted(job, spec, tw, decision, now, auto_down)
+            self._register_accepted(job, request, decision, now)
             del self._pending[index]
             # Only one backfill per probe: keep the schedule close to
             # FCFS and re-evaluate the head at the next probe.
-            return
+            return True
+        return False
 
     # Reservations are padded by this relative margin so a job completing
     # at exactly its maximum wall-clock time finishes strictly inside its
@@ -700,11 +729,8 @@ class QoSSystemSimulator:
     # same simulated instant and transiently oversubscribe the cache.
     RESERVATION_MARGIN = 1e-6
 
-    def _build_job(self, spec: JobSpec, now: float):
-        """Materialise a :class:`Job` for ``spec`` arriving at ``now``.
-
-        Returns ``(job, auto_down, tw)``; nothing is registered yet.
-        """
+    def _request_for(self, spec: JobSpec) -> _JobRequest:
+        """The probe-invariant admission request of template job ``spec``."""
         if spec.max_wall_clock is not None:
             # The user declared their own limit (the batch-system way);
             # overruns are terminated at the reservation boundary.
@@ -720,34 +746,47 @@ class QoSSystemSimulator:
         if promised <= 0.0:  # Opportunistic: no reservation to scale
             promised = max_wall_clock
         multiplier = DeadlinePolicy.multiplier(spec.deadline_class)
-        deadline = now + multiplier * promised
-        target = QoSTarget(
+        return _JobRequest(
+            spec=spec,
+            tw=tw,
+            max_wall_clock=max_wall_clock,
+            deadline_span=multiplier * promised,
             resources=ResourceVector(
                 cores=spec.requested_cores, cache_ways=spec.requested_ways
             ),
-            timeslot=TimeslotRequest(
-                max_wall_clock=max_wall_clock,
-                deadline=deadline,
+            auto_down=(
+                self.config.auto_downgrade
+                and spec.mode.kind is ModeKind.STRICT
+                and DeadlinePolicy.is_auto_downgradable(spec.deadline_class)
             ),
-            mode=spec.mode,
         )
-        job = Job(
+
+    def _probe_job(self, request: _JobRequest, now: float) -> Job:
+        """The :class:`Job` ``request`` puts to the LAC when probing at ``now``.
+
+        Nothing is registered yet.
+        """
+        return Job(
             job_id=len(self._accepted) + 1,
-            benchmark=spec.benchmark,
-            target=target,
+            benchmark=request.spec.benchmark,
+            target=QoSTarget(
+                resources=request.resources,
+                timeslot=TimeslotRequest(
+                    max_wall_clock=request.max_wall_clock,
+                    deadline=now + request.deadline_span,
+                ),
+                mode=request.spec.mode,
+            ),
             arrival_time=now,
             instructions=self.sim_config.instructions_per_job,
         )
-        auto_down = (
-            self.config.auto_downgrade
-            and spec.mode.kind is ModeKind.STRICT
-            and DeadlinePolicy.is_auto_downgradable(spec.deadline_class)
-        )
-        return job, auto_down, tw
 
-    def _try_admit(self, spec: JobSpec, now: float) -> bool:
-        job, auto_down, tw = self._build_job(spec, now)
-        decision = self.lac.admit(job, now=now, auto_downgrade=auto_down)
+    def _try_admit(self, request: _JobRequest, now: float) -> bool:
+        spec = request.spec
+        job = self._probe_job(request, now)
+        decision = self.lac.admit(
+            job, now=now, auto_downgrade=request.auto_down
+        )
         obs = get_observer()
         if obs.enabled and not decision.accepted:
             obs.metrics.counter("sim.admission.rejected").inc()
@@ -761,9 +800,9 @@ class QoSSystemSimulator:
                 reason=decision.reason,
             )
         if not decision.accepted:
-            if not job.target.resources.fits_within(self.lac.capacity):
+            if not request.resources.fits_within(self.lac.capacity):
                 raise RuntimeError(
-                    f"job requests {job.target.resources}, beyond node "
+                    f"job requests {request.resources}, beyond node "
                     f"capacity; it can never be admitted"
                 )
             if not any(r.end > now for r in self.lac.reservations()):
@@ -775,13 +814,15 @@ class QoSSystemSimulator:
                     "an idle node; the workload cannot complete"
                 )
             return False
-        self._register_accepted(job, spec, tw, decision, now, auto_down)
+        self._register_accepted(job, request, decision, now)
         return True
 
     def _register_accepted(
-        self, job, spec, tw, decision, now, auto_down
+        self, job: Job, request: _JobRequest, decision, now: float
     ) -> None:
         """Post-acceptance registration: state, dispatch, downgrade."""
+        spec = request.spec
+        auto_down = request.auto_down
         job.mark_accepted()
         self._accepted.append(job)
         obs = get_observer()
@@ -809,7 +850,7 @@ class QoSSystemSimulator:
                 l2_latency=self.machine.l2_latency,
                 memory_latency=self.machine.memory_latency,
             ),
-            tw=tw,
+            tw=request.tw,
             reservation=decision.reservation,
         )
         self._states[job.job_id] = state
@@ -962,6 +1003,7 @@ class QoSSystemSimulator:
         state.job.mark_terminated(now)
         state.running = False
         state.rate = 0.0
+        self._derive_next = True
         if state.completion_handle is not None:
             state.completion_handle.cancel()
         if state.steal_handle is not None:
@@ -1094,9 +1136,90 @@ class QoSSystemSimulator:
 
     # -- allocation & rate recomputation ------------------------------------------------------
 
-    def _recompute(self, now: float) -> None:
-        """Re-derive allocations, bus contention, rates, and events."""
-        running = [s for s in self._states.values() if s.running]
+    def _recompute(self, now: float, *, redate: bool = False) -> None:
+        """Re-derive allocations, bus contention, rates, and events.
+
+        ``redate`` marks a call after which no allocation can have
+        changed (a probe that admitted nothing).  Unless a job completed
+        or was terminated since the last derivation, the derived
+        allocations, bus load, rates and trace segments then still hold,
+        and only each running job's history entry, completion and steal
+        events are re-dated (DESIGN.md §7.5).
+        """
+        derive = not redate or self._derive_next
+        if derive:
+            # Cleared first: a completion inside the loop below sets it.
+            self._derive_next = False
+            running = [s for s in self._states.values() if s.running]
+            self._running = running
+            opp_multiplier = self._derive_allocations(running)
+        else:
+            running = self._running
+        obs = get_observer()
+        if obs.enabled and self._bus_saturated:
+            obs.metrics.counter("mem.bus.saturated_intervals").inc()
+
+        # Rates, trace, and event rescheduling.
+        for state in running:
+            if derive:
+                multiplier = (
+                    1.0 if state.reserved_running else opp_multiplier
+                )
+                if state.cpu_share <= 0.0:
+                    state.rate = 0.0
+                else:
+                    cpi = state.cpi_model.cpi(
+                        state.curve.mpi(state.ways),
+                        miss_penalty_multiplier=multiplier,
+                    )
+                    state.rate = (
+                        state.cpu_share * self.machine.clock_hz / cpi
+                    )
+                if self.record_trace:
+                    self.trace.update(
+                        now,
+                        state.job.job_id,
+                        mode=state.job.current_mode,
+                        ways=state.ways,
+                        core_id=state.core_id,
+                        cpu_share=state.cpu_share,
+                    )
+            self._ways_history[state.job.job_id].append(state.ways)
+            self._reschedule_completion(state, now)
+            self._reschedule_steal(state, now)
+
+        # SLO projection pass: rates are final for this interval, so
+        # project every monitored in-flight job (including displaced
+        # jobs, whose zero rate projects to infinity — violating until
+        # resources return).  States iterate in admission order, so the
+        # emitted transition events are deterministic.
+        if self._slo is not None:
+            for state in self._states.values():
+                if state.job.state is not JobState.RUNNING:
+                    continue
+                transition = self._slo.observe(
+                    now,
+                    state.job.job_id,
+                    progress=state.progress,
+                    rate=state.rate,
+                )
+                if transition is not None:
+                    obs.events.emit(
+                        "slo." + transition,
+                        now,
+                        job_id=state.job.job_id,
+                        deadline=state.job.deadline,
+                    )
+
+        if self._invariants is not None:
+            self._invariants.maybe_check()
+
+    def _derive_allocations(self, running: List[_JobRun]) -> float:
+        """Ways, CPU shares and bus load of the running jobs.
+
+        Returns the miss-penalty multiplier Opportunistic jobs pay for
+        bus contention.
+        """
         reserved = [s for s in running if s.reserved_running]
         opportunistic = [s for s in running if not s.reserved_running]
 
@@ -1193,60 +1316,7 @@ class QoSSystemSimulator:
             obs.metrics.gauge("mem.bus.queueing_delay_cycles").set(
                 bus["queueing_delay_cycles"]
             )
-            if self._bus_saturated:
-                obs.metrics.counter("mem.bus.saturated_intervals").inc()
-
-        # Rates, trace, and event rescheduling.
-        for state in running:
-            multiplier = 1.0 if state.reserved_running else opp_multiplier
-            if state.cpu_share <= 0.0:
-                state.rate = 0.0
-            else:
-                cpi = state.cpi_model.cpi(
-                    state.curve.mpi(state.ways),
-                    miss_penalty_multiplier=multiplier,
-                )
-                state.rate = (
-                    state.cpu_share * self.machine.clock_hz / cpi
-                )
-            if self.record_trace:
-                self.trace.update(
-                    now,
-                    state.job.job_id,
-                    mode=state.job.current_mode,
-                    ways=state.ways,
-                    core_id=state.core_id,
-                    cpu_share=state.cpu_share,
-                )
-            self._ways_history[state.job.job_id].append(state.ways)
-            self._reschedule_completion(state, now)
-            self._reschedule_steal(state, now)
-
-        # SLO projection pass: rates are final for this interval, so
-        # project every monitored in-flight job (including displaced
-        # jobs, whose zero rate projects to infinity — violating until
-        # resources return).  States iterate in admission order, so the
-        # emitted transition events are deterministic.
-        if self._slo is not None:
-            for state in self._states.values():
-                if state.job.state is not JobState.RUNNING:
-                    continue
-                transition = self._slo.observe(
-                    now,
-                    state.job.job_id,
-                    progress=state.progress,
-                    rate=state.rate,
-                )
-                if transition is not None:
-                    obs.events.emit(
-                        "slo." + transition,
-                        now,
-                        job_id=state.job.job_id,
-                        deadline=state.job.deadline,
-                    )
-
-        if self._invariants is not None:
-            self._invariants.maybe_check()
+        return opp_multiplier
 
     # -- adaptive policy epochs -------------------------------------------------
 
@@ -1429,6 +1499,9 @@ class QoSSystemSimulator:
         state.job.mark_completed(now)
         state.running = False
         state.rate = 0.0
+        # Its core and ways are free now: the next _recompute must derive
+        # even if it is only a re-date (this runs inside one, too).
+        self._derive_next = True
         if state.completion_handle is not None:
             state.completion_handle.cancel()
         if state.steal_handle is not None:

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.admission import LocalAdmissionController
@@ -262,6 +262,14 @@ class TestInvariants:
             assert e1 <= s2 + 1e-9
 
 
+#: Bus shares: round values whose sums pass 1.0 (the clamp) or tie a
+#: request up to float error (the 1e-12 tolerance), and any fraction.
+bandwidth_shares = st.one_of(
+    st.sampled_from([0.0, 0.1, 0.2, 0.25, 0.5, 0.75, 0.9, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
 class TestTimelineAgainstBruteForce:
     @given(
         st.lists(
@@ -270,6 +278,7 @@ class TestTimelineAgainstBruteForce:
                 st.floats(min_value=0.1, max_value=5.0),    # duration
                 st.integers(min_value=1, max_value=2),      # cores
                 st.integers(min_value=1, max_value=8),      # ways
+                bandwidth_shares,                           # bus share
             ),
             max_size=12,
         ),
@@ -277,24 +286,30 @@ class TestTimelineAgainstBruteForce:
         st.floats(min_value=0.1, max_value=5.0),              # probe dur
         st.integers(min_value=1, max_value=4),                # probe cores
         st.integers(min_value=1, max_value=16),               # probe ways
+        bandwidth_shares,                                     # probe share
     )
+    # 1.0 - 0.9 leaves 0.09999999999999998 of the bus: 0.1 fits only by
+    # the tolerance.  From t=1, 0.5 + 0.75 books more than the whole bus
+    # (the 1.0 clamp), so a 0.2 share no longer fits.
+    @example([(0.0, 5.0, 1, 1, 0.9)], 1.0, 1.0, 1, 1, 0.1)
+    @example([(0.0, 5.0, 1, 1, 0.5), (1.0, 5.0, 1, 1, 0.75)], 0.5, 1.0, 1, 1, 0.2)
     @settings(max_examples=60, deadline=None)
     def test_window_fits_matches_dense_sampling(
-        self, reservations, probe_start, probe_duration, cores, ways
+        self, reservations, probe_start, probe_duration, cores, ways, share
     ):
         """window_fits checks only breakpoints; a dense time sampling of
-        available_at must agree with it."""
-        lac = node()
-        for index, (start, duration, r_cores, r_ways) in enumerate(
+        available_at must agree with it, on cores, ways and bus share."""
+        lac = LocalAdmissionController(ResourceVector(4, 16, 1.0))
+        for index, (start, duration, r_cores, r_ways, r_share) in enumerate(
             reservations
         ):
             lac._reserve(
                 job_id=index,
                 start=start,
                 end=start + duration,
-                resources=ResourceVector(r_cores, r_ways),
+                resources=ResourceVector(r_cores, r_ways, r_share),
             )
-        request = ResourceVector(cores, ways)
+        request = ResourceVector(cores, ways, share)
         probe_end = probe_start + probe_duration
         fits = lac.window_fits(probe_start, probe_end, request)
 
