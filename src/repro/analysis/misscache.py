@@ -1,7 +1,7 @@
 """Content-addressed on-disk store for miss-ratio curves.
 
-Profiling one benchmark means driving ~55k synthetic accesses through a
-real cache at sixteen way counts — and Fig. 4/5/9 sweeps and the LAC
+Profiling one benchmark means drawing ~55k synthetic accesses and
+measuring them at sixteen way counts — and Fig. 4/5/9 sweeps and the LAC
 admission search revisit the same (benchmark, geometry, seed) points
 constantly, across processes and across runs.  This module memoises the
 resulting :class:`~repro.workloads.profiler.MissRatioCurve` objects on
@@ -16,8 +16,10 @@ function of:
   depend on, so editing the trace generators or the cache kernel
   invalidates all stored curves instead of silently serving stale ones.
 
-Curves are profiled on the fast kernel; the differential suite pins it
-to the reference model, which is why the key carries no backend.
+Curves are profiled by the fast backend's one-pass LRU stack profile,
+which the equivalence suite and ``verify diff --pairs backend`` pin to a
+per-way replay on the reference model; that is why the key carries no
+backend.
 
 The storage mechanics — atomic fsync'd writes, quarantine-on-corrupt
 (``<digest>.corrupt``), hit/miss/store counters — live in the shared

@@ -20,7 +20,9 @@ relies on, from scratch:
   (Section 4.3).
 - :mod:`repro.cache.fastsim` — flat-state fast twins of the basic and
   partitioned caches, counter-identical to the reference
-  implementations but without per-access object allocation.
+  implementations but without per-access object allocation, and the
+  one-pass LRU stack profile that measures every way count of a
+  miss-ratio curve at once.
 - :mod:`repro.cache.backend` — the builders all construction sites go
   through: runs build ``fast``; tests and ``verify`` build
   ``reference`` by name.

@@ -3,7 +3,9 @@
 Two implementations of the same cache semantics coexist:
 
 - ``fast`` — :mod:`repro.cache.fastsim`, the flat-state LRU kernel
-  every run builds.
+  every build gets unless it names the reference.  Curve profiling
+  builds no cache: its one-pass stack profile, in the same module,
+  measures every way count at once.
 - ``reference`` — :mod:`repro.cache.basic` / :mod:`repro.cache.partitioned`,
   the readable object model that mirrors the paper's mechanisms.  It
   produces identical counters (pinned by the differential test suite)

@@ -33,9 +33,16 @@ access for access — is pinned by the differential property suite in
 ``tests/cache/test_fastsim_differential.py``.  The LRU victim rule
 matches because a full set's valid lines are always all present in the
 reference policy's recency stack, so "LRU among candidates" equals
-"first candidate in LRU-first iteration order".  Every run builds this
-kernel (:mod:`repro.cache.backend`); the reference model is built only
-where something is checked against it.
+"first candidate in LRU-first iteration order".  Every cache build
+takes this kernel unless it names the reference model
+(:mod:`repro.cache.backend`), which is built only where something is
+checked against it.
+
+Curve profiling builds no cache at all: :func:`lru_stack_misses` keeps
+one recency list per set and counts the misses of every way count in a
+single pass over the trace, which the equivalence suite in
+``tests/workloads/test_generator_equivalence.py`` pins to a per-way
+replay on both backends.
 """
 
 from __future__ import annotations
@@ -618,6 +625,54 @@ class FastWayPartitionedCache:
             f"FastWayPartitionedCache({self.name}, {self.geometry}, "
             f"targets={self._targets})"
         )
+
+
+def lru_stack_misses(
+    geometry: CacheGeometry,
+    addresses: Sequence[int],
+    warmup: Sequence[int] = (),
+) -> List[int]:
+    """Misses over ``addresses`` of an LRU cache at every way count.
+
+    One stack-distance pass (Mattson et al., 1970) stands in for a
+    replay per way count.  Under LRU a ``w``-way set holds the ``w``
+    most recently used blocks of that set, so each set keeps its
+    recency list to depth ``geometry.associativity``, MRU first, and a
+    measured access found at position ``p`` hits every cache of more
+    than ``p`` ways.  Every miss fills, so reads and writes move the
+    stack alike.  ``warmup`` accesses move the stacks but count
+    nothing.
+
+    Returns ``misses`` with ``misses[w]`` the misses of a ``w``-way
+    cache (``misses[0] == len(addresses)``), for ``w`` up to the
+    geometry's associativity; only its set/tag split and depth are
+    read.
+    """
+    offset_bits = geometry.offset_bits
+    index_bits = geometry.index_bits
+    index_mask = geometry.num_sets - 1
+    depth = geometry.associativity
+    stacks: List[List[int]] = [[] for _ in range(geometry.num_sets)]
+    hits_at = [0] * depth  # measured hits by stack position, MRU = 0
+    for trace, counts in ((warmup, [0] * depth), (addresses, hits_at)):
+        for address in trace:
+            block = address >> offset_bits
+            stack = stacks[block & index_mask]
+            tag = block >> index_bits
+            if tag in stack:
+                position = stack.index(tag)
+                counts[position] += 1
+                if position:
+                    del stack[position]
+                    stack.insert(0, tag)
+            else:
+                stack.insert(0, tag)
+                if len(stack) > depth:
+                    stack.pop()
+    misses = [len(addresses)]
+    for hits in hits_at:
+        misses.append(misses[-1] - hits)
+    return misses
 
 
 def chunked(iterable: Iterable[Tuple[int, bool]], size: int):

@@ -91,6 +91,10 @@ class LocalAdmissionController:
         """Snapshot of current reservations (sorted by start)."""
         return sorted(self._reservations, key=lambda r: (r.start, r.end))
 
+    def booked_from(self, time: float) -> bool:
+        """True if any reservation covers ``time`` or a later instant."""
+        return any(r.end > time for r in self._reservations)
+
     def used_at(self, time: float) -> ResourceVector:
         """Resources reserved at instant ``time``."""
         check_non_negative("time", time)

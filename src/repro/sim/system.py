@@ -116,6 +116,10 @@ class _JobRun:
     # admission-requested ways).  Only meaningful for reserved strict
     # jobs; cleared on (re-)dispatch and displacement.
     policy_ways: Optional[int] = None
+    # Model rate at every way count for the policy's sensors: a pure
+    # function of the curve, the CPI model and the clock, so built at
+    # the first epoch that reads it.
+    rates_by_ways: Tuple[float, ...] = ()
     # Elastic stealing state
     steal: Optional[ResourceStealingController] = None
     actual_misses: float = 0.0
@@ -805,7 +809,7 @@ class QoSSystemSimulator:
                     f"job requests {request.resources}, beyond node "
                     f"capacity; it can never be admitted"
                 )
-            if not any(r.end > now for r in self.lac.reservations()):
+            if not self.lac.booked_from(now):
                 # Nothing is booked now or in the future, yet the job
                 # still does not fit before its deadline: it never will.
                 raise RuntimeError(
@@ -1331,7 +1335,8 @@ class QoSSystemSimulator:
         Progress is projected locally from the piecewise-constant rates
         (``progress + rate * (now - last_advance)``) instead of calling
         ``_advance_all``, so an epoch whose decision is empty leaves the
-        trajectory byte-identical to a run without the policy.
+        trajectory byte-identical to a run without the policy.  A job's
+        ``rates_by_ways`` is built at its first read and memoised.
         """
         elapsed = max(0.0, now - self._last_advance)
         jobs: List[JobSensor] = []
@@ -1357,13 +1362,15 @@ class QoSSystemSimulator:
                 projected = math.inf
             rates_by_ways: Tuple[float, ...] = ()
             if state.reserved_running and state.steal is None:
-                rates_by_ways = tuple(
-                    0.0
-                    if ways == 0
-                    else self.machine.clock_hz
-                    / state.cpi_model.cpi(state.curve.mpi(ways))
-                    for ways in range(self.machine.l2_ways + 1)
-                )
+                if not state.rates_by_ways:
+                    state.rates_by_ways = tuple(
+                        0.0
+                        if ways == 0
+                        else self.machine.clock_hz
+                        / state.cpi_model.cpi(state.curve.mpi(ways))
+                        for ways in range(self.machine.l2_ways + 1)
+                    )
+                rates_by_ways = state.rates_by_ways
             reservation_end: Optional[float] = None
             if (
                 state.reservation is not None

@@ -5,9 +5,10 @@ and scaled-down profiling/instruction knobs — is executed twice per
 *pair*, with exactly one implementation choice flipped between the
 arms, and every observable compared:
 
-- **backend** — miss curves profiled on the ``reference`` cache model
-  versus the ``fast`` kernel, and the sweep run on each set.  Curves
-  must match point-for-point and every downstream scalar byte-for-byte.
+- **backend** — miss curves profiled by a per-way replay on the
+  ``reference`` cache model versus the ``fast`` backend's one-pass LRU
+  stack profile, and the sweep run on each set.  Curves must match
+  point-for-point and every downstream scalar byte-for-byte.
 - **jobs** — the same sweep with ``jobs=1`` versus ``jobs=N``
   multiprocessing.  Counter snapshots *and* the metrics/events/trace
   JSONL artifact streams must be byte-identical (the observer-merge
@@ -29,7 +30,7 @@ arms, and every observable compared:
 
 Both arms of a pair profile their miss curves through
 :func:`~repro.workloads.profiler.profile_benchmark` directly —
-``get_curve`` always profiles on the fast kernel and its memo and
+``get_curve`` always profiles on the fast backend and its memo and
 on-disk store carry no backend, so going through them would compare
 one cached curve against itself.
 

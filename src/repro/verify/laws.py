@@ -8,7 +8,9 @@ paper's model (or basic queueing/caching theory) says so:
   more cache ways never increases its measured miss rate (checked on
   the *raw* per-way measurements, before the curve normalisation that
   would hide an inversion), and both backends must measure the same
-  raw points.
+  raw points.  The fast arm's one-pass stack profile is monotone by
+  construction, so the law can fail on the reference arm's per-way
+  replay or on the cross-check between the two.
 - **mode-downgrade-floor** — walking the Strict → Elastic(X) →
   Opportunistic ladder (voluntary, Section 3.3–3.4, or the fault-
   recovery ladder of :mod:`repro.faults.resilience`) never *raises*
@@ -700,8 +702,9 @@ LAWS: Dict[str, Law] = {
     for law in (
         Law(
             name="miss-curve-monotone",
-            description="more ways never raise the raw miss rate; "
-            "backends measure identical raw points",
+            description="more ways never raise the raw miss rate (by "
+            "construction on the fast arm, replayed per way on the "
+            "reference arm); backends measure identical raw points",
             check=_check_miss_curve_monotone,
         ),
         Law(

@@ -5,7 +5,7 @@ of pattern primitives (loops, Zipf pools, streams).  Each component gets
 a private, non-overlapping address region; per access, one component is
 drawn by weight and asked for its next address.  Traces come out as two
 flat lists (:meth:`TraceGenerator.address_block`), which the profiler
-draws once per curve and replays into a cache at every way count.
+draws once per curve and measures at every way count in one pass.
 """
 
 from __future__ import annotations

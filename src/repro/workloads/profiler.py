@@ -5,12 +5,16 @@ miss rate as a function of allocated ways — exactly what the paper's
 framework observes through its allocation counters and what utility-
 based partitioning papers call a miss-ratio curve (MRC).
 
-:func:`profile_benchmark` obtains the curve the honest way: it runs the
-benchmark's synthetic trace through a real trace-driven LRU cache at
-every candidate way count.  Profiling runs on a scaled-down set count
-(footprints are way-denominated, so the curve is set-count invariant;
-see :mod:`repro.workloads.patterns`) and results are memoised
-process-wide because every experiment reuses the same fifteen curves.
+:func:`profile_benchmark` obtains the curve by trace-driven LRU
+simulation: one pass of the benchmark's synthetic trace over per-set
+recency stacks counts the misses of every candidate way count at once
+(LRU inclusion: a ``w``-way set holds the ``w`` most recently used
+blocks), and the reference object model replays the same trace into
+one cache per way count as its oracle.  Profiling runs on a
+scaled-down set count (footprints are way-denominated, so the curve is
+set-count invariant; see :mod:`repro.workloads.patterns`) and results
+are memoised process-wide because every experiment reuses the same
+fifteen curves.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cache.backend import make_cache
+from repro.cache.fastsim import lru_stack_misses
 from repro.cache.geometry import CacheGeometry
 from repro.util.rng import DeterministicRng
 from repro.util.validation import check_non_negative, check_positive
@@ -140,6 +145,14 @@ def measure_miss_rates(
     verification laws check the raw points (more ways never hurts
     under LRU inclusion), which the normalised curve would hide by
     construction.
+
+    One trace is drawn (``warmup`` accesses, then ``accesses``
+    measured ones).  On the ``"fast"`` backend one LRU stack pass
+    (:func:`~repro.cache.fastsim.lru_stack_misses`) counts its misses
+    at every way count, so the fast points are monotone by
+    construction.  ``backend="reference"`` replays the trace into one
+    object-model cache per way count: the oracle the pass must equal,
+    named only by checks.
     """
     check_positive("accesses", accesses)
     check_non_negative("warmup", warmup)
@@ -148,8 +161,7 @@ def measure_miss_rates(
         if ways <= 0:
             raise ValueError(f"ways must be positive, got {ways}")
     # ``bind`` sees only the set count and block size, so the trace
-    # cannot depend on the way count: draw it once, replay it into
-    # every way count's cache.
+    # cannot depend on the way count: draw it once for every way count.
     generator = profile.make_generator()
     generator.bind(
         num_sets=num_sets,
@@ -159,6 +171,19 @@ def measure_miss_rates(
     warm = generator.address_block(warmup) if warmup else None
     addresses, writes = generator.address_block(accesses)
     points: Dict[int, float] = {}
+    if backend == "fast":
+        # One LRU stack pass counts the misses at every way count at
+        # once; ``misses / accesses`` is the division
+        # ``BatchCounters.miss_rate`` makes on a per-way replay.
+        depth = max(ways_list, default=1)  # an empty list reads nothing
+        misses = lru_stack_misses(
+            CacheGeometry.from_sets(num_sets, depth, block_bytes),
+            addresses,
+            warm[0] if warm else (),
+        )
+        for ways in ways_list:
+            points[ways] = misses[ways] / accesses
+        return points
     for ways in ways_list:
         geometry = CacheGeometry.from_sets(num_sets, ways, block_bytes)
         cache = make_cache(
@@ -183,12 +208,15 @@ def profile_benchmark(
 ) -> MissRatioCurve:
     """Measure ``profile``'s miss-ratio curve by direct cache simulation.
 
-    For each candidate way count ``w`` the benchmark's trace runs alone
-    through a ``w``-way LRU cache with ``num_sets`` sets (a partition
-    view of the shared L2).  ``warmup`` accesses fill the cache before
-    ``accesses`` measured ones.  ``backend`` names the cache
-    implementation (:mod:`repro.cache.backend`); both produce identical
-    curves, and only checks against the reference model pass it.
+    The curve's point at way count ``w`` is the miss rate of the
+    benchmark's trace running alone through a ``w``-way LRU cache with
+    ``num_sets`` sets (a partition view of the shared L2).  ``warmup``
+    accesses fill the cache before ``accesses`` measured ones.  The
+    default ``"fast"`` backend measures every way count in one LRU
+    stack pass; ``"reference"`` replays the trace into one object-model
+    cache per way count (:func:`measure_miss_rates`).  Both produce
+    identical curves, and only checks against the reference model pass
+    ``backend``.
     """
     points = measure_miss_rates(
         profile,
@@ -238,8 +266,9 @@ def get_curve(
 
     Two layers of memoisation: the in-process dict below, then the
     content-addressed on-disk store (:mod:`repro.analysis.misscache`)
-    shared across processes and runs.  Curves are profiled on the fast
-    kernel, which the differential suite pins to the reference model.
+    shared across processes and runs.  Curves are profiled by the
+    one-pass LRU stack profile, which the equivalence suite pins to a
+    per-way replay on the reference model.
     """
     key = (profile_digest(profile), num_sets, block_bytes, accesses, seed)
     if key not in _CURVE_CACHE:

@@ -58,6 +58,18 @@ class TestCapacityQueries:
         with pytest.raises(ValueError):
             LocalAdmissionController(ResourceVector(0, 0))
 
+    def test_booked_from_sees_current_and_future_reservations(self):
+        lac = node()
+        assert not lac.booked_from(0.0)
+        assert lac.admit(make_job(1, ways=16, deadline=100.0), now=0.0).accepted
+        assert lac.admit(make_job(2, ways=16, deadline=100.0), now=0.0).accepted
+        assert [(r.start, r.end) for r in lac.reservations()] == [
+            (0.0, 10.0),
+            (10.0, 20.0),
+        ]
+        assert lac.booked_from(0.0) and lac.booked_from(15.0)
+        assert not lac.booked_from(20.0)  # a reservation's end is exclusive
+
 
 class TestStrictAdmission:
     def test_immediate_admission_on_idle_node(self):

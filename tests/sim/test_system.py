@@ -1,5 +1,7 @@
 """Integration tests for the QoS system simulator."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import (
@@ -11,10 +13,12 @@ from repro.core.config import (
 )
 from repro.core.job import JobState
 from repro.core.modes import ExecutionMode, ModeKind
+from repro.core.policy import make_policy
 from repro.sim.config import MachineConfig, SimulationConfig
 from repro.sim.system import STEALING_MIN_WAYS, QoSSystemSimulator
 from repro.workloads.arrival import DeadlineClass
-from repro.workloads.composer import single_benchmark_workload
+from repro.workloads.benchmarks import get_benchmark
+from repro.workloads.composer import mixed_workload, single_benchmark_workload
 
 
 SIM = SimulationConfig()
@@ -199,6 +203,21 @@ class TestDeterminismAndGuards:
         with pytest.raises(RuntimeError, match="never be admitted"):
             simulator.run()
 
+    def test_request_infeasible_on_an_idle_node_raises(self, fake_curves):
+        class HalfDeadline(QoSSystemSimulator):
+            """Deadlines half the reservation: nothing can ever fit."""
+
+            def _request_for(self, spec):
+                request = super()._request_for(spec)
+                return dataclasses.replace(
+                    request, deadline_span=request.max_wall_clock / 2
+                )
+
+        workload = single_benchmark_workload("bzip2", ALL_STRICT)
+        simulator = HalfDeadline(workload, curves=fake_curves, sim_config=SIM)
+        with pytest.raises(RuntimeError, match="infeasible even on an idle"):
+            simulator.run()
+
     def test_lac_statistics_populated(self, fake_curves):
         result = run("bzip2", ALL_STRICT, fake_curves)
         assert result.lac_admission_tests >= 10
@@ -347,3 +366,49 @@ class TestBusSaturationWiring:
             sim_config=SimulationConfig(),
         ).run()
         assert result.steal_transfers > 0
+
+
+class TestPolicySensors:
+    def test_rates_by_ways_are_each_jobs_own(self, fake_curves):
+        """Every epoch's rate table equals a fresh one for the job's
+        benchmark, in a run whose reserved jobs run three benchmarks."""
+
+        class Recording(QoSSystemSimulator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.tables = []
+
+            def _policy_sensors(self, now):
+                snapshot = super()._policy_sensors(now)
+                for sensor in snapshot.jobs:
+                    if sensor.rates_by_ways:
+                        benchmark = self._states[sensor.job_id].spec.benchmark
+                        self.tables.append((benchmark, sensor.rates_by_ways))
+                return snapshot
+
+        machine = MachineConfig()
+
+        def fresh(benchmark):
+            cpi_model = get_benchmark(benchmark).cpi_model(
+                l2_latency=machine.l2_latency,
+                memory_latency=machine.memory_latency,
+            )
+            curve = fake_curves[benchmark]
+            return tuple(
+                0.0
+                if ways == 0
+                else machine.clock_hz / cpi_model.cpi(curve.mpi(ways))
+                for ways in range(machine.l2_ways + 1)
+            )
+
+        simulator = Recording(
+            mixed_workload("Mix-1", ALL_STRICT, seed=0),
+            machine=machine,
+            curves=fake_curves,
+            policy=make_policy("grow-shrink"),
+        )
+        simulator.run()
+        seen = {benchmark for benchmark, _ in simulator.tables}
+        assert seen == set(fake_curves)
+        for benchmark, table in simulator.tables:
+            assert table == fresh(benchmark), benchmark

@@ -1,8 +1,8 @@
 """Tests for the scenario fuzzer (repro.verify.fuzz).
 
 The centrepiece is the *mutation smoke*: an off-by-one deliberately
-injected into the fast cache kernel's batch counters must be caught by
-the backend differential, shrunk, and written as a replayable
+injected into the fast backend's one-pass miss counts must be caught
+by the backend differential, shrunk, and written as a replayable
 ``verify-case.json`` — the end-to-end proof that the verification
 subsystem detects the class of bug it exists for.
 """
@@ -11,8 +11,6 @@ import json
 
 import pytest
 
-from repro.cache import fastsim
-from repro.cache.basic import BatchCounters
 from repro.verify import (
     VerifyCase,
     load_case,
@@ -21,6 +19,7 @@ from repro.verify import (
     run_fuzz,
 )
 from repro.verify.fuzz import FUZZ_WORKLOADS, random_scenario
+from repro.workloads import profiler
 
 
 class TestParseBudget:
@@ -80,22 +79,23 @@ class TestCleanFuzz:
             run_fuzz(0, budget_seconds=None, max_cases=None)
 
 
-def _off_by_one_access_block(real):
-    """A batch path whose counters disagree with the reference by one."""
+def _off_by_one_stack_misses(real):
+    """A one-pass profile that counts one hit too few at each way count."""
 
-    def mutant(self, addresses, is_write=False, core_ids=0):
-        counters = real(self, addresses, is_write=is_write, core_ids=core_ids)
-        if not addresses:
-            return counters
-        return BatchCounters(
-            accesses=counters.accesses,
-            hits=counters.hits - 1,
-            misses=counters.misses + 1,
-            evictions=counters.evictions,
-            writebacks=counters.writebacks,
-        )
+    def mutant(geometry, addresses, warmup=()):
+        misses = real(geometry, addresses, warmup)
+        return misses[:1] + [min(count + 1, misses[0]) for count in misses[1:]]
 
     return mutant
+
+
+def _patch_stack_misses(patcher):
+    # The profiler binds the name at import, so patch it there.
+    patcher.setattr(
+        profiler,
+        "lru_stack_misses",
+        _off_by_one_stack_misses(profiler.lru_stack_misses),
+    )
 
 
 class TestMutationSmoke:
@@ -103,13 +103,8 @@ class TestMutationSmoke:
 
     def test_backend_pair_catches_and_shrinks(self, tmp_path):
         out = tmp_path / "verify-case.json"
-        real = fastsim.FastSetAssociativeCache.access_block
         with pytest.MonkeyPatch.context() as patcher:
-            patcher.setattr(
-                fastsim.FastSetAssociativeCache,
-                "access_block",
-                _off_by_one_access_block(real),
-            )
+            _patch_stack_misses(patcher)
             report = run_fuzz(
                 0,
                 budget_seconds=None,
@@ -136,13 +131,8 @@ class TestMutationSmoke:
 
     def test_case_file_is_plain_versioned_json(self, tmp_path):
         out = tmp_path / "verify-case.json"
-        real = fastsim.FastSetAssociativeCache.access_block
         with pytest.MonkeyPatch.context() as patcher:
-            patcher.setattr(
-                fastsim.FastSetAssociativeCache,
-                "access_block",
-                _off_by_one_access_block(real),
-            )
+            _patch_stack_misses(patcher)
             run_fuzz(
                 0,
                 budget_seconds=None,

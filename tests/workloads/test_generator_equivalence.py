@@ -1,17 +1,20 @@
 """Trace generation in flat lists against the per-access oracle.
 
 ``TraceGenerator.address_block`` returns a trace as two flat lists,
-and ``measure_miss_rates`` draws one trace per curve and replays it
-into every way count.  The oracle below is the per-access loop they
-replaced, kept verbatim: one ``weighted_choice`` per component pick,
-one ``next_address`` per access and ``uniform() < wf`` per write flag,
-all drawn from the generator's bound streams.  Every miss-ratio curve,
-golden and stored curve rests on the two agreeing access for access.
+and ``measure_miss_rates`` draws one trace per curve and counts every
+way count's misses in one LRU stack pass.  The oracles below are the
+per-access loop they replaced, kept verbatim: one ``weighted_choice``
+per component pick, one ``next_address`` per access and
+``uniform() < wf`` per write flag, all drawn from the generator's
+bound streams; and a per-way replay that regenerates the trace for
+each way count's own cache.  Every miss-ratio curve, golden and stored
+curve rests on them agreeing access for access.
 """
 
 import pytest
 
 from repro.cache.backend import make_cache
+from repro.cache.fastsim import lru_stack_misses
 from repro.cache.geometry import CacheGeometry
 from repro.util.rng import DeterministicRng
 from repro.workloads.benchmarks import BENCHMARKS
@@ -179,6 +182,22 @@ def regenerating_oracle(
     return points
 
 
+def assert_matches_oracle(name, **overrides):
+    kwargs = dict(
+        ways_list=(1, 2, 4, 8),
+        num_sets=16,
+        block_bytes=64,
+        accesses=2500,
+        warmup=500,
+        seed=11,
+        backend="fast",
+    )
+    kwargs.update(overrides)
+    measured = measure_miss_rates(BENCHMARKS[name], **kwargs)
+    expected = regenerating_oracle(BENCHMARKS[name], **kwargs)
+    assert list(measured.items()) == list(expected.items())
+
+
 class TestMeasureMissRates:
     @pytest.mark.parametrize("backend", ["fast", "reference"])
     @pytest.mark.parametrize(
@@ -187,21 +206,34 @@ class TestMeasureMissRates:
             ("bzip2", (1, 2, 4, 8), 500),
             ("mcf", (6, 2, 6, 1, 9, 2), 0),
             ("libquantum", (3, 1), 700),
+            ("gobmk", (1,), 500),
+            ("hmmer", (16, 1, 16), 500),
+            ("sjeng", (20, 5), 500),
+            ("bzip2", tuple(range(1, 17)), 0),
         ],
     )
     def test_matches_regenerating_oracle(self, backend, name, ways_list, warmup):
-        kwargs = dict(
-            ways_list=ways_list,
-            num_sets=16,
-            block_bytes=64,
-            accesses=2500,
-            warmup=warmup,
-            seed=11,
+        assert_matches_oracle(
+            name, ways_list=ways_list, warmup=warmup, backend=backend
+        )
+
+    @pytest.mark.parametrize("backend", ["fast", "reference"])
+    def test_single_set(self, backend):
+        assert_matches_oracle(
+            "hmmer", ways_list=tuple(range(1, 17)), num_sets=1, backend=backend
+        )
+
+    @pytest.mark.parametrize("backend", ["fast", "reference"])
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_every_benchmark_profile(self, backend, name):
+        assert_matches_oracle(
+            name,
+            ways_list=tuple(range(1, 17)),
+            num_sets=4,
+            accesses=600,
+            warmup=200,
             backend=backend,
         )
-        measured = measure_miss_rates(BENCHMARKS[name], **kwargs)
-        expected = regenerating_oracle(BENCHMARKS[name], **kwargs)
-        assert list(measured.items()) == list(expected.items())
 
     def test_bad_way_count_raises_before_generating(self, monkeypatch):
         def refuse(self, count):
@@ -210,3 +242,26 @@ class TestMeasureMissRates:
         monkeypatch.setattr(TraceGenerator, "address_block", refuse)
         with pytest.raises(ValueError, match="ways must be positive"):
             measure_miss_rates(BENCHMARKS["bzip2"], ways_list=(2, 0))
+
+
+class TestLruStackMisses:
+    def test_hand_worked_single_set(self):
+        # One set, blocks A B A C B A D A.  Stack positions (MRU = 0) of
+        # the re-references: A at 1, B at 2, A at 2, A at 1, so a 1-way
+        # set hits none of them, 2 ways hit the two at position 1, and 3
+        # or more ways hit all four.
+        geometry = CacheGeometry.from_sets(1, 4, 64)
+        a, b, c, d = (64 * n for n in (1, 2, 3, 4))
+        trace = [a, b, a, c, b, a, d, a]
+        assert lru_stack_misses(geometry, trace) == [8, 8, 6, 4, 4]
+
+    def test_warmup_moves_the_stacks_but_counts_nothing(self):
+        geometry = CacheGeometry.from_sets(1, 2, 64)
+        a, b, c = (64 * n for n in (1, 2, 3))
+        # Cold, A C A misses three times at one way and twice at two.
+        # The warm-up A B B leaves the stack (B, A), so the first A hits
+        # at two ways too, and B's warm-up hit counts nowhere.
+        assert lru_stack_misses(geometry, [a, c, a]) == [3, 3, 2]
+        assert lru_stack_misses(geometry, [a, c, a], warmup=[a, b, b]) == [
+            3, 3, 1,
+        ]
