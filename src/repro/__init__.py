@@ -43,7 +43,6 @@ from repro.core.config import (
 )
 from repro.core.cluster import ClusterJobProfile, ClusterSimulator, size_cluster
 from repro.core.gac import GlobalAdmissionController
-from repro.core.ipc_manager import IpcManagedJob, IpcTargetManager
 from repro.core.job import Job, JobState
 from repro.core.metrics import (
     DeadlineReport,
@@ -54,8 +53,6 @@ from repro.core.metrics import (
 from repro.core.modes import ExecutionMode, ModeKind
 from repro.core.partition_manager import PartitionManager
 from repro.core.spec import (
-    IpcTarget,
-    MissRateTarget,
     PRESET_TARGETS,
     QoSTarget,
     ResourceVector,
@@ -99,8 +96,6 @@ __all__ = [
     "ResourceVector",
     "TimeslotRequest",
     "QoSTarget",
-    "IpcTarget",
-    "MissRateTarget",
     "PRESET_TARGETS",
     "ExecutionMode",
     "ModeKind",
@@ -113,8 +108,6 @@ __all__ = [
     "ClusterSimulator",
     "ClusterJobProfile",
     "size_cluster",
-    "IpcTargetManager",
-    "IpcManagedJob",
     # stealing & partitioning
     "ResourceStealingController",
     "ShadowTagArray",

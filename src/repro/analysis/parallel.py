@@ -25,6 +25,9 @@ Guarantees:
 - **Graceful serial fallback** — ``jobs=1`` (the default) never touches
   ``multiprocessing``: the work runs inline, exceptions propagate
   naturally, and debuggers/profilers see one process.
+- **No retry** — a task exception propagates on the pool path too, and
+  a killed sweep resumes from the results store
+  (:mod:`repro.analysis.sweep`), not from a retry inside the map.
 - **Deterministic seeding** — existing entry points keep their
   per-point seed semantics (a point's seed must not depend on how many
   workers ran it); new fan-outs derive per-point seeds with
@@ -57,7 +60,6 @@ import os
 from typing import Any, Callable, List, Optional, Sequence, TypeVar
 
 from repro.analysis.pool import (
-    WorkerPool,
     existing_pool,
     installed_shared,
     shared_pool,
@@ -119,9 +121,7 @@ def point_seed(parent_seed: int, label: object) -> int:
     return derive_seed(parent_seed, f"point-{label}")
 
 
-def pool_fingerprints(
-    jobs: Optional[int], *, pool: Optional[WorkerPool] = None
-) -> List[dict]:
+def pool_fingerprints(jobs: Optional[int]) -> List[dict]:
     """Fingerprint the parent plus each live persistent-pool worker.
 
     Probes the pool a sweep at this worker count *actually uses* — the
@@ -136,8 +136,7 @@ def pool_fingerprints(
     fingerprints = [dict(worker_fingerprint(), role="parent")]
     if worker_count <= 1:
         return fingerprints
-    if pool is None:
-        pool = existing_pool(worker_count) or shared_pool(worker_count)
+    pool = existing_pool(worker_count) or shared_pool(worker_count)
     fingerprints.extend(
         dict(probe, role="worker") for probe in pool.fingerprints()
     )
@@ -149,10 +148,7 @@ def parallel_map(
     items: Sequence[T],
     *,
     jobs: Optional[int] = 1,
-    task_timeout: Optional[float] = None,
-    task_retries: int = 1,
     shared: Any = None,
-    pool: Optional[WorkerPool] = None,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> List[R]:
     """Map ``func`` over ``items``, optionally across processes.
@@ -170,15 +166,8 @@ def parallel_map(
     ``shared`` is a read-only payload shipped to workers once at pool
     fork (not per task); worker functions read it back with
     :func:`repro.analysis.pool.current_shared` on both the serial and
-    the parallel path.  ``pool`` runs the map on an explicit
-    :class:`WorkerPool` instead (its ``shared`` payload, its workers).
-
-    ``task_timeout`` (seconds per item) arms the crash-resilient path:
-    any chunk whose worker dies or hangs is retried on the same
-    persistent pool up to ``task_retries`` times and finally
-    recomputed serially in the parent.  The default (``None``) keeps
-    the fast path with no liveness monitoring.  Exceptions raised by
-    ``func`` itself always propagate, on both paths.
+    the parallel path.  Exceptions raised by ``func`` propagate on both
+    paths.
 
     When the parent has a live observer, worker telemetry is captured
     per chunk and merged back deterministically (see module
@@ -190,23 +179,17 @@ def parallel_map(
     collected chunk on the pool path (the sweep-heartbeat hook).
     """
     items = list(items)
-    if pool is None:
-        worker_count = resolve_jobs(jobs)
-        if worker_count <= 1 or len(items) <= 1:
-            with installed_shared(shared):
-                if progress is None:
-                    return [func(item) for item in items]
-                results: List[R] = []
-                for item in items:
-                    results.append(func(item))
-                    progress(len(results), len(items))
-                return results
-        worker_count = min(worker_count, len(items))
-        pool = shared_pool(worker_count, shared=shared)
-    return pool.map(
-        func,
-        items,
-        task_timeout=task_timeout,
-        task_retries=task_retries,
-        progress=progress,
+    worker_count = resolve_jobs(jobs)
+    if worker_count <= 1 or len(items) <= 1:
+        with installed_shared(shared):
+            if progress is None:
+                return [func(item) for item in items]
+            results: List[R] = []
+            for item in items:
+                results.append(func(item))
+                progress(len(results), len(items))
+            return results
+    worker_count = min(worker_count, len(items))
+    return shared_pool(worker_count, shared=shared).map(
+        func, items, progress=progress
     )

@@ -1,11 +1,11 @@
 """Persistent worker pool with shared read-only session state.
 
 ``multiprocessing.Pool`` per call was the old shape of ``--jobs N``:
-every sweep (and every retry round of the robust path) forked a fresh
-pool, re-imported the world, re-pickled the full per-point payload for
-every point, and shipped one observer back per point.  At sweep sizes
-of a handful of points the setup cost ate the parallel win —
-``BENCH_perf.json`` recorded ``parallel.speedup: 0.95``.
+every sweep forked a fresh pool, re-imported the world, re-pickled the
+full per-point payload for every point, and shipped one observer back
+per point.  At sweep sizes of a handful of points the setup cost ate
+the parallel win — ``BENCH_perf.json`` recorded
+``parallel.speedup: 0.95``.
 
 :class:`WorkerPool` replaces that lifecycle:
 
@@ -34,14 +34,10 @@ of a handful of points the setup cost ate the parallel win —
   boundaries), which reproduces the serial run's artefacts byte for
   byte exactly as the old per-point shipping did — at 1/chunk-size
   the pickle traffic.
-- **Per-chunk liveness on the same pool.**  ``task_timeout`` arms the
-  robust path: chunks are dispatched as individual tasks and collected
-  with a timeout scaled by chunk length.  A chunk whose worker died
-  (``Pool`` respawns the process) or hung is retried on the *same*
-  pool — live workers pick the retry up — and finally recomputed
-  serially in the parent, still folding telemetry in input order.  If
-  any timeout fired, the pool re-forks its workers afterwards so a
-  wedged process cannot leak into the next sweep.
+- **Failures propagate.**  A task exception reaches the caller and
+  leaves the pool usable.  There is no retry: a killed sweep resumes
+  from the results store, which holds every point finished before the
+  kill.
 
 Workers also expose a diagnostic surface: :meth:`WorkerPool.\
 fingerprints` probes every live worker (a barrier makes each worker
@@ -188,15 +184,10 @@ def _barrier_probe(_slot: int) -> dict:
     return worker_fingerprint()
 
 
-def chunk_ranges(
-    total: int,
-    worker_count: int,
-    *,
-    chunks_per_worker: int = CHUNKS_PER_WORKER,
-) -> List[Tuple[int, int]]:
+def chunk_ranges(total: int, worker_count: int) -> List[Tuple[int, int]]:
     """Contiguous ``[start, stop)`` chunks covering ``range(total)``.
 
-    Aims for ``worker_count × chunks_per_worker`` chunks (never more
+    Aims for ``worker_count × CHUNKS_PER_WORKER`` chunks (never more
     than ``total``), sized within one item of each other, in input
     order — the shape that keeps dispatch overhead per-chunk while the
     ~4× oversubscription absorbs stragglers.
@@ -205,7 +196,7 @@ def chunk_ranges(
         return []
     if worker_count < 1:
         raise ValueError(f"worker_count must be >= 1, got {worker_count}")
-    chunk_count = min(total, max(1, worker_count * chunks_per_worker))
+    chunk_count = min(total, worker_count * CHUNKS_PER_WORKER)
     base, extra = divmod(total, chunk_count)
     ranges: List[Tuple[int, int]] = []
     start = 0
@@ -294,19 +285,8 @@ class WorkerPool:
             )
         return self._pool
 
-    def restart(self) -> None:
-        """Tear down the worker processes; the next map re-forks.
-
-        Used after a robust-path timeout so a wedged worker cannot
-        squat a slot forever, and harmless otherwise.
-        """
-        self._terminate()
-
     def shutdown(self) -> None:
         """Terminate the workers and retire the pool object."""
-        self._terminate()
-
-    def _terminate(self) -> None:
         pool, self._pool, self._barrier = self._pool, None, None
         if pool is not None:
             # terminate(), not close(): a hung/killed worker would make
@@ -327,21 +307,15 @@ class WorkerPool:
         func: Callable[[T], R],
         items: Sequence[T],
         *,
-        task_timeout: Optional[float] = None,
-        task_retries: int = 1,
-        chunks_per_worker: int = CHUNKS_PER_WORKER,
         progress: Optional[Callable[[int, int], None]] = None,
     ) -> List[R]:
         """Map ``func`` over ``items`` on the persistent workers.
 
-        Results come back in input order.  ``task_timeout`` (seconds
-        per item) arms per-chunk liveness: see the module docstring.
-        ``progress`` is called as ``progress(items_done, items_total)``
-        after each chunk is collected (in input order, so ``done`` is
-        monotone) — the sweep heartbeat hook.  Exceptions raised by
-        ``func`` propagate and are never retried — a deterministic bug
-        would fail every retry anyway — and the pool stays usable
-        afterwards.
+        Results come back in input order.  ``progress`` is called as
+        ``progress(items_done, items_total)`` after each chunk is
+        collected (in input order, so ``done`` is monotone) — the sweep
+        heartbeat hook.  Exceptions raised by ``func`` propagate, and
+        the pool stays usable afterwards.
         """
         items = list(items)
         if not items:
@@ -350,105 +324,28 @@ class WorkerPool:
         task = _ChunkTask(func, parent_observer.enabled)
         chunks = [
             items[start:stop]
-            for start, stop in chunk_ranges(
-                len(items),
-                self.worker_count,
-                chunks_per_worker=chunks_per_worker,
-            )
+            for start, stop in chunk_ranges(len(items), self.worker_count)
         ]
         pool = self._ensure_pool()
-        if task_timeout is None:
-            if progress is None:
-                pairs = pool.map(task, chunks, chunksize=1)
-            else:
-                # Per-chunk dispatch so completions surface as they
-                # collect; input-order collection keeps ``done``
-                # monotone (a later chunk finishing early just waits).
-                handles = [
-                    pool.apply_async(task, (chunk,)) for chunk in chunks
-                ]
-                pairs = []
-                done = 0
-                for chunk, handle in zip(chunks, handles):
-                    pairs.append(handle.get())
-                    done += len(chunk)
-                    progress(done, len(items))
+        if progress is None:
+            pairs = pool.map(task, chunks, chunksize=1)
         else:
-            pairs = self._robust_map(
-                pool,
-                task,
-                chunks,
-                task_timeout=task_timeout,
-                task_retries=task_retries,
-                progress=progress,
-            )
+            # Per-chunk dispatch so completions surface as they
+            # collect; input-order collection keeps ``done``
+            # monotone (a later chunk finishing early just waits).
+            handles = [pool.apply_async(task, (chunk,)) for chunk in chunks]
+            pairs = []
+            done = 0
+            for chunk, handle in zip(chunks, handles):
+                pairs.append(handle.get())
+                done += len(chunk)
+                progress(done, len(items))
         results: List[R] = []
         for chunk_results, telemetry in pairs:  # input order == serial
             if telemetry is not None:
                 parent_observer.absorb(telemetry)
             results.extend(chunk_results)
         return results
-
-    def _robust_map(
-        self,
-        pool,
-        task: "_ChunkTask",
-        chunks: List[List[T]],
-        *,
-        task_timeout: float,
-        task_retries: int,
-        progress: Optional[Callable[[int, int], None]] = None,
-    ):
-        """Chunk map that survives hung or killed workers.
-
-        Each chunk is one task with deadline ``task_timeout × len``.
-        A chunk whose worker crashed (``Pool`` respawns the process)
-        or hung never delivers — the wait times out and the chunk is
-        resubmitted to the same pool, where a live worker picks it up,
-        up to ``task_retries`` times; chunks still missing after that
-        are recomputed serially in the parent, so results stay
-        complete and in input order.  Task exceptions are not retried:
-        they propagate exactly as on the fast path.
-        """
-        slots: List[Optional[Tuple[List[R], Optional[Observer]]]] = [
-            None
-        ] * len(chunks)
-        total = sum(len(chunk) for chunk in chunks)
-        done = 0
-        pending = list(range(len(chunks)))
-        timed_out = False
-        try:
-            for _attempt in range(task_retries + 1):
-                if not pending:
-                    break
-                handles = {
-                    index: pool.apply_async(task, (chunks[index],))
-                    for index in pending
-                }
-                survivors: List[int] = []
-                for index in pending:
-                    deadline = task_timeout * max(1, len(chunks[index]))
-                    try:
-                        slots[index] = handles[index].get(deadline)
-                    except multiprocessing.TimeoutError:
-                        survivors.append(index)
-                        timed_out = True
-                    else:
-                        done += len(chunks[index])
-                        if progress is not None:
-                            progress(done, total)
-                pending = survivors
-            for index in pending:  # serial fallback, parent process
-                slots[index] = task(chunks[index])
-                done += len(chunks[index])
-                if progress is not None:
-                    progress(done, total)
-        finally:
-            if timed_out:
-                # Re-fork so a wedged worker cannot squat a slot (or a
-                # zombie task deliver a stale result) into the next map.
-                self.restart()
-        return slots
 
     # -- diagnostics -------------------------------------------------------
 

@@ -351,18 +351,3 @@ def observability_lines() -> List[str]:
     lines.extend(f"  {line}" for line in observer.profiler.lines())
     return lines
 
-
-def summary_lines(results: Dict[str, SystemResult]) -> List[str]:
-    """Compact per-configuration one-liners for bench logs."""
-    normalised = normalised_throughputs(results) if "All-Strict" in results else {}
-    lines = []
-    for name, result in results.items():
-        extra = (
-            f", throughput x{normalised[name]:.2f}" if name in normalised else ""
-        )
-        lines.append(
-            f"{name}: hit-rate {result.deadline_report.hit_rate:.0%}, "
-            f"makespan {result.makespan_cycles / 1e6:.0f} Mcycles"
-            f"{extra}, steals {result.steal_transfers}"
-        )
-    return lines

@@ -47,8 +47,7 @@ replay on both backends.
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.cache.basic import (
     HIT,
@@ -674,18 +673,3 @@ def lru_stack_misses(
         misses.append(misses[-1] - hits)
     return misses
 
-
-def chunked(iterable: Iterable[Tuple[int, bool]], size: int):
-    """Yield lists of up to ``size`` items from ``iterable``.
-
-    Helper for driving the batch API from a (possibly unbounded)
-    ``(address, is_write)`` stream without materialising it whole.
-    """
-    if size <= 0:
-        raise ValueError(f"chunk size must be positive, got {size}")
-    iterator = iter(iterable)
-    while True:
-        chunk = list(islice(iterator, size))
-        if not chunk:
-            return
-        yield chunk

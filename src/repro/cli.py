@@ -18,8 +18,9 @@ seconds each); curves are memoised for the life of the process.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional, TypeVar
 
 from repro.analysis import misscache
 from repro.analysis.gantt import render_gantt
@@ -57,6 +58,8 @@ from repro.core.spec import PRESET_TARGETS
 from repro.workloads.profiler import get_curve, load_curves, save_curves
 
 WORKLOAD_CHOICES = sorted(BENCHMARKS) + ["Mix-1", "Mix-2"]
+
+T = TypeVar("T")
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -278,9 +281,21 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         write_summary_json,
     )
 
+    try:
+        if args.obs_command == "diff":
+            baseline = load_metrics_jsonl(args.baseline)
+            current = load_metrics_jsonl(args.current)
+        else:
+            records = load_metrics_jsonl(args.metrics)
+        if args.obs_command == "summarize" and args.events:
+            events = load_events_jsonl(args.events)
+        else:
+            events = None
+    except (OSError, ValueError) as error:
+        print(f"obs: {error}", file=sys.stderr)
+        return 2
+
     if args.obs_command == "summarize":
-        records = load_metrics_jsonl(args.metrics)
-        events = load_events_jsonl(args.events) if args.events else None
         summary = summary_dict(records, events)
         rows = [
             ["metric series", summary["series"]],
@@ -314,7 +329,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         return 0
 
     if args.obs_command == "top":
-        records = load_metrics_jsonl(args.metrics)
         counters = sorted(
             (
                 record
@@ -337,8 +351,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         return 0
 
     if args.obs_command == "diff":
-        baseline = load_metrics_jsonl(args.baseline)
-        current = load_metrics_jsonl(args.current)
         report = diff_snapshots(
             baseline,
             current,
@@ -471,6 +483,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     from repro.verify import (
         Scenario,
+        load_case,
         parse_budget,
         replay_case,
         run_diff,
@@ -509,9 +522,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             args.seed, names=args.laws or None, policy=args.policy
         )
     elif args.verify_command == "fuzz":
+        try:
+            budget_seconds = parse_budget(args.budget)
+        except ValueError as error:
+            print(f"verify: {error}", file=sys.stderr)
+            return 2
         report = run_fuzz(
             args.seed,
-            budget_seconds=parse_budget(args.budget),
+            budget_seconds=budget_seconds,
             max_cases=args.max_cases,
             out=args.out,
             rel_tol=args.rel_tol,
@@ -519,8 +537,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             pairs=tuple(args.pairs) if args.pairs else None,
         )
     elif args.verify_command == "replay":
+        try:
+            case = load_case(args.case)
+        except (OSError, ValueError) as error:
+            print(f"verify: {error}", file=sys.stderr)
+            return 2
         report = replay_case(
-            args.case, rel_tol=args.rel_tol, abs_tol=args.abs_tol
+            case, rel_tol=args.rel_tol, abs_tol=args.abs_tol
         )
     else:  # pragma: no cover - argparse enforces the choices
         raise AssertionError(
@@ -632,6 +655,36 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             f"  {name}: {report.class_acceptance_rate(name):.0%} accepted"
         )
     return 0
+
+
+def _checked(
+    convert: Callable[[str], T], valid: Callable[[T], bool], expected: str
+) -> Callable[[str], T]:
+    """An argparse ``type=`` that converts, then range-checks, a value.
+
+    A bad value is a usage error (exit 2), reported where it comes in
+    instead of as a traceback from inside the run.
+    """
+
+    def parse(text: str) -> T:
+        try:
+            value = convert(text)
+            if valid(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
+
+
+_positive_int = _checked(int, lambda value: value > 0, "a positive integer")
+_positive_float = _checked(
+    float, lambda value: 0 < value < math.inf, "a positive number"
+)
+_acceptance = _checked(
+    float, lambda value: 0 < value <= 1, "a fraction in (0, 1]"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -938,7 +991,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="configuration subset for a custom scenario",
     )
     verify_diff.add_argument(
-        "--count", type=int, default=10,
+        "--count", type=_positive_int, default=10,
         help="jobs per workload in a custom scenario",
     )
     verify_diff.add_argument("--seed", type=int, default=0)
@@ -1034,16 +1087,16 @@ def build_parser() -> argparse.ArgumentParser:
     cluster = commands.add_parser(
         "cluster", help="capacity-plan a multi-node server (Figure 2)"
     )
-    cluster.add_argument("--nodes", type=int, default=4)
+    cluster.add_argument("--nodes", type=_positive_int, default=4)
     cluster.add_argument(
-        "--interarrival", type=float, default=0.3,
+        "--interarrival", type=_positive_float, default=0.3,
         help="mean job inter-arrival time in seconds",
     )
     cluster.add_argument(
         "--size", action="store_true",
         help="find the smallest cluster meeting --target acceptance",
     )
-    cluster.add_argument("--target", type=float, default=0.95)
+    cluster.add_argument("--target", type=_acceptance, default=0.95)
     # Read off the parser so the listing cannot drift from it.
     listing.set_defaults(command_names=tuple(commands.choices))
     return parser

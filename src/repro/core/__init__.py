@@ -4,8 +4,7 @@ Modules map one-to-one onto the paper's sections:
 
 - :mod:`repro.core.spec` — QoS target specification (Section 3.2):
   Resource Usage Metrics (RUM) vectors, the convertibility property,
-  preset targets, and non-convertible RPM/OPM targets kept to
-  demonstrate *why* the paper rejects them.
+  and preset targets.
 - :mod:`repro.core.modes` — Strict / Elastic(X) / Opportunistic
   execution modes, interchangeability, and manual/automatic mode
   downgrade (Sections 3.3–3.4).
@@ -13,15 +12,10 @@ Modules map one-to-one onto the paper's sections:
   target, deadline bookkeeping, and lifecycle state.
 - :mod:`repro.core.admission` — the Local Admission Controller
   (Section 5): FCFS admission with resource-timeline reservation.
-- :mod:`repro.core.advisor` — the Section 3.1/3.3 negotiation loop:
-  enumerate admissible downgrades and counter-offers for a rejected
-  job.
 - :mod:`repro.core.gac` — the Global Admission Controller probing
   multiple CMP nodes (Section 3.1).
 - :mod:`repro.core.cluster` — reservation-level multi-node server
   simulation and capacity sizing (the Figure 2 architecture at scale).
-- :mod:`repro.core.ipc_manager` — the prior-work IPC-target resource
-  manager the introduction contrasts against (the Figure 1 foil).
 - :mod:`repro.core.stealing` — the resource-stealing controller
   (Section 4), driven by shadow-tag (or curve-predicted) miss
   feedback.
@@ -30,7 +24,6 @@ Modules map one-to-one onto the paper's sections:
   wall-clock summaries (Section 7).
 """
 
-from repro.core.advisor import AdmissionOption, advise
 from repro.core.admission import (
     AdmissionDecision,
     LocalAdmissionController,
@@ -52,11 +45,6 @@ from repro.core.cluster import (
     size_cluster,
 )
 from repro.core.gac import GlobalAdmissionController, NodeProbeResult
-from repro.core.ipc_manager import (
-    IpcManagedJob,
-    IpcTargetManager,
-    RebalanceResult,
-)
 from repro.core.job import Job, JobState
 from repro.core.metrics import (
     DeadlineReport,
@@ -73,8 +61,6 @@ from repro.core.partitioners import (
     min_miss_partition,
 )
 from repro.core.spec import (
-    IpcTarget,
-    MissRateTarget,
     PRESET_TARGETS,
     QoSTarget,
     ResourceVector,
@@ -86,8 +72,6 @@ __all__ = [
     "ResourceVector",
     "TimeslotRequest",
     "QoSTarget",
-    "IpcTarget",
-    "MissRateTarget",
     "PRESET_TARGETS",
     "ExecutionMode",
     "ModeKind",
@@ -96,17 +80,12 @@ __all__ = [
     "LocalAdmissionController",
     "AdmissionDecision",
     "Reservation",
-    "advise",
-    "AdmissionOption",
     "GlobalAdmissionController",
     "NodeProbeResult",
     "ClusterSimulator",
     "ClusterJobProfile",
     "ClusterReport",
     "size_cluster",
-    "IpcTargetManager",
-    "IpcManagedJob",
-    "RebalanceResult",
     "PartitionedJob",
     "equal_partition",
     "min_miss_partition",

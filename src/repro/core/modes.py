@@ -81,11 +81,6 @@ class ExecutionMode:
     # -- properties -----------------------------------------------------------
 
     @property
-    def reserves_resources(self) -> bool:
-        """Strict and Elastic jobs reserve resources; Opportunistic don't."""
-        return self.kind is not ModeKind.OPPORTUNISTIC
-
-    @property
     def allows_stealing(self) -> bool:
         """Only Elastic jobs donate capacity to resource stealing."""
         return self.kind is ModeKind.ELASTIC

@@ -9,10 +9,10 @@ Metrics (OPM: IPC) are not — the CMP cannot trivially tell how many
 resources a given IPC needs, and some values are outright unsatisfiable.
 
 This module provides the RUM-based :class:`QoSTarget` used by the
-admission controller, plus :class:`IpcTarget` and :class:`MissRateTarget`
-which deliberately expose the *difficulty* of conversion: resolving them
-requires a profiled miss-ratio curve and a CPI model (an "elaborate
-performance model", as the paper puts it) and can fail.
+admission controller, its :class:`ResourceVector` and
+:class:`TimeslotRequest` parts, and the preset targets.  ``repro fig1``
+makes the case against IPC targets from a profiled curve and the CPI
+model.
 """
 
 from __future__ import annotations
@@ -21,13 +21,11 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.modes import ExecutionMode
-from repro.cpu.cpi import CpiModel
 from repro.util.validation import (
     check_fraction,
     check_non_negative,
     check_positive,
 )
-from repro.workloads.profiler import MissRatioCurve
 
 
 @dataclass(frozen=True)
@@ -145,10 +143,6 @@ class QoSTarget:
             return None
         return self.mode.reservation_duration(self.timeslot.max_wall_clock)
 
-    def with_mode(self, mode: ExecutionMode) -> "QoSTarget":
-        """A copy of this target under a different execution mode."""
-        return QoSTarget(self.resources, self.timeslot, mode)
-
 
 #: Preset RUM targets (Section 3.2 suggests small/medium/large presets,
 #: mirroring batch-job systems).  Presets simplify user choice but
@@ -160,83 +154,3 @@ PRESET_TARGETS: Dict[str, ResourceVector] = {
     "large": ResourceVector(cores=2, cache_ways=12),
 }
 
-
-# -----------------------------------------------------------------------------
-# Non-convertible targets (kept to reproduce the paper's argument)
-# -----------------------------------------------------------------------------
-
-
-class TargetResolutionError(Exception):
-    """A performance-metric target could not be converted into resources."""
-
-
-@dataclass(frozen=True)
-class IpcTarget:
-    """An OPM target: "give me at least this IPC".
-
-    Not convertible without an elaborate per-job performance model.  The
-    :meth:`resolve` method *is* that elaborate model — it needs the
-    job's profiled miss-ratio curve plus its CPI decomposition, and can
-    still fail when the target exceeds what any allocation achieves
-    (an ill-defined target, Section 3.2).
-    """
-
-    min_ipc: float
-
-    def __post_init__(self) -> None:
-        check_positive("min_ipc", self.min_ipc)
-
-    @property
-    def is_convertible(self) -> bool:
-        """OPM targets are not convertible (the paper's argument)."""
-        return False
-
-    def resolve(
-        self, curve: MissRatioCurve, cpi_model: CpiModel, *, max_ways: int = 16
-    ) -> ResourceVector:
-        """Greedy search for the smallest allocation meeting the IPC.
-
-        Mirrors the run-time profiling search the paper cites as
-        evidence of IPC's unsuitability.  Raises
-        :class:`TargetResolutionError` when unsatisfiable.
-        """
-        for ways in range(1, max_ways + 1):
-            if cpi_model.ipc(curve.mpi(ways)) >= self.min_ipc:
-                return ResourceVector(cores=1, cache_ways=ways)
-        best = cpi_model.ipc(curve.mpi(max_ways))
-        raise TargetResolutionError(
-            f"IPC target {self.min_ipc} unreachable: even {max_ways} ways "
-            f"achieve only {best:.3f}"
-        )
-
-
-@dataclass(frozen=True)
-class MissRateTarget:
-    """An RPM target: "keep my L2 miss rate at or below this".
-
-    Also non-convertible, and possibly ill-defined: a compulsory-miss-
-    dominated job cannot reach a low miss rate with *any* allocation.
-    """
-
-    max_miss_rate: float
-
-    def __post_init__(self) -> None:
-        check_fraction("max_miss_rate", self.max_miss_rate)
-
-    @property
-    def is_convertible(self) -> bool:
-        """RPM targets are not convertible (the paper's argument)."""
-        return False
-
-    def resolve(
-        self, curve: MissRatioCurve, *, max_ways: int = 16
-    ) -> ResourceVector:
-        """Smallest allocation meeting the miss rate, if one exists."""
-        ways = curve.min_ways_for_miss_rate(self.max_miss_rate)
-        if ways is None or ways > max_ways:
-            floor = curve.miss_rate(max_ways)
-            raise TargetResolutionError(
-                f"miss-rate target {self.max_miss_rate:.2%} unreachable: "
-                f"the curve bottoms out at {floor:.2%}"
-            )
-        return ResourceVector(cores=1, cache_ways=max(1, ways))

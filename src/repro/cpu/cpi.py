@@ -120,24 +120,3 @@ class CpiModel:
         """
         total = self.cpi(misses_per_instruction)
         return misses_per_instruction * self.l2_miss_penalty / total
-
-    def max_mpi_for_target_cpi(self, target_cpi: float) -> float:
-        """Largest ``hm`` that still achieves ``target_cpi``.
-
-        Inverse of :meth:`cpi`; raises if the target is unattainable
-        even with a perfect L2 (illustrating the paper's point that OPM
-        targets can be ill-defined).
-        """
-        check_positive("target_cpi", target_cpi)
-        floor = self.cpi(0.0)
-        if target_cpi < floor:
-            raise ValueError(
-                f"target CPI {target_cpi} is below the zero-miss floor "
-                f"{floor:.4f}: no amount of cache can satisfy it"
-            )
-        if self.l2_miss_penalty == 0:
-            return self.l2_accesses_per_instruction
-        return min(
-            (target_cpi - floor) / self.l2_miss_penalty,
-            self.l2_accesses_per_instruction,
-        )

@@ -40,7 +40,7 @@ same seeded command produce byte-identical artefacts.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
 
 from repro.obs.events import (
     SCHEMA_VERSION,
@@ -59,15 +59,11 @@ from repro.obs.metrics import (
 from repro.obs.profiler import PhaseProfiler, PhaseRecord
 from repro.obs.timeseries import (
     HISTORY_VERSION,
-    FlightRecorder,
-    HistoryRing,
     HistorySchemaError,
     HistoryWriter,
-    MetricsSampler,
     history_point,
     load_history_jsonl,
     validate_history_record,
-    write_history_jsonl,
 )
 from repro.obs.slo import (
     JobSloSummary,
@@ -87,14 +83,11 @@ __all__ = [
     "Counter",
     "EventLog",
     "EventSchemaError",
-    "FlightRecorder",
     "Gauge",
     "HISTORY_VERSION",
-    "HistoryRing",
     "HistorySchemaError",
     "HistoryWriter",
     "JobSloSummary",
-    "MetricsSampler",
     "MetricsRegistry",
     "NULL_OBSERVER",
     "NullMetricsRegistry",
@@ -118,7 +111,6 @@ __all__ = [
     "validate_history_record",
     "validate_jsonl",
     "validate_record",
-    "write_history_jsonl",
 ]
 
 
@@ -135,27 +127,6 @@ class Observer:
         self.events = EventLog()
         self.trace = TraceLog()
         self.profiler = PhaseProfiler()
-
-    def footer_lines(self) -> List[str]:
-        """Human-facing summary for CLI/report footers.
-
-        Includes host wall-clock per phase — fine for a footer, which
-        is why this never goes into the deterministic JSONL artefacts.
-        """
-        series, counted = self.metrics.totals()
-        summary = (
-            f"observability: {len(self.events)} events "
-            f"({len(self.events.kinds())} kinds), {series} metric series "
-            f"(counter total {counted})"
-        )
-        if len(self.trace):
-            summary += (
-                f", {len(self.trace)} spans "
-                f"({len(self.trace.trace_ids())} traces)"
-            )
-        lines = [summary]
-        lines.extend(f"  phase {line}" for line in self.profiler.lines())
-        return lines
 
     def absorb(self, other: "Observer") -> None:
         """Fold another observer's telemetry into this one.

@@ -106,10 +106,6 @@ class EventLog:
             appended += 1
         return appended
 
-    def kinds(self) -> List[str]:
-        """Distinct event kinds seen, sorted."""
-        return sorted({record["kind"] for record in self.records})
-
     def of_kind(self, kind: str) -> List[dict]:
         """All events of one kind, in emission order."""
         return [r for r in self.records if r["kind"] == kind]

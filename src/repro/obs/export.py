@@ -237,11 +237,16 @@ def _load_jsonl(path) -> List[dict]:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError as error:
                 raise ValueError(
                     f"{path}:{line_number + 1}: invalid JSON: {error}"
                 ) from None
+            if not isinstance(record, dict):
+                raise ValueError(
+                    f"{path}:{line_number + 1}: not a JSON object"
+                )
+            records.append(record)
     return records
 
 

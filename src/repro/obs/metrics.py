@@ -257,23 +257,6 @@ class MetricsRegistry:
                 handle.write(line + "\n")
         return str(path)
 
-    def scalar_series(self) -> Dict[str, MetricValue]:
-        """Counters and gauges as one flat ``{key: value}`` mapping.
-
-        The time-series sampler's read path: scalars are what a
-        history stream can difference into rates, and skipping the
-        histogram/summary serialisation keeps the periodic sample
-        cheap.  Keys are the canonical metric keys; counters and
-        gauges share the namespace (they never collide in practice —
-        instrument sites pick one type per name).
-        """
-        series: Dict[str, MetricValue] = {}
-        for key in sorted(self._counters):
-            series[key] = self._counters[key].value
-        for key in sorted(self._gauges):
-            series[key] = self._gauges[key].value
-        return series
-
     def value_of(self, name: str, **labels: object) -> Optional[MetricValue]:
         """Counter or gauge value by key, or ``None`` if never touched.
 

@@ -212,13 +212,6 @@ class TraceLog:
 
     # -- queries ----------------------------------------------------------------
 
-    def trace_ids(self) -> List[str]:
-        """Distinct trace ids, in first-span order."""
-        seen: Dict[str, None] = {}
-        for span in self.spans:
-            seen.setdefault(span.trace_id, None)
-        return list(seen)
-
     def spans_of(self, trace_id: str) -> List[Span]:
         """All spans of one trace, in allocation order."""
         return [span for span in self.spans if span.trace_id == trace_id]

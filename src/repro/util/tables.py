@@ -59,22 +59,3 @@ def format_table(
     lines.extend(fmt_line(row) for row in rendered_rows)
     return "\n".join(lines)
 
-
-def format_series(
-    name: str,
-    xs: Sequence[Cell],
-    ys: Sequence[Cell],
-    *,
-    x_label: str = "x",
-    y_label: str = "y",
-    float_format: str = ".3f",
-) -> str:
-    """Render an (x, y) series — one figure line — as a two-column table."""
-    if len(xs) != len(ys):
-        raise ValueError(f"xs ({len(xs)}) and ys ({len(ys)}) differ in length")
-    return format_table(
-        [x_label, y_label],
-        list(zip(xs, ys)),
-        title=name,
-        float_format=float_format,
-    )

@@ -95,4 +95,6 @@ def load_case(path) -> VerifyCase:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as error:
         raise ValueError(f"{path} is not valid JSON: {error}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path} is not a verify case (not a JSON object)")
     return VerifyCase.from_dict(payload)

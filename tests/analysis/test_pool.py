@@ -1,17 +1,14 @@
 """Lifecycle and telemetry contracts of the persistent worker pool.
 
-Covers what ``test_parallel.py`` (semantics of ``parallel_map``) and
-``test_parallel_robust.py`` (hostile workers) do not: that the pool is
-actually *persistent* (same worker pids across consecutive sweeps),
-that shared payloads ship once via the initializer, that exceptions
-and shutdowns leave clean state, and that the chunked observer merge
-reproduces serial artifact streams byte for byte — including event
-sequence rebasing across chunk boundaries.
+Covers what ``test_parallel.py`` (semantics of ``parallel_map``) does
+not: that the pool is actually *persistent* (same worker pids across
+consecutive sweeps), that shared payloads ship once via the
+initializer, that exceptions and shutdowns leave clean state, and that
+the chunked observer merge reproduces serial artifact streams byte for
+byte — including event sequence rebasing across chunk boundaries.
 """
 
 import os
-import signal
-import time
 
 import pytest
 
@@ -50,20 +47,6 @@ def _raise_on_two(value):
     if value == 2:
         raise RuntimeError("point 2 is broken")
     return value
-
-
-def _kill_worker_on_three(payload):
-    parent_pid, value = payload
-    if value == 3 and os.getpid() != parent_pid:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return value * 2
-
-
-def _hang_worker_on_one(payload):
-    parent_pid, value = payload
-    if value == 1 and os.getpid() != parent_pid:
-        time.sleep(600.0)
-    return value * 10
 
 
 def _observed_point(value):
@@ -185,31 +168,6 @@ class TestLifecycleOnFailure:
             pool.map(_pid, [0, 1])
             assert pool.forked
         assert not pool.forked
-
-    def test_killed_worker_chunk_retries_on_persistent_pool(self):
-        items = [(os.getpid(), value) for value in range(6)]
-        with WorkerPool(2) as pool:
-            results = pool.map(
-                _kill_worker_on_three,
-                items,
-                task_timeout=2.0,
-                task_retries=1,
-            )
-            assert results == [value * 2 for value in range(6)]
-
-    def test_timeout_reforks_pool_for_next_map(self):
-        """After a hang the wedged worker is reaped, and the next map
-        still answers from fresh processes."""
-        items = [(os.getpid(), value) for value in range(4)]
-        with WorkerPool(2) as pool:
-            results = pool.map(
-                _hang_worker_on_one,
-                items,
-                task_timeout=1.0,
-                task_retries=0,
-            )
-            assert results == [value * 10 for value in range(4)]
-            assert pool.map(_pid, [0, 1]) != []
 
 
 class TestObserverMerge:

@@ -11,6 +11,7 @@ import pytest
 
 from repro.analysis import misscache
 from repro.analysis.parallel import parallel_map
+from repro.analysis.pool import chunk_ranges, existing_pool
 from repro.analysis.store import ResultStore
 from repro.analysis.sweep import (
     progress_path_for,
@@ -45,6 +46,12 @@ def _square(x):
     return x * x
 
 
+def _fail_on_five(x):
+    if x == 5:
+        raise RuntimeError("point 5 is broken")
+    return x * x
+
+
 class TestParallelMapProgress:
     def test_serial_path_reports_per_item(self):
         calls = []
@@ -68,19 +75,41 @@ class TestParallelMapProgress:
         assert dones[-1] == len(items)
         assert all(total == len(items) for _done, total in calls)
 
-    def test_robust_path_reports_progress(self):
-        # task_timeout arms the crash-resilient pool path, which has
-        # its own progress plumbing.
+    def test_pool_path_exception_propagates_and_pool_survives(self):
+        # With a callback the pool dispatches one task per chunk, not
+        # `Pool.map`: the path `repro sweep run --jobs N` takes unless
+        # given `--no-progress`.
+        items = list(range(8))
+        assert parallel_map(_square, items, jobs=2) == [x * x for x in items]
+        pool = existing_pool(2)
+        census = {probe["pid"] for probe in pool.fingerprints()}
+
         calls = []
-        items = list(range(6))
+        with pytest.raises(RuntimeError, match="point 5 is broken"):
+            parallel_map(
+                _fail_on_five, items, jobs=2,
+                progress=lambda done, total: calls.append((done, total)),
+            )
+        # Chunks are collected in input order, so exactly the chunks
+        # before the failing one were reported.
+        assert calls == [
+            (stop, len(items))
+            for _start, stop in chunk_ranges(len(items), 2)
+            if stop <= 5
+        ]
+        dones = [done for done, _total in calls]
+        assert dones == sorted(dones) and dones[-1] < len(items)
+
+        again = []
         result = parallel_map(
-            _square, items, jobs=2, task_timeout=30.0,
-            progress=lambda done, total: calls.append((done, total)),
+            _square, items, jobs=2,
+            progress=lambda done, total: again.append(done),
         )
         assert result == [x * x for x in items]
-        dones = [done for done, _total in calls]
-        assert dones == sorted(dones)
-        assert dones[-1] == len(items)
+        assert again[-1] == len(items)
+        # The same pool and the same worker processes served it.
+        assert existing_pool(2) is pool
+        assert {probe["pid"] for probe in pool.fingerprints()} == census
 
     def test_no_progress_means_no_calls(self):
         # The default path must stay untouched (and identical).

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.report import (
     deadline_table,
-    summary_lines,
     throughput_table,
     trace_table,
     wall_clock_table,
@@ -89,8 +88,3 @@ class TestReportRendering:
         text = trace_table(results["All-Strict"], title="Figure 7")
         assert "met deadline" in text
         assert "yes" in text
-
-    def test_summary_lines(self, results):
-        lines = summary_lines(results)
-        assert len(lines) == 3
-        assert any("hit-rate" in line for line in lines)

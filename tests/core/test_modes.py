@@ -20,19 +20,16 @@ class TestConstruction:
     def test_strict(self):
         mode = ExecutionMode.strict()
         assert mode.kind is ModeKind.STRICT
-        assert mode.reserves_resources
         assert not mode.allows_stealing
 
     def test_elastic_carries_slack(self):
         mode = ExecutionMode.elastic(0.05)
         assert mode.kind is ModeKind.ELASTIC
         assert mode.slack == 0.05
-        assert mode.reserves_resources
         assert mode.allows_stealing
 
     def test_opportunistic(self):
         mode = ExecutionMode.opportunistic()
-        assert not mode.reserves_resources
         assert not mode.allows_stealing
 
     def test_elastic_requires_positive_slack(self):

@@ -6,26 +6,11 @@ from hypothesis import strategies as st
 
 from repro.core.modes import ExecutionMode
 from repro.core.spec import (
-    IpcTarget,
-    MissRateTarget,
     PRESET_TARGETS,
     QoSTarget,
     ResourceVector,
-    TargetResolutionError,
     TimeslotRequest,
 )
-from repro.cpu.cpi import CpiModel
-from repro.workloads.profiler import MissRatioCurve
-
-
-def synthetic_curve():
-    """A hand-built, strictly improving miss-ratio curve."""
-    points = {w: max(0.05, 0.8 - 0.05 * w) for w in range(1, 17)}
-    return MissRatioCurve(
-        benchmark="synthetic",
-        l2_accesses_per_instruction=0.02,
-        points=points,
-    )
 
 
 class TestResourceVector:
@@ -87,8 +72,12 @@ class TestQoSTarget:
     def test_reservation_duration_follows_mode(self):
         slot = TimeslotRequest(max_wall_clock=10.0, deadline=30.0)
         strict = QoSTarget(ResourceVector(1, 7), slot)
-        elastic = strict.with_mode(ExecutionMode.elastic(0.05))
-        opportunistic = strict.with_mode(ExecutionMode.opportunistic())
+        elastic = QoSTarget(
+            ResourceVector(1, 7), slot, ExecutionMode.elastic(0.05)
+        )
+        opportunistic = QoSTarget(
+            ResourceVector(1, 7), slot, ExecutionMode.opportunistic()
+        )
         assert strict.reservation_duration() == pytest.approx(10.0)
         assert elastic.reservation_duration() == pytest.approx(10.5)
         assert opportunistic.reservation_duration() == 0.0
@@ -101,48 +90,3 @@ class TestQoSTarget:
         for name, preset in PRESET_TARGETS.items():
             assert preset.fits_within(machine), name
 
-
-class TestNonConvertibleTargets:
-    def test_ipc_target_is_not_convertible(self):
-        assert not IpcTarget(0.25).is_convertible
-
-    def test_miss_rate_target_is_not_convertible(self):
-        assert not MissRateTarget(0.2).is_convertible
-
-    def test_ipc_resolution_finds_minimum_ways(self):
-        curve = synthetic_curve()
-        cpi = CpiModel(
-            cpi_l1_inf=1.0,
-            l2_accesses_per_instruction=0.02,
-            l2_access_penalty=10.0,
-            l2_miss_penalty=300.0,
-        )
-        vector = IpcTarget(0.5).resolve(curve, cpi)
-        assert vector.cores == 1
-        # Verify minimality: one way less no longer meets the target.
-        assert cpi.ipc(curve.mpi(vector.cache_ways)) >= 0.5
-        if vector.cache_ways > 1:
-            assert cpi.ipc(curve.mpi(vector.cache_ways - 1)) < 0.5
-
-    def test_ill_defined_ipc_target_raises(self):
-        # The paper's point: some OPM targets cannot be satisfied by
-        # any allocation.
-        curve = synthetic_curve()
-        cpi = CpiModel(
-            cpi_l1_inf=1.0,
-            l2_accesses_per_instruction=0.02,
-            l2_access_penalty=10.0,
-            l2_miss_penalty=300.0,
-        )
-        with pytest.raises(TargetResolutionError):
-            IpcTarget(5.0).resolve(curve, cpi)
-
-    def test_miss_rate_resolution(self):
-        curve = synthetic_curve()
-        vector = MissRateTarget(0.5).resolve(curve)
-        assert curve.miss_rate(vector.cache_ways) <= 0.5
-
-    def test_ill_defined_miss_rate_target_raises(self):
-        curve = synthetic_curve()  # bottoms out at 0.05
-        with pytest.raises(TargetResolutionError):
-            MissRateTarget(0.01).resolve(curve)

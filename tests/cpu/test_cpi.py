@@ -83,29 +83,3 @@ class TestPaperInequality:
         model = machine_model()
         assert model.miss_cpi_share(0.0) == 0.0
         assert 0.0 < model.miss_cpi_share(0.02) < 1.0
-
-
-class TestInverseModel:
-    def test_max_mpi_for_target(self):
-        model = machine_model()
-        target_cpi = 3.0
-        mpi = model.max_mpi_for_target_cpi(target_cpi)
-        assert model.cpi(mpi) == pytest.approx(target_cpi)
-
-    def test_unattainable_target_raises(self):
-        # The paper's ill-defined OPM example: some CPI (IPC) targets
-        # cannot be met with any amount of cache.
-        model = machine_model()
-        with pytest.raises(ValueError, match="no amount of cache"):
-            model.max_mpi_for_target_cpi(1.0)
-
-    def test_target_clamped_to_access_rate(self):
-        model = machine_model()
-        mpi = model.max_mpi_for_target_cpi(100.0)
-        assert mpi == model.l2_accesses_per_instruction
-
-    @given(st.floats(min_value=1.3, max_value=9.0))
-    def test_inverse_consistency(self, target):
-        model = machine_model()
-        mpi = model.max_mpi_for_target_cpi(target)
-        assert model.cpi(mpi) <= target + 1e-9

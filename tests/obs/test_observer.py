@@ -140,14 +140,6 @@ class TestEndToEndDeterminism:
         assert first_events == second_events
         assert first_events  # non-trivial stream
 
-    def test_footer_mentions_events_and_series(self):
-        with observed() as obs:
-            obs.metrics.counter("a").inc(3)
-            obs.events.emit("e", 1.0)
-        footer = obs.footer_lines()
-        assert any("1 events" in line for line in footer)
-        assert any("1 metric series" in line for line in footer)
-
 
 class TestAbsorb:
     def test_absorb_merges_every_sink(self):

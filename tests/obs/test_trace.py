@@ -150,7 +150,6 @@ class TestAnalysis:
             "l2.lookup",
             "dram.access",
         ]
-        assert log.trace_ids() == [trace_id]
         assert len(log.spans_of(trace_id)) == 4
 
 

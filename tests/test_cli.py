@@ -556,3 +556,95 @@ class TestFaultsCommand:
         err = capsys.readouterr().err
         assert err.startswith("faults: ")
         assert message in err
+
+
+class TestBadInputExits2:
+    """Bad input is one ``<command>: <error>`` line and exit 2.
+
+    ``verify`` and ``obs diff`` exit 1 when a check fails, so a
+    mistyped path or value must not read as a regression.
+    """
+
+    @pytest.mark.parametrize("command", ["summarize", "top", "diff"])
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("missing", "No such file"),
+            ("text", "invalid JSON"),
+            ("scalar", "not a JSON object"),
+        ],
+    )
+    def test_obs_rejects_bad_metrics_file(
+        self, tmp_path, capsys, command, kind, message
+    ):
+        path = tmp_path / f"{kind}.jsonl"
+        if kind == "text":
+            path.write_text("not json\n")
+        elif kind == "scalar":
+            path.write_text("42\n")
+        argv = ["obs", command, str(path)]
+        if command == "diff":
+            argv.append(str(path))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("obs: ")
+        assert message in err
+
+    def test_obs_summarize_rejects_bad_events_file(self, tmp_path, capsys):
+        metrics = tmp_path / "metrics.jsonl"
+        metrics.write_text('{"name":"n","type":"counter","value":1}\n')
+        argv = [
+            "obs", "summarize", str(metrics),
+            "--events", str(tmp_path / "missing.jsonl"),
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("obs: ")
+        assert "No such file" in err
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("missing", "No such file"),
+            ("text", "not valid JSON"),
+            ("stale", "version 1 not supported"),
+        ],
+    )
+    def test_verify_replay_rejects_bad_case(
+        self, tmp_path, capsys, kind, message
+    ):
+        path = tmp_path / f"{kind}.json"
+        if kind == "text":
+            path.write_text("not json\n")
+        elif kind == "stale":
+            path.write_text(
+                json.dumps({"version": 1, "scenario": {}, "pairs": ["jobs"]})
+            )
+        assert main(["verify", "replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("verify: ")
+        assert message in err
+
+    def test_verify_fuzz_rejects_bad_budget(self, capsys):
+        assert main(["verify", "fuzz", "--budget", "abc"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("verify: ")
+        assert "cannot parse budget 'abc'" in err
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["verify", "diff", "--count", "0"], "--count"),
+            (["cluster", "--nodes", "0"], "--nodes"),
+            (["cluster", "--interarrival", "0"], "--interarrival"),
+            (["cluster", "--size", "--target", "1.5"], "--target"),
+        ],
+        ids=["diff-count", "nodes", "interarrival", "target"],
+    )
+    def test_bad_value_is_refused_at_the_parser(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        prog = "repro " + " ".join(argv[: 2 if argv[0] == "verify" else 1])
+        assert last.startswith(f"{prog}: error: argument {option}: ")

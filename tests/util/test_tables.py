@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.tables import format_series, format_table
+from repro.util.tables import format_table
 
 
 class TestFormatTable:
@@ -38,16 +38,3 @@ class TestFormatTable:
         assert "3" in text
         assert "3.000" not in text
 
-
-class TestFormatSeries:
-    def test_two_columns(self):
-        text = format_series(
-            "Figure 8", [1, 2], [0.5, 0.25], x_label="X", y_label="slowdown"
-        )
-        assert "Figure 8" in text
-        assert "X" in text
-        assert "slowdown" in text
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            format_series("s", [1, 2], [1.0])

@@ -106,7 +106,9 @@ class TestMain:
         assert payload["passed"] is True
         assert "report written to" in capsys.readouterr().out
 
-    def test_replay_missing_case_is_an_error(self, tmp_path):
+    def test_replay_missing_case_is_an_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
-        with pytest.raises(FileNotFoundError):
-            main(["verify", "replay", str(missing)])
+        assert main(["verify", "replay", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("verify: ")
+        assert "No such file" in err
