@@ -30,7 +30,7 @@ from typing import List, Optional
 
 from repro.core.job import Job
 from repro.core.modes import ModeKind
-from repro.core.spec import ResourceVector
+from repro.core.spec import QoSTarget, ResourceVector
 from repro.obs import get_observer
 from repro.util.validation import check_non_negative
 
@@ -245,59 +245,74 @@ class LocalAdmissionController:
     def admit(
         self, job: Job, *, now: float, auto_downgrade: bool = False
     ) -> AdmissionDecision:
-        """FCFS admission test for ``job`` at time ``now``.
+        """FCFS admission test for ``job`` at time ``now``."""
+        return self.admit_target(
+            job.job_id, job.target, now=now, auto_downgrade=auto_downgrade
+        )
+
+    def admit_target(
+        self,
+        job_id: int,
+        target: QoSTarget,
+        *,
+        now: float,
+        auto_downgrade: bool = False,
+    ) -> AdmissionDecision:
+        """FCFS admission test for job ``job_id``'s ``target`` at ``now``.
 
         With ``auto_downgrade`` a Strict job with slack gets its
         reservation placed as late as possible and is expected to run
         Opportunistically until then (the caller flips the job's mode).
+        Testing the target, not a :class:`Job`, lets a caller build the
+        job only once it is accepted.
         """
         self.stats.admission_tests += 1
         obs = get_observer()
         if obs.enabled:
             obs.metrics.counter("lac.admit_calls").inc()
-        mode = job.target.mode
+        mode = target.mode
 
         if mode.kind is ModeKind.OPPORTUNISTIC:
             # No reservation; spare resources are found at dispatch time.
             self.stats.acceptances += 1
             return AdmissionDecision(True, "opportunistic: no reservation needed")
 
-        if not job.target.resources.fits_within(self.capacity):
+        if not target.resources.fits_within(self.capacity):
             self.stats.rejections += 1
             return AdmissionDecision(
                 False,
-                f"request {job.target.resources} exceeds node capacity "
+                f"request {target.resources} exceeds node capacity "
                 f"{self.capacity}",
             )
 
-        if job.target.timeslot is None:
+        if target.timeslot is None:
             # Lifetime reservation: must fit from now on, forever.
-            start = self._lifetime_fit(job.target.resources, now)
+            start = self._lifetime_fit(target.resources, now)
             if start is None:
                 self.stats.rejections += 1
                 return AdmissionDecision(
                     False, "no lifetime capacity available"
                 )
             reservation = self._reserve(
-                job.job_id, start, math.inf, job.target.resources
+                job_id, start, math.inf, target.resources
             )
             self.stats.acceptances += 1
             return AdmissionDecision(True, "lifetime reservation", reservation)
 
-        duration = mode.reservation_duration(job.target.timeslot.max_wall_clock)
-        deadline = job.target.timeslot.deadline
+        duration = mode.reservation_duration(target.timeslot.max_wall_clock)
+        deadline = target.timeslot.deadline
         latest_end = deadline if deadline is not None else math.inf
 
         if auto_downgrade and mode.kind is ModeKind.STRICT and deadline is not None:
             start = self.latest_fit(
-                job.target.resources,
+                target.resources,
                 duration,
                 not_before=now,
                 latest_end=latest_end,
             )
         else:
             start = self.earliest_fit(
-                job.target.resources,
+                target.resources,
                 duration,
                 not_before=now,
                 latest_end=latest_end,
@@ -310,7 +325,7 @@ class LocalAdmissionController:
                 f"deadline {latest_end:.6g}",
             )
         reservation = self._reserve(
-            job.job_id, start, start + duration, job.target.resources
+            job_id, start, start + duration, target.resources
         )
         self.stats.acceptances += 1
         return AdmissionDecision(True, "timeslot reserved", reservation)

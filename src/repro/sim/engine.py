@@ -16,6 +16,11 @@ event-count budget and a wall-clock budget that stop the loop and
 report why, instead of raising, so a caller can emit a partial report
 or checkpoint and resume later (the robustness surface used by
 :mod:`repro.faults`).
+
+A callback that would schedule its own successor may instead ask
+:meth:`EventQueue.fire_inline` whether the run loop would pop that
+event next, and handle it in place when it would: the event is counted
+and the clock moves exactly as if it had passed through the heap.
 """
 
 from __future__ import annotations
@@ -103,15 +108,27 @@ class EventQueue:
         self._cancelled_in_heap = 0
         self.now = 0.0
         self.events_fired = 0
+        # The limits and fired count of the run() call in progress, which
+        # fire_inline reads; _in_run is False outside run().
+        self._in_run = False
+        self._until = math.inf
+        self._max_events = 0
+        self._stop_when: Optional[Callable[[], bool]] = None
+        self._budget_events: Optional[int] = None
+        self._wall_deadline: Optional[float] = None
+        self._fired = 0
 
-    def schedule(self, time: float, callback: EventCallback) -> EventHandle:
-        """Schedule ``callback(time)`` to run at simulated ``time``."""
+    def _check_time(self, time: float) -> None:
         if math.isnan(time):
             raise ValueError("cannot schedule an event at NaN")
         if time < self.now:
             raise ValueError(
                 f"cannot schedule in the past: {time} < now {self.now}"
             )
+
+    def schedule(self, time: float, callback: EventCallback) -> EventHandle:
+        """Schedule ``callback(time)`` to run at simulated ``time``."""
+        self._check_time(time)
         handle = EventHandle(callback, self)
         heapq.heappush(self._heap, (time, next(self._sequence), handle))
         return handle
@@ -184,6 +201,50 @@ class EventQueue:
         )
         return outcome
 
+    def fire_inline(self, time: float) -> bool:
+        """Fire an event at ``time`` from inside the running callback.
+
+        Returns True only when the run loop, once the current callback
+        returned, would pop an event at ``time`` next: ``time`` is
+        strictly earlier than every live heap entry (on a tie the entry
+        wins, as its smaller sequence number would), within ``until``,
+        and neither ``stop_when``, the event or wall-clock budget nor
+        the ``max_events`` runaway guard would end the loop first.  The
+        event is then counted as fired and ``now`` moves to ``time``;
+        the caller runs it in place instead of scheduling it.  Outside
+        :meth:`run` it returns False.
+        """
+        self._check_time(time)
+        if not self._in_run:
+            return False
+        fired = self._fired + 1  # the current event, once it returns
+        if (
+            fired >= self._max_events
+            or time > self._until
+            or self._stop_outcome(fired) is not None
+        ):
+            return False
+        self._drop_cancelled()
+        if self._heap and self._heap[0][0] <= time:
+            return False
+        self._fired = fired
+        self.events_fired += 1
+        self.now = time
+        return True
+
+    def _stop_outcome(self, fired: int) -> Optional[str]:
+        """Why the run loop stops before its next event, if it does."""
+        if self._stop_when is not None and self._stop_when():
+            return RUN_STOPPED
+        if self._budget_events is not None and fired >= self._budget_events:
+            return RUN_EVENT_BUDGET
+        if (
+            self._wall_deadline is not None
+            and _time.monotonic() >= self._wall_deadline
+        ):
+            return RUN_WALL_CLOCK_BUDGET
+        return None
+
     def _run_loop(
         self,
         *,
@@ -192,33 +253,40 @@ class EventQueue:
         stop_when: Optional[Callable[[], bool]],
         budget: Optional[RunBudget],
     ) -> str:
-        fired = 0
-        wall_deadline = None
-        if budget is not None and budget.max_wall_seconds is not None:
-            wall_deadline = _time.monotonic() + budget.max_wall_seconds
-        while True:
-            if stop_when is not None and stop_when():
-                return RUN_STOPPED
-            if (
-                budget is not None
-                and budget.max_events is not None
-                and fired >= budget.max_events
-            ):
-                return RUN_EVENT_BUDGET
-            if wall_deadline is not None and _time.monotonic() >= wall_deadline:
-                return RUN_WALL_CLOCK_BUDGET
-            next_time = self.peek_time()
-            if next_time is None:
-                return RUN_DRAINED
-            if next_time > until:
-                return RUN_HORIZON
-            self.step()
-            fired += 1
-            if fired >= max_events:
-                raise RuntimeError(
-                    f"event budget of {max_events} exhausted at simulated "
-                    f"time {self.now}; likely a rescheduling loop"
+        self._until = until
+        self._max_events = max_events
+        self._stop_when = stop_when
+        self._budget_events = None
+        self._wall_deadline = None
+        if budget is not None:
+            self._budget_events = budget.max_events
+            if budget.max_wall_seconds is not None:
+                self._wall_deadline = (
+                    _time.monotonic() + budget.max_wall_seconds
                 )
+        self._fired = 0
+        self._in_run = True
+        try:
+            while True:
+                outcome = self._stop_outcome(self._fired)
+                if outcome is not None:
+                    return outcome
+                next_time = self.peek_time()
+                if next_time is None:
+                    return RUN_DRAINED
+                if next_time > until:
+                    return RUN_HORIZON
+                self.step()
+                self._fired += 1
+                if self._fired >= max_events:
+                    raise RuntimeError(
+                        f"event budget of {max_events} exhausted at "
+                        f"simulated time {self.now}; likely a "
+                        "rescheduling loop"
+                    )
+        finally:
+            self._in_run = False
+            self._stop_when = None
 
     def _note_cancelled(self) -> None:
         self._cancelled_in_heap += 1

@@ -111,6 +111,10 @@ class _JobRun:
     ways: int = 0
     cpu_share: float = 0.0
     rate: float = 0.0  # instructions per second
+    # curve.mpi(ways), and of the stealing baseline's ways, as of the
+    # last derivation: ways change nowhere else.
+    mpi: float = 0.0
+    baseline_mpi: float = 0.0
     progress: float = 0.0  # instructions retired (float-precision)
     # Adaptive-policy override of the reserved allocation (None: the
     # admission-requested ways).  Only meaningful for reserved strict
@@ -490,6 +494,11 @@ class QoSSystemSimulator:
         # re-date: set when a job completes or is terminated.
         self._running: List[_JobRun] = []
         self._derive_next = True
+        # The last re-date's (job, completion, steal) times, not yet
+        # scheduled; None for an event the job does not have.
+        self._deferred: List[
+            Tuple[_JobRun, Optional[float], Optional[float]]
+        ] = []
 
         # Closed-loop adaptive policy (None: open-loop, exactly the
         # pre-policy simulator: no decision epoch is ever scheduled).
@@ -658,22 +667,39 @@ class QoSSystemSimulator:
     # -- probing and admission ----------------------------------------------------------
 
     def _on_probe(self, now: float) -> None:
-        self._advance_all(now)
-        if self._pending_index < len(self._pending):
-            self._probes += 1
-            request = self._pending[self._pending_index]
-            admitted = self._try_admit(request, now)
-            if admitted:
-                self._pending_index += 1
-            else:
-                self._rejections += 1
-                if self.sim_config.queue_policy == "backfill":
-                    admitted = self._try_backfill(now)
-            # A probe that admitted nothing changed no allocation.
-            self._recompute(now, redate=not admitted)
-        if self._pending_index < len(self._pending):
-            gap = self._probe_rng.exponential(self._mean_gap)
-            self.events.schedule(now + gap, self._on_probe)
+        # A run of rejected probes with no other event between them is a
+        # train: each probe's re-date stays out of the event queue, and
+        # the next probe fires here when the queue would pop it next
+        # anyway, so only the last probe of a train schedules anything.
+        while True:
+            self._advance_all(now)
+            deferred_until = None
+            if self._pending_index < len(self._pending):
+                self._probes += 1
+                request = self._pending[self._pending_index]
+                admitted = self._try_admit(request, now)
+                if admitted:
+                    self._pending_index += 1
+                else:
+                    self._rejections += 1
+                    if self.sim_config.queue_policy == "backfill":
+                        admitted = self._try_backfill(now)
+                # A probe that admitted nothing changed no allocation.
+                deferred_until = self._recompute(now, redate=not admitted)
+            if self._pending_index >= len(self._pending):
+                return
+            next_probe = now + self._probe_rng.exponential(self._mean_gap)
+            # On a tie the deferred event fires first, as its earlier
+            # schedule call would have made it.
+            if (
+                deferred_until is None
+                or next_probe >= deferred_until
+                or not self.events.fire_inline(next_probe)
+            ):
+                self._schedule_deferred()
+                self.events.schedule(next_probe, self._on_probe)
+                return
+            now = next_probe
 
     def _try_backfill(self, now: float) -> bool:
         """EASY backfill: admit a later job that cannot delay the head.
@@ -696,12 +722,13 @@ class QoSSystemSimulator:
             head.resources, head_duration, not_before=now
         )
 
+        job_id = len(self._accepted) + 1
         index = self._pending_index + 1
         while index < len(self._pending):
             request = self._pending[index]
-            job = self._probe_job(request, now)
-            decision = self.lac.admit(
-                job, now=now, auto_downgrade=request.auto_down
+            target = self._probe_target(request, now)
+            decision = self.lac.admit_target(
+                job_id, target, now=now, auto_downgrade=request.auto_down
             )
             if not decision.accepted:
                 index += 1
@@ -719,7 +746,7 @@ class QoSSystemSimulator:
                 index += 1
                 continue
             self._backfills += 1
-            self._register_accepted(job, request, decision, now)
+            self._register_accepted(job_id, request, target, decision, now)
             del self._pending[index]
             # Only one backfill per probe: keep the schedule close to
             # FCFS and re-evaluate the head at the next probe.
@@ -765,31 +792,26 @@ class QoSSystemSimulator:
             ),
         )
 
-    def _probe_job(self, request: _JobRequest, now: float) -> Job:
-        """The :class:`Job` ``request`` puts to the LAC when probing at ``now``.
+    def _probe_target(self, request: _JobRequest, now: float) -> QoSTarget:
+        """The dated target ``request`` puts to the LAC when probing at ``now``.
 
-        Nothing is registered yet.
+        The :class:`Job` is built only once the LAC accepts it.
         """
-        return Job(
-            job_id=len(self._accepted) + 1,
-            benchmark=request.spec.benchmark,
-            target=QoSTarget(
-                resources=request.resources,
-                timeslot=TimeslotRequest(
-                    max_wall_clock=request.max_wall_clock,
-                    deadline=now + request.deadline_span,
-                ),
-                mode=request.spec.mode,
+        return QoSTarget(
+            resources=request.resources,
+            timeslot=TimeslotRequest(
+                max_wall_clock=request.max_wall_clock,
+                deadline=now + request.deadline_span,
             ),
-            arrival_time=now,
-            instructions=self.sim_config.instructions_per_job,
+            mode=request.spec.mode,
         )
 
     def _try_admit(self, request: _JobRequest, now: float) -> bool:
         spec = request.spec
-        job = self._probe_job(request, now)
-        decision = self.lac.admit(
-            job, now=now, auto_downgrade=request.auto_down
+        target = self._probe_target(request, now)
+        job_id = len(self._accepted) + 1
+        decision = self.lac.admit_target(
+            job_id, target, now=now, auto_downgrade=request.auto_down
         )
         obs = get_observer()
         if obs.enabled and not decision.accepted:
@@ -797,7 +819,7 @@ class QoSSystemSimulator:
             obs.events.emit(
                 "admission",
                 now,
-                job_id=job.job_id,
+                job_id=job_id,
                 benchmark=spec.benchmark,
                 mode=spec.mode.describe(),
                 accepted=False,
@@ -818,15 +840,27 @@ class QoSSystemSimulator:
                     "an idle node; the workload cannot complete"
                 )
             return False
-        self._register_accepted(job, request, decision, now)
+        self._register_accepted(job_id, request, target, decision, now)
         return True
 
     def _register_accepted(
-        self, job: Job, request: _JobRequest, decision, now: float
+        self,
+        job_id: int,
+        request: _JobRequest,
+        target: QoSTarget,
+        decision,
+        now: float,
     ) -> None:
-        """Post-acceptance registration: state, dispatch, downgrade."""
+        """Post-acceptance registration: job, state, dispatch, downgrade."""
         spec = request.spec
         auto_down = request.auto_down
+        job = Job(
+            job_id=job_id,
+            benchmark=spec.benchmark,
+            target=target,
+            arrival_time=now,
+            instructions=self.sim_config.instructions_per_job,
+        )
         job.mark_accepted()
         self._accepted.append(job)
         obs = get_observer()
@@ -1130,17 +1164,16 @@ class QoSSystemSimulator:
                 continue
             instructions = state.rate * delta
             state.progress += instructions
-            mpi_actual = state.curve.mpi(state.ways)
-            state.actual_misses += instructions * mpi_actual
+            state.actual_misses += instructions * state.mpi
             if state.steal is not None:
-                state.baseline_misses += instructions * state.curve.mpi(
-                    state.steal.baseline_ways
-                )
+                state.baseline_misses += instructions * state.baseline_mpi
         self._last_advance = now
 
     # -- allocation & rate recomputation ------------------------------------------------------
 
-    def _recompute(self, now: float, *, redate: bool = False) -> None:
+    def _recompute(
+        self, now: float, *, redate: bool = False
+    ) -> Optional[float]:
         """Re-derive allocations, bus contention, rates, and events.
 
         ``redate`` marks a call after which no allocation can have
@@ -1148,8 +1181,13 @@ class QoSSystemSimulator:
         or was terminated since the last derivation, the derived
         allocations, bus load, rates and trace segments then still hold,
         and only each running job's history entry, completion and steal
-        events are re-dated (DESIGN.md §7.5).
+        times are re-dated (DESIGN.md §7.5).  A re-date keeps those
+        times in ``_deferred`` instead of the event queue and returns
+        the earliest of them (``math.inf`` for none); the probe then
+        schedules them, or fires the next probe in place, whose call
+        drops them.  Returns None when every event was scheduled.
         """
+        self._deferred = []
         derive = not redate or self._derive_next
         if derive:
             # Cleared first: a completion inside the loop below sets it.
@@ -1164,6 +1202,7 @@ class QoSSystemSimulator:
             obs.metrics.counter("mem.bus.saturated_intervals").inc()
 
         # Rates, trace, and event rescheduling.
+        earliest = math.inf
         for state in running:
             if derive:
                 multiplier = (
@@ -1173,8 +1212,7 @@ class QoSSystemSimulator:
                     state.rate = 0.0
                 else:
                     cpi = state.cpi_model.cpi(
-                        state.curve.mpi(state.ways),
-                        miss_penalty_multiplier=multiplier,
+                        state.mpi, miss_penalty_multiplier=multiplier
                     )
                     state.rate = (
                         state.cpu_share * self.machine.clock_hz / cpi
@@ -1189,8 +1227,17 @@ class QoSSystemSimulator:
                         cpu_share=state.cpu_share,
                     )
             self._ways_history[state.job.job_id].append(state.ways)
-            self._reschedule_completion(state, now)
-            self._reschedule_steal(state, now)
+            completion = self._redate_completion(state, now)
+            steal = self._redate_steal(state, now)
+            self._deferred.append((state, completion, steal))
+            for when in (completion, steal):
+                if when is not None and when < earliest:
+                    earliest = when
+        # A derivation, or a re-date in which a job completed, schedules
+        # at once; a re-date leaves its events to the probe.
+        deferred = not derive and not self._derive_next
+        if not deferred:
+            self._schedule_deferred()
 
         # SLO projection pass: rates are final for this interval, so
         # project every monitored in-flight job (including displaced
@@ -1217,6 +1264,7 @@ class QoSSystemSimulator:
 
         if self._invariants is not None:
             self._invariants.maybe_check()
+        return earliest if deferred else None
 
     def _derive_allocations(self, running: List[_JobRun]) -> float:
         """Ways, CPU shares and bus load of the running jobs.
@@ -1287,17 +1335,21 @@ class QoSSystemSimulator:
         # (footnote 2), so only Opportunistic jobs see queueing delay.
         transfers_per_cycle = 0.0
         for state in running:
+            state.mpi = state.curve.mpi(state.ways)
+            if state.steal is not None:
+                state.baseline_mpi = state.curve.mpi(
+                    state.steal.baseline_ways
+                )
             if state.cpu_share <= 0.0:
                 continue
-            mpi = state.curve.mpi(state.ways)
-            cpi = state.cpi_model.cpi(mpi)
+            cpi = state.cpi_model.cpi(state.mpi)
             # Each miss moves a fill block plus, for the dirty fraction,
             # a write-back block.
             writeback_factor = 1.0 + get_benchmark(
                 state.spec.benchmark
             ).write_fraction
             transfers_per_cycle += (
-                state.cpu_share * mpi * writeback_factor / cpi
+                state.cpu_share * state.mpi * writeback_factor / cpi
             )
         bus = self.bandwidth.breakdown(
             transfers_per_cycle, self.machine.memory_latency
@@ -1470,20 +1522,38 @@ class QoSSystemSimulator:
         elif isinstance(action, SetBusGrant):
             self._policy_bus_grant = action.granted
 
-    def _reschedule_completion(self, state: _JobRun, now: float) -> None:
+    def _redate_completion(
+        self, state: _JobRun, now: float
+    ) -> Optional[float]:
+        """Cancel the job's completion event and return its new time.
+
+        None when the job cannot finish at its rate, or has no work left
+        and is completed here.
+        """
         if state.completion_handle is not None:
             state.completion_handle.cancel()
             state.completion_handle = None
         remaining = state.job.instructions - state.progress
         if remaining <= _PROGRESS_EPSILON:
             self._complete(state, now)
-            return
+            return None
         if state.rate <= 0.0:
-            return
-        eta = now + remaining / state.rate
-        state.completion_handle = self.events.schedule(
-            eta, self._make_completion(state.job.job_id)
-        )
+            return None
+        return now + remaining / state.rate
+
+    def _schedule_deferred(self) -> None:
+        """Schedule the re-dated completion and steal events, in order."""
+        for state, completion, steal in self._deferred:
+            job_id = state.job.job_id
+            if completion is not None:
+                state.completion_handle = self.events.schedule(
+                    completion, self._make_completion(job_id)
+                )
+            if steal is not None:
+                state.steal_handle = self.events.schedule(
+                    steal, self._make_steal_interval(job_id)
+                )
+        self._deferred = []
 
     def _make_completion(self, job_id: int):
         def complete(now: float) -> None:
@@ -1551,7 +1621,8 @@ class QoSSystemSimulator:
 
     # -- resource stealing ---------------------------------------------------------------------
 
-    def _reschedule_steal(self, state: _JobRun, now: float) -> None:
+    def _redate_steal(self, state: _JobRun, now: float) -> Optional[float]:
+        """Cancel the job's steal-interval event and return its new time."""
         if state.steal_handle is not None:
             state.steal_handle.cancel()
             state.steal_handle = None
@@ -1560,14 +1631,11 @@ class QoSSystemSimulator:
             or not state.reserved_running
             or state.rate <= 0.0
         ):
-            return
+            return None
         remaining = state.next_interval_at - state.progress
         if remaining <= 0:
             remaining = 0.0
-        eta = now + remaining / state.rate
-        state.steal_handle = self.events.schedule(
-            eta, self._make_steal_interval(state.job.job_id)
-        )
+        return now + remaining / state.rate
 
     def _make_steal_interval(self, job_id: int):
         def interval(now: float) -> None:

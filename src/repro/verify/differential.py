@@ -198,14 +198,52 @@ class Scenario:
 
     @staticmethod
     def from_dict(payload: dict) -> "Scenario":
+        """Rebuild a scenario from :meth:`to_dict`'s form.
+
+        A saved case is input from outside the program: a payload that
+        is not an object, or a field of the wrong JSON type, raises
+        ``ValueError``.
+        """
+        if not isinstance(payload, dict):
+            raise ValueError(
+                f"scenario must be a JSON object, got "
+                f"{type(payload).__name__}"
+            )
         known = {f.name for f in dataclasses.fields(Scenario)}
         unknown = sorted(set(payload) - known)
         if unknown:
             raise ValueError(f"unknown scenario field(s): {unknown}")
+        for name, value in payload.items():
+            _check_scenario_field(name, value)
         payload = dict(payload)
         if "configurations" in payload:
             payload["configurations"] = tuple(payload["configurations"])
         return Scenario(**payload)
+
+
+def _check_scenario_field(name: str, value: object) -> None:
+    """Raise ``ValueError`` unless ``value`` has field ``name``'s JSON type."""
+    if name == "configurations":
+        valid = isinstance(value, list) and all(
+            isinstance(item, str) for item in value
+        )
+        expected = "a list of strings"
+    elif name == "policy":
+        valid = value is None or isinstance(value, str)
+        expected = "a string or null"
+    elif name == "record_trace":
+        valid = isinstance(value, bool)
+        expected = "a boolean"
+    elif name in ("workload", "pair_policy"):
+        valid = isinstance(value, str)
+        expected = "a string"
+    else:
+        valid = isinstance(value, int) and not isinstance(value, bool)
+        expected = "an integer"
+    if not valid:
+        raise ValueError(
+            f"scenario field {name!r} must be {expected}, got {value!r}"
+        )
 
 
 def profile_scenario_curves(

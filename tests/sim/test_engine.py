@@ -1,6 +1,7 @@
 """Tests for the discrete-event engine."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -244,3 +245,131 @@ class TestHeapCompaction:
         captured["handle"] = queue.schedule(1.0, callback)
         queue.run()
         assert queue._cancelled_in_heap == 0
+
+
+class TestFireInline:
+    """A callback may run its successor in place of scheduling it, but
+    only when the run loop would pop that event next."""
+
+    @staticmethod
+    def _first_event_asks(queue, time, **run_kwargs):
+        """Run ``queue`` with an event at 1.0 that asks to fire ``time``."""
+        answers = []
+        queue.schedule(
+            1.0, lambda t: answers.append(queue.fire_inline(time))
+        )
+        outcome = queue.run(**run_kwargs)
+        return answers[0], outcome
+
+    def test_refused_outside_run(self):
+        queue = EventQueue()
+        assert queue.fire_inline(1.0) is False
+        answers = []
+        queue.schedule(1.0, lambda t: answers.append(queue.fire_inline(2.0)))
+        assert queue.step()
+        assert answers == [False]
+        assert (queue.now, queue.events_fired) == (1.0, 1)
+
+    def test_fired_event_moves_clock_and_counts_once(self):
+        queue = EventQueue()
+        seen = []
+
+        def callback(t):
+            seen.append((queue.now, queue.events_fired))
+            assert queue.fire_inline(2.0)
+            seen.append((queue.now, queue.events_fired))
+
+        queue.schedule(1.0, callback)
+        queue.schedule(3.0, lambda t: seen.append((t, queue.events_fired)))
+        assert queue.run() == RUN_DRAINED
+        assert seen == [(1.0, 1), (2.0, 2), (3.0, 3)]
+        assert queue.events_fired == 3
+
+    @pytest.mark.parametrize(
+        "time, fires",
+        [(3.0, False), (math.nextafter(3.0, 0.0), True), (4.0, False)],
+        ids=["tie", "just-before", "after"],
+    )
+    def test_live_event_wins_a_tie(self, time, fires):
+        queue = EventQueue()
+        queue.schedule(3.0, lambda t: None)
+        assert self._first_event_asks(queue, time) == (fires, RUN_DRAINED)
+
+    def test_cancelled_entries_do_not_block(self):
+        queue = EventQueue()
+        queue.schedule(2.0, lambda t: None).cancel()
+        assert self._first_event_asks(queue, 2.5) == (True, RUN_DRAINED)
+
+    @pytest.mark.parametrize("time, fires", [(1.5, True), (2.0, False)])
+    def test_refused_past_until(self, time, fires):
+        assert self._first_event_asks(EventQueue(), time, until=1.5) == (
+            fires,
+            RUN_DRAINED,
+        )
+
+    @pytest.mark.parametrize("allowance, fires", [(1, False), (2, True)])
+    def test_refused_at_exhausted_event_budget(self, allowance, fires):
+        queue = EventQueue()
+        answer, outcome = self._first_event_asks(
+            queue, 2.0, budget=RunBudget(max_events=allowance)
+        )
+        assert (answer, outcome) == (fires, RUN_EVENT_BUDGET)
+        assert queue.events_fired == allowance
+
+    def test_refused_at_exhausted_wall_clock_budget(self, monkeypatch):
+        from repro.sim import engine
+
+        clock = [0.0]
+        monkeypatch.setattr(
+            engine, "_time", SimpleNamespace(monotonic=lambda: clock[0])
+        )
+        queue = EventQueue()
+        answers = []
+
+        def callback(t):
+            answers.append(queue.fire_inline(2.0))
+            clock[0] = 10.0
+            answers.append(queue.fire_inline(3.0))
+
+        queue.schedule(1.0, callback)
+        outcome = queue.run(budget=RunBudget(max_wall_seconds=10.0))
+        assert answers == [True, False]
+        assert outcome == RUN_WALL_CLOCK_BUDGET
+        assert queue.events_fired == 2
+
+    def test_refused_when_stop_when_holds(self):
+        queue = EventQueue()
+        stop = []
+        answers = []
+
+        def callback(t):
+            answers.append(queue.fire_inline(2.0))
+            stop.append(True)
+            answers.append(queue.fire_inline(3.0))
+
+        queue.schedule(1.0, callback)
+        assert queue.run(stop_when=lambda: bool(stop)) == RUN_STOPPED
+        assert answers == [True, False]
+        assert queue.events_fired == 2
+
+    def test_counts_toward_the_runaway_guard(self):
+        queue = EventQueue()
+
+        def spin(t):
+            while queue.fire_inline(queue.now + 1.0):
+                pass
+            queue.schedule_after(1.0, spin)
+
+        queue.schedule(0.0, spin)
+        with pytest.raises(RuntimeError, match="budget"):
+            queue.run(max_events=100)
+        assert queue.events_fired == 100
+
+    def test_rejects_nan_and_past_times(self):
+        queue = EventQueue()
+        queue.schedule(5.0, lambda t: None)
+        queue.run()
+        with pytest.raises(ValueError):
+            queue.fire_inline(math.nan)
+        with pytest.raises(ValueError, match="past"):
+            queue.fire_inline(4.0)

@@ -608,22 +608,32 @@ class TestBadInputExits2:
             ("missing", "No such file"),
             ("text", "not valid JSON"),
             ("stale", "version 1 not supported"),
+            ("list-scenario", "scenario must be a JSON object"),
+            ("text-count", "scenario field 'count' must be an integer"),
         ],
     )
     def test_verify_replay_rejects_bad_case(
         self, tmp_path, capsys, kind, message
     ):
         path = tmp_path / f"{kind}.json"
+        scenarios = {"list-scenario": [], "text-count": {"count": "x"}}
         if kind == "text":
             path.write_text("not json\n")
         elif kind == "stale":
             path.write_text(
                 json.dumps({"version": 1, "scenario": {}, "pairs": ["jobs"]})
             )
+        elif kind in scenarios:
+            path.write_text(
+                json.dumps(
+                    {"version": 2, "scenario": scenarios[kind], "pairs": ["jobs"]}
+                )
+            )
         assert main(["verify", "replay", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("verify: ")
         assert message in err
+        assert len(err.splitlines()) == 1
 
     def test_verify_fuzz_rejects_bad_budget(self, capsys):
         assert main(["verify", "fuzz", "--budget", "abc"]) == 2

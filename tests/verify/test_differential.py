@@ -9,6 +9,7 @@ shape, pair dispatch) run at full breadth.
 import pytest
 
 from repro.verify import PAIR_NAMES, Scenario, run_diff, run_pair
+from repro.verify.cases import VerifyCase, load_case, save_case
 
 #: Small enough for test latency, large enough to exercise stealing,
 #: auto-downgrade, and the traced event stream.
@@ -60,6 +61,28 @@ class TestScenario:
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown scenario field"):
             Scenario.from_dict({"workload": "bzip2", "turbo": True})
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([], "must be a JSON object, got list"),
+            ({"count": "x"}, "'count' must be an integer, got 'x'"),
+            ({"seed": True}, "'seed' must be an integer, got True"),
+            ({"configurations": "All-Strict"}, "must be a list of strings"),
+            ({"policy": 3}, "'policy' must be a string or null"),
+            ({"record_trace": 1}, "'record_trace' must be a boolean"),
+        ],
+    )
+    def test_from_dict_rejects_malformed_payloads(self, payload, message):
+        with pytest.raises(ValueError, match=message):
+            Scenario.from_dict(payload)
+
+    def test_saved_case_round_trips(self, tmp_path):
+        case = VerifyCase(
+            scenario=Scenario(workload="Mix-1", policy="grow-shrink", **REDUCED),
+            pairs=("jobs", "policy"),
+        )
+        assert load_case(save_case(case, tmp_path / "case.json")) == case
 
     def test_mix_workload_lists_role_benchmarks(self):
         assert len(Scenario(workload="Mix-1").benchmarks()) > 1
