@@ -21,22 +21,16 @@ timed region, so one stall on a shared host cannot decide a gate.
 
 Writes ``BENCH_perf.json`` so successive commits leave a perf
 trajectory, and exits non-zero when a gated number regresses — CI runs
-``--smoke`` so a kernel regression fails the build.  With ``--stamp``
-(epoch seconds) and ``--git-rev`` the run is also appended as one
-history-schema record to ``BENCH_history.jsonl``, so the trajectory is
-plottable with the ``repro.obs.timeseries`` loaders; both values are
-passed in rather than read in-process, keeping the bench clock-free.
+``--smoke`` so a kernel regression fails the build.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_perf_kernel.py [--smoke] \\
-        [--stamp "$(date +%s)" --git-rev "$(git rev-parse HEAD)"]
+    PYTHONPATH=src python benchmarks/bench_perf_kernel.py [--smoke]
 """
 
 import argparse
 import gc
 import json
-import math
 import os
 import statistics
 import sys
@@ -46,7 +40,6 @@ from pathlib import Path
 
 from repro.analysis import misscache
 from repro.analysis.parallel import parallel_map, visible_cpu_count
-from repro.obs.timeseries import HistoryWriter, history_point
 from repro.cache.backend import make_partitioned_cache
 from repro.cache.geometry import CacheGeometry
 from repro.cache.partitioned import PartitionClass
@@ -244,53 +237,6 @@ def bench_misscache(num_sets, accesses):
     return results
 
 
-def flatten_series(payload, prefix=""):
-    """Flatten the nested results dict into dotted finite-number series.
-
-    Non-numeric leaves (labels, skip notes) and non-finite values are
-    dropped — the history schema only admits finite numbers in
-    ``series`` — and booleans are excluded so flags don't masquerade
-    as measurements.
-    """
-    series = {}
-    for key, value in payload.items():
-        dotted = f"{prefix}{key}"
-        if isinstance(value, dict):
-            series.update(flatten_series(value, f"{dotted}."))
-        elif isinstance(value, bool):
-            continue
-        elif isinstance(value, (int, float)) and math.isfinite(value):
-            series[dotted] = value
-    return series
-
-
-def append_history(path, payload, *, stamp, git_rev):
-    """Append one run's gated numbers to the perf-trajectory stream.
-
-    ``stamp`` (epoch seconds) and ``git_rev`` come in as arguments —
-    the bench itself never reads a clock or shells out to git, so a
-    re-run with the same inputs appends an identical record (modulo
-    the measured timings themselves).
-    """
-    series = flatten_series(
-        {
-            key: payload[key]
-            for key in ("kernel", "parallel", "miss_cache")
-        }
-    )
-    point = history_point(
-        stamp,
-        "bench.perf_kernel",
-        series=series,
-        mode=payload["mode"],
-        git_rev=git_rev,
-        visible_cpus=payload["visible_cpus"],
-    )
-    with HistoryWriter(path) as writer:
-        record = writer.write(point)
-    return record["seq"]
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -309,26 +255,6 @@ def main(argv=None):
         type=Path,
         default=REPO_ROOT / "BENCH_perf.json",
         help="where to write the results JSON",
-    )
-    parser.add_argument(
-        "--history",
-        type=Path,
-        default=REPO_ROOT / "BENCH_history.jsonl",
-        help="perf-trajectory stream to append this run to",
-    )
-    parser.add_argument(
-        "--stamp",
-        type=float,
-        default=None,
-        help=(
-            "epoch-seconds timestamp recorded in the history stream "
-            "(with --git-rev, enables the append)"
-        ),
-    )
-    parser.add_argument(
-        "--git-rev",
-        default="",
-        help="git revision recorded in the history stream",
     )
     args = parser.parse_args(argv)
 
@@ -399,11 +325,6 @@ def main(argv=None):
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output}")
-    if args.stamp is not None:
-        seq = append_history(
-            args.history, payload, stamp=args.stamp, git_rev=args.git_rev
-        )
-        print(f"appended seq={seq} to {args.history}")
 
     failures = []
     if kernel["speedup"] < min_kernel_speedup:

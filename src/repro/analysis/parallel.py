@@ -10,11 +10,11 @@ parallelism; here it is one helper, :func:`parallel_map`, used by
 
 Since the persistent-pool rework, :func:`parallel_map` is a thin front
 over :mod:`repro.analysis.pool`: work is dispatched in adaptive
-contiguous chunks onto a process-wide :class:`~repro.analysis.pool.\
-WorkerPool` that is forked once and reused across sweeps, with shared
-read-only state (the miss-cache config and the caller's ``shared``
-payload) installed in each worker by the pool initializer rather than
-re-pickled per point.
+contiguous chunks, one ``Pool.map`` per call, onto a process-wide
+:class:`~repro.analysis.pool.WorkerPool` that is forked once and
+reused across sweeps, with shared read-only state (the miss-cache
+config and the caller's ``shared`` payload) installed in each worker
+by the pool initializer rather than re-pickled per point.
 
 Guarantees:
 
@@ -149,7 +149,6 @@ def parallel_map(
     *,
     jobs: Optional[int] = 1,
     shared: Any = None,
-    progress: Optional[Callable[[int, int], None]] = None,
 ) -> List[R]:
     """Map ``func`` over ``items``, optionally across processes.
 
@@ -173,23 +172,11 @@ def parallel_map(
     per chunk and merged back deterministically (see module
     docstring); with the default null observer, workers run unobserved
     and nothing is shipped.
-
-    ``progress`` is called as ``progress(items_done, items_total)``
-    with monotone ``done`` — per item on the serial path, per
-    collected chunk on the pool path (the sweep-heartbeat hook).
     """
     items = list(items)
     worker_count = resolve_jobs(jobs)
     if worker_count <= 1 or len(items) <= 1:
         with installed_shared(shared):
-            if progress is None:
-                return [func(item) for item in items]
-            results: List[R] = []
-            for item in items:
-                results.append(func(item))
-                progress(len(results), len(items))
-            return results
+            return [func(item) for item in items]
     worker_count = min(worker_count, len(items))
-    return shared_pool(worker_count, shared=shared).map(
-        func, items, progress=progress
-    )
+    return shared_pool(worker_count, shared=shared).map(func, items)

@@ -25,8 +25,9 @@ the parallel win — ``BENCH_perf.json`` recorded
   in-process so worker functions are written once.
 - **Adaptive chunked dispatch.**  Items are split into about
   ``worker_count × 4`` contiguous chunks (:func:`chunk_ranges`), never
-  reordered, so dispatch overhead is per-chunk while load still
-  balances.  Results always come back in input order.
+  reordered, and handed to ``Pool.map`` one chunk per task, so
+  dispatch overhead is per-chunk while load still balances.  Results
+  always come back in input order.
 - **Lazy observer merge.**  When the parent has a live observer, each
   worker accumulates one local :class:`~repro.obs.Observer` per
   *chunk* and ships it once per chunk; the parent folds chunk
@@ -302,20 +303,11 @@ class WorkerPool:
 
     # -- mapping -----------------------------------------------------------
 
-    def map(
-        self,
-        func: Callable[[T], R],
-        items: Sequence[T],
-        *,
-        progress: Optional[Callable[[int, int], None]] = None,
-    ) -> List[R]:
+    def map(self, func: Callable[[T], R], items: Sequence[T]) -> List[R]:
         """Map ``func`` over ``items`` on the persistent workers.
 
-        Results come back in input order.  ``progress`` is called as
-        ``progress(items_done, items_total)`` after each chunk is
-        collected (in input order, so ``done`` is monotone) — the sweep
-        heartbeat hook.  Exceptions raised by ``func`` propagate, and
-        the pool stays usable afterwards.
+        Results come back in input order.  Exceptions raised by
+        ``func`` propagate, and the pool stays usable afterwards.
         """
         items = list(items)
         if not items:
@@ -326,20 +318,7 @@ class WorkerPool:
             items[start:stop]
             for start, stop in chunk_ranges(len(items), self.worker_count)
         ]
-        pool = self._ensure_pool()
-        if progress is None:
-            pairs = pool.map(task, chunks, chunksize=1)
-        else:
-            # Per-chunk dispatch so completions surface as they
-            # collect; input-order collection keeps ``done``
-            # monotone (a later chunk finishing early just waits).
-            handles = [pool.apply_async(task, (chunk,)) for chunk in chunks]
-            pairs = []
-            done = 0
-            for chunk, handle in zip(chunks, handles):
-                pairs.append(handle.get())
-                done += len(chunk)
-                progress(done, len(items))
+        pairs = self._ensure_pool().map(task, chunks, chunksize=1)
         results: List[R] = []
         for chunk_results, telemetry in pairs:  # input order == serial
             if telemetry is not None:

@@ -16,6 +16,9 @@ makes every rerun cheap:
   the moment the point completes, so **resume after interruption is
   just rerun**: points already in the store are served from disk and
   only the missing ones execute,
+- the store is the one progress record: :func:`sweep_status` (``repro
+  sweep status``) lists the done and missing points during a run and
+  after a kill,
 - the **sweep report** is built purely from the spec and the stored
   artifacts (no timing, no hit counts), so an interrupted-then-resumed
   sweep produces a report byte-identical to an uninterrupted one,
@@ -29,17 +32,15 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis import misscache
-from repro.analysis.parallel import parallel_map, resolve_jobs
+from repro.analysis.parallel import parallel_map
 from repro.analysis.pool import current_shared
 from repro.analysis.store import ResultStore, content_digest, modules_fingerprint
 from repro.obs.diff import DiffReport, diff_snapshots
-from repro.obs.timeseries import HistoryWriter, history_point
 from repro.util.atomicio import write_atomic_text
 
 #: Version of the sweep *file* schema (the user-authored input).
@@ -345,113 +346,6 @@ def report_path_for(store: ResultStore, name: str) -> Path:
     return store.directory() / "sweeps" / f"{name}.json"
 
 
-def progress_path_for(store: ResultStore, name: str) -> Path:
-    """Where the named sweep's progress heartbeat stream lives."""
-    return store.directory() / "sweeps" / f"{name}.progress.jsonl"
-
-
-class _ProgressHeartbeat:
-    """Per-chunk sweep heartbeats into a history JSONL stream.
-
-    Wired into :func:`parallel_map`'s ``progress`` callback.  Each
-    beat records cumulative done/served/pending counts, the worker
-    census, an EWMA throughput (points/s), and the ETA it implies.
-    Unlike the report, the stream is run-varying by design — ``t`` and
-    the rates come from the host clock — which is why it lives in a
-    separate ``*.progress.jsonl`` file the dashboard tails, never in
-    the content-addressed artifacts.
-    """
-
-    EWMA_ALPHA = 0.3  # responsive within ~3 beats, still smooth
-
-    def __init__(
-        self,
-        writer: HistoryWriter,
-        sweep: str,
-        *,
-        total: int,
-        served: int,
-        workers: int,
-    ) -> None:
-        self._writer = writer
-        self._sweep = sweep
-        self._total = total
-        self._served = served
-        self._workers = workers
-        self._started = time.monotonic()
-        self._last_time = self._started
-        self._last_done = 0
-        self._ewma: Optional[float] = None
-
-    def begin(self, pending: int) -> None:
-        self._writer.write(
-            history_point(
-                0.0,
-                "sweep.begin",
-                series={
-                    "total": self._total,
-                    "served": self._served,
-                    "pending": pending,
-                    "workers": self._workers,
-                },
-                sweep=self._sweep,
-            )
-        )
-
-    def __call__(self, done: int, total_pending: int) -> None:
-        now = time.monotonic()
-        step = done - self._last_done
-        span = now - self._last_time
-        if step > 0 and span > 0:
-            instant = step / span
-            self._ewma = (
-                instant
-                if self._ewma is None
-                else self.EWMA_ALPHA * instant
-                + (1.0 - self.EWMA_ALPHA) * self._ewma
-            )
-        self._last_done = done
-        self._last_time = now
-        remaining = total_pending - done
-        series = {
-            "done": self._served + done,
-            "executed": done,
-            "served": self._served,
-            "pending": remaining,
-            "total": self._total,
-            "workers": self._workers,
-            "throughput": round(self._ewma or 0.0, 6),
-        }
-        if self._ewma and remaining > 0:
-            series["eta_seconds"] = round(remaining / self._ewma, 3)
-        self._writer.write(
-            history_point(
-                max(0.0, now - self._started),
-                "sweep.progress",
-                series=series,
-                sweep=self._sweep,
-            )
-        )
-
-    def end(self, *, served: int, executed: int) -> None:
-        self._writer.write(
-            history_point(
-                max(0.0, time.monotonic() - self._started),
-                "sweep.end",
-                series={
-                    "done": served + executed,
-                    "total": self._total,
-                    "served": served,
-                    "executed": executed,
-                    "pending": 0,
-                    "workers": self._workers,
-                },
-                sweep=self._sweep,
-                status="complete",
-            )
-        )
-
-
 def build_report(spec: SweepSpec, store: ResultStore) -> dict:
     """Assemble the sweep report purely from spec + stored artifacts.
 
@@ -489,7 +383,6 @@ def run_sweep(
     *,
     store_dir=None,
     jobs: Optional[int] = 1,
-    progress_out: Union[None, bool, str, Path] = None,
 ) -> SweepOutcome:
     """Run every point of ``spec`` not already in the store.
 
@@ -497,14 +390,9 @@ def run_sweep(
     served from the store (a corrupt artifact quarantines and reruns);
     the rest are sharded across ``jobs`` workers, each landing its
     artifact atomically on completion.  Finishes by writing the sweep
-    report to ``<store>/sweeps/<name>.json``.
-
-    ``progress_out`` enables the heartbeat stream: ``True`` writes to
-    ``<store>/sweeps/<name>.progress.jsonl``, a path writes there, and
-    the default ``None`` writes nothing (no heartbeat cost).  The
-    stream *appends* across runs — a resumed sweep's ``sweep.begin``
-    records the served-from-store/pending split, so an interruption
-    is visible in the history rather than erased by it.
+    report to ``<store>/sweeps/<name>.json``.  The store is also the
+    progress record: :func:`sweep_status` reads it during a run and
+    after a kill.
     """
     store = ResultStore(store_dir)
     pending: List[int] = []
@@ -514,43 +402,19 @@ def run_sweep(
             served += 1
         else:
             pending.append(index)
-    heartbeat: Optional[_ProgressHeartbeat] = None
-    writer: Optional[HistoryWriter] = None
-    if progress_out:
-        path = (
-            progress_path_for(store, spec.name)
-            if progress_out is True
-            else Path(progress_out)
-        )
-        writer = HistoryWriter(path)
-        heartbeat = _ProgressHeartbeat(
-            writer,
-            spec.name,
-            total=len(spec.points),
-            served=served,
-            workers=min(resolve_jobs(jobs), max(1, len(pending))),
-        )
-        heartbeat.begin(len(pending))
     executed = 0
-    try:
-        if pending:
-            outcomes = parallel_map(
-                _point_worker,
-                pending,
-                jobs=jobs,
-                shared=(tuple(spec.points), str(store.directory())),
-                progress=heartbeat,
-            )
-            for outcome in outcomes:
-                if outcome["executed"]:
-                    executed += 1
-                else:
-                    served += 1
-        if heartbeat is not None:
-            heartbeat.end(served=served, executed=executed)
-    finally:
-        if writer is not None:
-            writer.close()
+    if pending:
+        outcomes = parallel_map(
+            _point_worker,
+            pending,
+            jobs=jobs,
+            shared=(tuple(spec.points), str(store.directory())),
+        )
+        for outcome in outcomes:
+            if outcome["executed"]:
+                executed += 1
+            else:
+                served += 1
     report = build_report(spec, store)
     report_path = report_path_for(store, spec.name)
     write_atomic_text(

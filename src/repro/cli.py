@@ -108,7 +108,13 @@ def _policy_of(args: argparse.Namespace):
 
 
 def _cmd_fig5(args: argparse.Namespace) -> int:
-    curves = load_curves(args.curves) if args.curves else None
+    curves = None
+    if args.curves:
+        try:
+            curves = load_curves(args.curves)
+        except (OSError, ValueError) as error:
+            print(f"fig5: {error}", file=sys.stderr)
+            return 2
     results = run_all_configurations(
         args.workload, curves=curves, jobs=args.jobs, policy=_policy_of(args)
     )
@@ -277,7 +283,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         load_events_jsonl,
         load_metrics_jsonl,
         summary_dict,
-        write_prometheus,
         write_summary_json,
     )
 
@@ -318,9 +323,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
                 ["series", "value"], rows, title=f"obs — {args.metrics}"
             )
         )
-        if args.prometheus_out:
-            path = write_prometheus(records, args.prometheus_out)
-            print(f"prometheus text written to {path}")
         if args.summary_out:
             path = write_summary_json(
                 records, args.summary_out, events
@@ -380,12 +382,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as error:
             print(f"sweep: {error}", file=sys.stderr)
             return 2
-        outcome = run_sweep(
-            spec,
-            store_dir=args.store_dir,
-            jobs=args.jobs,
-            progress_out=not args.no_progress,
-        )
+        outcome = run_sweep(spec, store_dir=args.store_dir, jobs=args.jobs)
         rows = [
             [
                 point["label"],
@@ -482,6 +479,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.verify import (
+        LAWS,
+        POLICY_LAWS,
         Scenario,
         load_case,
         parse_budget,
@@ -518,6 +517,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             abs_tol=args.abs_tol,
         )
     elif args.verify_command == "laws":
+        known = LAWS if args.policy is None else POLICY_LAWS
+        unknown = sorted(set(args.laws or ()) - set(known))
+        if unknown:
+            print(
+                f"verify: unknown law(s) {unknown}; expected among "
+                f"{sorted(known)}",
+                file=sys.stderr,
+            )
+            return 2
         report = run_laws(
             args.seed, names=args.laws or None, policy=args.policy
         )
@@ -563,51 +571,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
         print(f"report written to {path}")
     return report.exit_code
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    """Live ANSI dashboard over a sweep progress stream.
-
-    ``--sweep`` names a sweep in the results store or a
-    ``*.progress.jsonl`` path.  ``--once`` prints a single frame with
-    no escape codes — rendering is pure, so the same stream gives the
-    same bytes.
-    """
-    import time as _time
-    from pathlib import Path
-
-    from repro.obs.dashboard import render_sweep_frame
-    from repro.obs.timeseries import HistorySchemaError, load_history_jsonl
-
-    def one_frame() -> str:
-        path = Path(args.sweep)
-        if not path.is_file():
-            from repro.analysis.store import ResultStore
-            from repro.analysis.sweep import progress_path_for
-
-            path = progress_path_for(ResultStore(args.store_dir), args.sweep)
-        if not path.is_file():
-            raise OSError(f"no sweep progress stream at {path}")
-        return render_sweep_frame(load_history_jsonl(path))
-
-    try:
-        if args.once:
-            sys.stdout.write(one_frame())
-            return 0
-        frames = 0
-        while True:
-            frame = one_frame()
-            sys.stdout.write("\x1b[2J\x1b[H" + frame)
-            sys.stdout.flush()
-            frames += 1
-            if args.frames is not None and frames >= args.frames:
-                return 0
-            _time.sleep(args.interval)
-    except KeyboardInterrupt:
-        return 0
-    except (OSError, HistorySchemaError) as error:
-        print(f"top: {error}", file=sys.stderr)
-        return 2
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
@@ -679,6 +642,13 @@ def _checked(
 
 
 _positive_int = _checked(int, lambda value: value > 0, "a positive integer")
+_non_negative_int = _checked(
+    int, lambda value: value >= 0, "a non-negative integer"
+)
+_pair_jobs = _checked(int, lambda value: value >= 2, "an integer >= 2")
+_non_negative_float = _checked(
+    float, lambda value: 0 <= value < math.inf, "a finite non-negative number"
+)
 _positive_float = _checked(
     float, lambda value: 0 < value < math.inf, "a positive number"
 )
@@ -810,27 +780,27 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed for the deterministic fault schedule",
     )
     faults.add_argument(
-        "--core-rate", type=float, default=4.0,
+        "--core-rate", type=_non_negative_float, default=4.0,
         help="core failures per simulated second",
     )
     faults.add_argument(
-        "--stall-rate", type=float, default=0.0,
+        "--stall-rate", type=_non_negative_float, default=0.0,
         help="transient core stalls per simulated second",
     )
     faults.add_argument(
-        "--bandwidth-rate", type=float, default=0.0,
+        "--bandwidth-rate", type=_non_negative_float, default=0.0,
         help="bandwidth brown-outs per simulated second",
     )
     faults.add_argument(
-        "--ecc-rate", type=float, default=0.0,
+        "--ecc-rate", type=_non_negative_float, default=0.0,
         help="duplicate-tag ECC errors per simulated second",
     )
     faults.add_argument(
-        "--max-events", type=int, default=None,
+        "--max-events", type=_non_negative_int, default=None,
         help="abort gracefully after this many events",
     )
     faults.add_argument(
-        "--max-seconds", type=float, default=None,
+        "--max-seconds", type=_non_negative_float, default=None,
         help="abort gracefully after this much wall-clock time",
     )
     faults.add_argument(
@@ -858,10 +828,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="event stream (JSONL from --events-out) to include",
     )
     obs_summarize.add_argument(
-        "--prometheus-out", default=None, metavar="PATH",
-        help="also write the Prometheus text exposition here",
-    )
-    obs_summarize.add_argument(
         "--summary-out", default=None, metavar="PATH",
         help="also write the summary roll-up as canonical JSON here",
     )
@@ -871,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs_top.add_argument("metrics")
     obs_top.add_argument(
-        "-n", "--count", type=int, default=10,
+        "-n", "--count", type=_positive_int, default=10,
         help="how many counters to show",
     )
 
@@ -917,11 +883,6 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[perf, sweep_store, sweep_tol],
     )
     sweep_run.add_argument("spec", help="versioned JSON sweep file")
-    sweep_run.add_argument(
-        "--no-progress", action="store_true",
-        help="skip the heartbeat stream "
-        "(<store>/sweeps/<name>.progress.jsonl)",
-    )
     sweep_run.add_argument(
         "--baseline", default=None, metavar="SWEEP",
         help="after the run, regression-diff against this sweep "
@@ -1001,7 +962,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="differential pairs to run",
     )
     verify_diff.add_argument(
-        "--pair-jobs", type=int, default=2, metavar="N",
+        "--pair-jobs", type=_pair_jobs, default=2, metavar="N",
         help="worker count for the parallel arm of the jobs pair",
     )
     verify_diff.add_argument(
@@ -1022,6 +983,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify_laws.add_argument(
         "--policy", default=None, metavar="POLICY",
+        choices=[*policy_names(), "all"],
         help="run the policy conformance laws instead, for one "
         "registered policy or 'all'",
     )
@@ -1037,7 +999,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="time budget, e.g. 60s or 2m (default 60s)",
     )
     verify_fuzz.add_argument(
-        "--max-cases", type=int, default=None,
+        "--max-cases", type=_positive_int, default=None,
         help="stop after this many cases even within budget",
     )
     verify_fuzz.add_argument(
@@ -1057,31 +1019,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify_replay.add_argument(
         "case", help="path to a verify-case.json written by fuzz"
-    )
-
-    top = commands.add_parser(
-        "top", help="live dashboard over a sweep progress stream"
-    )
-    top.add_argument(
-        "--sweep", required=True, metavar="NAME_OR_PATH",
-        help="tail a sweep progress stream (name in the store, or a "
-        "*.progress.jsonl path)",
-    )
-    top.add_argument(
-        "--store-dir", default=None, metavar="DIR",
-        help="results store for --sweep by name",
-    )
-    top.add_argument(
-        "--once", action="store_true",
-        help="print one frame (no escape codes) and exit",
-    )
-    top.add_argument(
-        "--interval", type=float, default=1.0,
-        help="seconds between live frames",
-    )
-    top.add_argument(
-        "--frames", type=int, default=None,
-        help="stop after this many live frames (default: until ^C)",
     )
 
     cluster = commands.add_parser(
@@ -1116,7 +1053,6 @@ HANDLERS = {
     "obs": _cmd_obs,
     "sweep": _cmd_sweep,
     "verify": _cmd_verify,
-    "top": _cmd_top,
 }
 
 

@@ -189,21 +189,46 @@ def size_cluster(
 
     The capacity-planning loop a GAC operator would run: grow the
     cluster until the SLA mix is admitted at the target rate.
+
+    The search doubles the node count until the target is met (or
+    ``max_nodes`` is reached), then bisects between the last size that
+    missed and the first that met it: at most
+    ``2·⌈log2(max_nodes)⌉ + 1`` simulations, with the answer a scan of
+    every size would give.  That holds because, under the ``first_fit``
+    placement used here, the acceptance count cannot fall as nodes are
+    added.  The arrival, class and wall-clock draws come from their own
+    streams, so every size sees the same jobs, and a rejected LAC test
+    changes only counters.  So in an (N+1)-node cluster, nodes 0…N−1
+    see exactly the probes of the N-node cluster, and node N gets only
+    the jobs that every other node rejected.
     """
     if not 0 < target_acceptance <= 1:
         raise ValueError(
             f"target_acceptance must be in (0, 1], got {target_acceptance}"
         )
-    for num_nodes in range(1, max_nodes + 1):
+
+    def meets_target(num_nodes: int) -> bool:
         report = ClusterSimulator(
             num_nodes=num_nodes,
             profiles=profiles,
             mean_interarrival=mean_interarrival,
             seed=seed,
         ).run(horizon=horizon)
-        if report.acceptance_rate >= target_acceptance:
-            return num_nodes
-    raise ValueError(
-        f"even {max_nodes} nodes cannot reach {target_acceptance:.0%} "
-        "acceptance for this mix"
-    )
+        return report.acceptance_rate >= target_acceptance
+
+    missed = 0  # the largest size known to miss the target
+    size = min(1, max_nodes)
+    while size > missed and not meets_target(size):
+        missed, size = size, min(2 * size, max_nodes)
+    if size <= missed:
+        raise ValueError(
+            f"even {max_nodes} nodes cannot reach {target_acceptance:.0%} "
+            "acceptance for this mix"
+        )
+    while size - missed > 1:
+        middle = (missed + size) // 2
+        if meets_target(middle):
+            size = middle
+        else:
+            missed = middle
+    return size

@@ -13,8 +13,8 @@ calls for):
   measuring per-phase wall clock and engine event counts.
 - :class:`~repro.obs.slo.SloMonitor` — projection-based QoS/SLO
   violation tracking (driven by the system simulator).
-- :mod:`repro.obs.export` / :mod:`repro.obs.diff` — Prometheus-text
-  and summary-JSON exporters, and cross-run regression diffing.
+- :mod:`repro.obs.export` / :mod:`repro.obs.diff` — the artefact
+  loaders and summary roll-up, and cross-run regression diffing.
 
 An :class:`Observer` bundles the sinks.  Instrumentation sites fetch
 the process-wide observer with :func:`get_observer` and guard with
@@ -57,14 +57,6 @@ from repro.obs.metrics import (
     metric_key,
 )
 from repro.obs.profiler import PhaseProfiler, PhaseRecord
-from repro.obs.timeseries import (
-    HISTORY_VERSION,
-    HistorySchemaError,
-    HistoryWriter,
-    history_point,
-    load_history_jsonl,
-    validate_history_record,
-)
 from repro.obs.slo import (
     JobSloSummary,
     SloMonitor,
@@ -84,9 +76,6 @@ __all__ = [
     "EventLog",
     "EventSchemaError",
     "Gauge",
-    "HISTORY_VERSION",
-    "HistorySchemaError",
-    "HistoryWriter",
     "JobSloSummary",
     "MetricsRegistry",
     "NULL_OBSERVER",
@@ -102,13 +91,10 @@ __all__ = [
     "TraceLog",
     "derive_trace_id",
     "get_observer",
-    "history_point",
-    "load_history_jsonl",
     "metric_key",
     "observed",
     "reset_observer",
     "set_observer",
-    "validate_history_record",
     "validate_jsonl",
     "validate_record",
 ]

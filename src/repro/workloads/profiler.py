@@ -24,7 +24,7 @@ import hashlib
 import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.cache.backend import make_cache
 from repro.cache.fastsim import lru_stack_misses
@@ -112,19 +112,6 @@ class MissRatioCurve:
         if base == 0.0:
             return 0.0 if self.miss_rate(reduced_ways) == 0.0 else float("inf")
         return (self.miss_rate(reduced_ways) - base) / base
-
-    def min_ways_for_miss_rate(self, target_miss_rate: float) -> Optional[int]:
-        """Smallest profiled way count achieving ``target_miss_rate``.
-
-        Returns ``None`` when even the full curve cannot reach the
-        target — the paper's point about RPM targets being possibly
-        ill-defined (Section 3.2).
-        """
-        check_non_negative("target_miss_rate", target_miss_rate)
-        for ways in self._ways:
-            if self.points[ways] <= target_miss_rate:
-                return ways
-        return None
 
 
 def measure_miss_rates(
@@ -353,11 +340,22 @@ def save_curves(curves, path) -> "Path":
 
 
 def load_curves(path) -> Dict[str, MissRatioCurve]:
-    """Read back a curve file written by :func:`save_curves`."""
-    import json
+    """Read back a curve file written by :func:`save_curves`.
+
+    A file that is not JSON, or whose payload or curve entries are not
+    JSON objects, raises :class:`ValueError` naming the file.
+    """
     from pathlib import Path
 
-    payload = json.loads(Path(path).read_text())
-    return {
-        name: curve_from_dict(entry) for name, entry in payload.items()
-    }
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as error:
+        raise ValueError(f"{path}: invalid JSON: {error}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    curves: Dict[str, MissRatioCurve] = {}
+    for name, entry in payload.items():
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: curve {name!r} is not a JSON object")
+        curves[name] = curve_from_dict(entry)
+    return curves

@@ -392,6 +392,26 @@ class TestInterruption:
         assert stored_at_kill >= 1
         total = len(self.WORKLOADS) * len(self.CONFIGURATIONS)
 
+        # The store is the progress record: status counts exactly the
+        # artifacts that landed before the kill.
+        status = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "sweep", "status",
+                str(sweep_file), "--store-dir", str(interrupted_store),
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert status.returncode == 0, status.stdout + status.stderr
+        lines = status.stdout.splitlines()
+        assert lines[0] == (
+            f"sweep interrupt: {stored_at_kill}/{total} point(s) in "
+            f"store, {total - stored_at_kill} missing"
+        )
+        assert len(lines) == 1 + total - stored_at_kill
+
         # Resume: completed points come from the store, the rest run.
         resume = self._run(sweep_file, interrupted_store, env)
         assert resume.returncode == 0, resume.stdout + resume.stderr

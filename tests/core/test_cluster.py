@@ -1,5 +1,7 @@
 """Tests for the reservation-level cluster simulator."""
 
+import math
+
 import pytest
 
 from repro.core.cluster import (
@@ -7,7 +9,7 @@ from repro.core.cluster import (
     ClusterSimulator,
     size_cluster,
 )
-from repro.core.spec import ResourceVector
+from repro.core.spec import PRESET_TARGETS, ResourceVector
 
 
 def medium_profile(weight=1.0, tw=1.0, mult=2.0):
@@ -155,6 +157,84 @@ class TestSizing:
                 mean_interarrival=1.0,
                 target_acceptance=1.5,
             )
+
+
+def server_mix():
+    """The gold/silver mix ``repro cluster`` plans for."""
+    return [
+        ClusterJobProfile(
+            name="gold",
+            weight=0.3,
+            resources=PRESET_TARGETS["large"],
+            mean_wall_clock=1.0,
+            deadline_multiplier=1.2,
+        ),
+        ClusterJobProfile(
+            name="silver",
+            weight=0.7,
+            resources=PRESET_TARGETS["medium"],
+            mean_wall_clock=0.6,
+            deadline_multiplier=2.0,
+        ),
+    ]
+
+
+def linear_scan_size(interarrival, target, *, horizon, max_nodes):
+    """The smallest node count meeting the target, trying each in turn."""
+    for nodes in range(1, max_nodes + 1):
+        report = ClusterSimulator(
+            num_nodes=nodes,
+            profiles=server_mix(),
+            mean_interarrival=interarrival,
+        ).run(horizon=horizon)
+        if report.acceptance_rate >= target:
+            return nodes
+    return None
+
+
+class TestBisectedSizing:
+    """Doubling then bisecting answers exactly as the linear scan."""
+
+    @pytest.mark.parametrize("target", [0.5, 0.8, 0.95, 1.0])
+    @pytest.mark.parametrize("interarrival", [0.05, 0.1, 0.3])
+    def test_matches_linear_scan(self, interarrival, target):
+        nodes = size_cluster(
+            profiles=server_mix(),
+            mean_interarrival=interarrival,
+            target_acceptance=target,
+            horizon=5.0,
+            max_nodes=16,
+        )
+        assert nodes == linear_scan_size(
+            interarrival, target, horizon=5.0, max_nodes=16
+        )
+
+    @pytest.mark.parametrize(
+        "interarrival, target, max_nodes",
+        [(0.01, 1.0, 16), (0.01, 1.0, 64), (0.05, 0.95, 16), (0.02, 0.9, 24)],
+    )
+    def test_simulation_count_is_logarithmic(
+        self, monkeypatch, interarrival, target, max_nodes
+    ):
+        calls = []
+        run = ClusterSimulator.run
+
+        def counted(simulator, *, horizon):
+            calls.append(simulator.num_nodes)
+            return run(simulator, horizon=horizon)
+
+        monkeypatch.setattr(ClusterSimulator, "run", counted)
+        try:
+            size_cluster(
+                profiles=server_mix(),
+                mean_interarrival=interarrival,
+                target_acceptance=target,
+                horizon=2.0,
+                max_nodes=max_nodes,
+            )
+        except ValueError:
+            pass
+        assert len(calls) <= 2 * math.ceil(math.log2(max_nodes)) + 1
 
 
 class TestValidation:

@@ -1,4 +1,4 @@
-"""Tests for the Prometheus/summary exporters and artefact loaders."""
+"""Tests for the summary roll-up and the artefact loaders."""
 
 import json
 
@@ -7,32 +7,10 @@ import pytest
 from repro.obs.export import (
     load_events_jsonl,
     load_metrics_jsonl,
-    parse_metric_key,
-    prometheus_lines,
-    prometheus_text,
     summary_dict,
-    write_prometheus,
     write_summary_json,
 )
-from repro.obs.metrics import MetricsRegistry, metric_key
-
-
-class TestParseMetricKey:
-    def test_bare_name(self):
-        assert parse_metric_key("cache.l2.misses") == (
-            "cache.l2.misses",
-            {},
-        )
-
-    def test_roundtrips_metric_key(self):
-        key = metric_key("mem.bus.grants", {"core": 3, "bank": 1})
-        name, labels = parse_metric_key(key)
-        assert name == "mem.bus.grants"
-        assert labels == {"bank": "1", "core": "3"}
-
-    def test_unparsable_key_rejected(self):
-        with pytest.raises(ValueError, match="unparsable"):
-            parse_metric_key("{core=1}")
+from repro.obs.metrics import MetricsRegistry
 
 
 def sample_registry():
@@ -46,37 +24,6 @@ def sample_registry():
     for value in (1.0, 3.0):
         summary.add(value)
     return registry
-
-
-class TestPrometheusLines:
-    def test_full_rendering(self):
-        # Snapshot order: counters, gauges, histograms, summaries.
-        lines = list(prometheus_lines(sample_registry().snapshot()))
-        assert lines == [
-            "# TYPE cache_l2_misses_total counter",
-            'cache_l2_misses_total{core="0"} 7',
-            "# TYPE slo_violation_fraction gauge",
-            'slo_violation_fraction{job="1"} 0.25',
-            "# TYPE bus_latency histogram",
-            'bus_latency_bucket{le="10.0"} 1',
-            'bus_latency_bucket{le="20.0"} 3',
-            'bus_latency_bucket{le="+Inf"} 3',
-            "bus_latency_count 3",
-            "# TYPE job_wall_clock summary",
-            "job_wall_clock_count 2",
-            "job_wall_clock_mean 2.0",
-            "job_wall_clock_min 1.0",
-            "job_wall_clock_max 3.0",
-        ]
-
-    def test_leading_digit_name_escaped(self):
-        records = [{"type": "counter", "name": "2nd.chance", "value": 1}]
-        lines = list(prometheus_lines(records))
-        assert lines[-1].startswith("_2nd_chance_total ")
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(ValueError, match="unknown snapshot record"):
-            list(prometheus_lines([{"type": "woble", "name": "x"}]))
 
 
 class TestSummaryDict:
@@ -132,14 +79,6 @@ class TestLoadersAndWriters:
         with pytest.raises(ValueError, match=":2: invalid JSON"):
             load_metrics_jsonl(path)
 
-    def test_write_prometheus_deterministic(self, tmp_path):
-        records = sample_registry().snapshot()
-        write_prometheus(records, tmp_path / "a.txt")
-        write_prometheus(records, tmp_path / "b.txt")
-        assert (tmp_path / "a.txt").read_bytes() == (
-            tmp_path / "b.txt"
-        ).read_bytes()
-
     def test_write_summary_json_canonical(self, tmp_path):
         path = write_summary_json(
             sample_registry().snapshot(), tmp_path / "s.json"
@@ -152,67 +91,3 @@ class TestLoadersAndWriters:
             json.dumps(parsed, sort_keys=True, separators=(",", ":")) + "\n"
             == text
         )
-
-
-class TestPrometheusEdgeCases:
-    """The exposition-format corners: escaping, specials, emptiness."""
-
-    def test_label_value_quote_escaping(self):
-        registry = MetricsRegistry()
-        registry.counter("reqs", tenant='say "hi"').inc()
-        line = next(
-            line for line in prometheus_lines(registry.snapshot())
-            if not line.startswith("#")
-        )
-        assert 'tenant="say \\"hi\\""' in line
-
-    def test_label_value_backslash_escaping(self):
-        registry = MetricsRegistry()
-        registry.counter("reqs", path="C:\\tmp").inc()
-        line = next(
-            line for line in prometheus_lines(registry.snapshot())
-            if not line.startswith("#")
-        )
-        # One source backslash renders as two in the exposition.
-        assert 'path="C:\\\\tmp"' in line
-
-    def test_label_value_newline_escaping(self):
-        registry = MetricsRegistry()
-        registry.counter("reqs", note="a\nb").inc()
-        line = next(
-            line for line in prometheus_lines(registry.snapshot())
-            if not line.startswith("#")
-        )
-        assert 'note="a\\nb"' in line
-        assert "\n" not in line
-
-    def test_escaping_order_backslash_before_quote(self):
-        # A pre-escaped-looking value must not double-unescape: the
-        # backslash pass runs first, so \" in the source becomes \\\".
-        registry = MetricsRegistry()
-        registry.counter("reqs", odd='\\"').inc()
-        line = next(
-            line for line in prometheus_lines(registry.snapshot())
-            if not line.startswith("#")
-        )
-        assert 'odd="\\\\\\""' in line
-
-    def test_nan_and_infinities_render_promtool_spellings(self):
-        registry = MetricsRegistry()
-        registry.gauge("g.nan").set(float("nan"))
-        registry.gauge("g.posinf").set(float("inf"))
-        registry.gauge("g.neginf").set(float("-inf"))
-        text = prometheus_text(registry.snapshot())
-        assert "g_nan NaN" in text
-        assert "g_posinf +Inf" in text
-        assert "g_neginf -Inf" in text
-        # Python's own spellings never leak through.
-        assert "nan\n" not in text and " inf" not in text
-
-    def test_empty_registry_renders_empty_string(self):
-        assert prometheus_text([]) == ""
-        assert prometheus_text(MetricsRegistry().snapshot()) == ""
-
-    def test_nonempty_text_ends_with_single_newline(self):
-        text = prometheus_text(sample_registry().snapshot())
-        assert text.endswith("\n") and not text.endswith("\n\n")

@@ -271,7 +271,6 @@ class TestObsCommand:
     def test_summarize(self, tmp_path, capsys):
         metrics, events = self.run_artifacts(tmp_path)
         capsys.readouterr()
-        prometheus = tmp_path / "prom.txt"
         summary = tmp_path / "summary.json"
         assert (
             main(
@@ -281,8 +280,6 @@ class TestObsCommand:
                     str(metrics),
                     "--events",
                     str(events),
-                    "--prometheus-out",
-                    str(prometheus),
                     "--summary-out",
                     str(summary),
                 ]
@@ -292,8 +289,7 @@ class TestObsCommand:
         out = capsys.readouterr().out
         assert "metric series" in out
         assert "events" in out
-        assert prometheus.exists() and summary.exists()
-        assert "# TYPE" in prometheus.read_text()
+        assert summary.exists()
 
     def test_top(self, tmp_path, capsys):
         metrics, _ = self.run_artifacts(tmp_path)
@@ -436,6 +432,51 @@ class TestSweepCommand:
         assert "no regressions" in out
         assert main(["sweep", "status", str(spec), "--store-dir", str(store)]) == 0
         assert "1/1" in capsys.readouterr().out
+
+    def test_status_names_the_missing_points(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.analysis.sweep import SweepPoint
+
+        monkeypatch.setenv(
+            "REPRO_MISS_CACHE_DIR", str(tmp_path / "curves")
+        )
+        knobs = {
+            "instructions_per_job": 2_000_000,
+            "profile_num_sets": 8,
+            "profile_accesses": 2_000,
+        }
+
+        def sweep_file(name, configurations):
+            path = tmp_path / f"{name}.json"
+            path.write_text(
+                json.dumps(
+                    {
+                        "version": 1,
+                        "name": name,
+                        "defaults": knobs,
+                        "points": [
+                            {"workload": "bzip2", "configuration": config}
+                            for config in configurations
+                        ],
+                    }
+                )
+            )
+            return str(path)
+
+        store = ["--store-dir", str(tmp_path / "store")]
+        half = sweep_file("half", ["All-Strict"])
+        assert main(["sweep", "run", half, *store]) == 0
+        capsys.readouterr()
+        both = sweep_file("both", ["All-Strict", "EqualPart"])
+        assert main(["sweep", "status", both, *store]) == 0
+        missing = SweepPoint(
+            workload="bzip2", configuration="EqualPart", **knobs
+        ).label()
+        assert capsys.readouterr().out.splitlines() == [
+            "sweep both: 1/2 point(s) in store, 1 missing",
+            f"  missing: {missing}",
+        ]
 
     def test_missing_sweep_file_reports_error(self, tmp_path, capsys):
         assert (
@@ -642,19 +683,90 @@ class TestBadInputExits2:
         assert "cannot parse budget 'abc'" in err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--laws", "nope"], "unknown law(s) ['nope']"),
+            (
+                ["--policy", "all", "--laws", "miss-curve-monotone"],
+                "unknown law(s) ['miss-curve-monotone']",
+            ),
+        ],
+        ids=["law", "law-of-other-suite"],
+    )
+    def test_verify_laws_rejects_unknown_law(self, capsys, argv, message):
+        assert main(["verify", "laws", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"verify: {message}; expected among ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("missing", "No such file"),
+            ("text", "invalid JSON"),
+            ("list", "not a JSON object"),
+            ("scalar-curve", "curve 'bzip2' is not a JSON object"),
+        ],
+        ids=["missing", "text", "list", "scalar-curve"],
+    )
+    def test_fig5_rejects_bad_curves_file(self, tmp_path, capsys, kind, message):
+        path = tmp_path / f"{kind}.json"
+        if kind == "text":
+            path.write_text("not json\n")
+        elif kind == "list":
+            path.write_text("[1]\n")
+        elif kind == "scalar-curve":
+            path.write_text('{"bzip2": 3}\n')
+        assert main(["fig5", "bzip2", "--curves", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fig5: ")
+        assert message in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
         "argv, option",
         [
             (["verify", "diff", "--count", "0"], "--count"),
+            (["verify", "diff", "--pair-jobs", "0"], "--pair-jobs"),
+            (["verify", "diff", "--pair-jobs", "1"], "--pair-jobs"),
+            (["verify", "fuzz", "--max-cases", "0"], "--max-cases"),
+            (["verify", "laws", "--policy", "bogus"], "--policy"),
             (["cluster", "--nodes", "0"], "--nodes"),
             (["cluster", "--interarrival", "0"], "--interarrival"),
             (["cluster", "--size", "--target", "1.5"], "--target"),
+            (["faults", "--core-rate", "-1"], "--core-rate"),
+            (["faults", "--stall-rate", "-1"], "--stall-rate"),
+            (["faults", "--bandwidth-rate", "-1"], "--bandwidth-rate"),
+            (["faults", "--ecc-rate", "nan"], "--ecc-rate"),
+            (["faults", "--max-events", "-5"], "--max-events"),
+            (["faults", "--max-seconds", "-1"], "--max-seconds"),
+            (["obs", "top", "m.jsonl", "-n", "-1"], "-n/--count"),
+            (["obs", "top", "m.jsonl", "-n", "0"], "-n/--count"),
         ],
-        ids=["diff-count", "nodes", "interarrival", "target"],
+        ids=[
+            "diff-count",
+            "pair-jobs-0",
+            "pair-jobs-1",
+            "fuzz-max-cases",
+            "laws-policy",
+            "nodes",
+            "interarrival",
+            "target",
+            "core-rate",
+            "stall-rate",
+            "bandwidth-rate",
+            "ecc-rate",
+            "max-events",
+            "max-seconds",
+            "top-count-negative",
+            "top-count-zero",
+        ],
     )
     def test_bad_value_is_refused_at_the_parser(self, capsys, argv, option):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
         last = capsys.readouterr().err.strip().splitlines()[-1]
-        prog = "repro " + " ".join(argv[: 2 if argv[0] == "verify" else 1])
+        nested = argv[0] in ("verify", "obs")
+        prog = "repro " + " ".join(argv[: 2 if nested else 1])
         assert last.startswith(f"{prog}: error: argument {option}: ")

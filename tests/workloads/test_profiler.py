@@ -54,11 +54,6 @@ class TestMissRatioCurve:
         curve = small_curve({4: 0.4, 8: 0.2})
         assert curve.miss_increase_fraction(8, 4) == pytest.approx(1.0)
 
-    def test_min_ways_for_miss_rate(self):
-        curve = small_curve()
-        assert curve.min_ways_for_miss_rate(0.4) == 4
-        assert curve.min_ways_for_miss_rate(0.05) is None
-
     @given(
         st.floats(min_value=0.0, max_value=20.0),
         st.floats(min_value=0.0, max_value=20.0),
@@ -100,14 +95,10 @@ class TestBisectedQueries:
         for ways in exact + beyond + [0, 0.0] + fractional:
             assert curve.miss_rate(ways) == linear_scan_miss_rate(curve, ways)
 
-    @given(curves, st.floats(min_value=0.0, max_value=1.0))
-    def test_way_queries_match_the_points(self, points, target):
+    @given(curves)
+    def test_way_queries_match_the_points(self, points):
         curve = small_curve(points)
         assert curve.max_ways == max(curve.points)
-        reaching = [w for w in sorted(curve.points) if curve.points[w] <= target]
-        assert curve.min_ways_for_miss_rate(target) == (
-            reaching[0] if reaching else None
-        )
 
 
 class TestProfiling:
