@@ -141,13 +141,26 @@ class ContentStore:
         """Where the entry for ``key`` lives (whether or not present)."""
         return self.directory() / f"{key}.json"
 
-    def contains(self, key: str) -> bool:
-        """Whether an entry exists on disk; no counters, no quarantine.
+    def contains(
+        self,
+        key: str,
+        *,
+        decode: Optional[Callable[[dict], object]] = None,
+    ) -> bool:
+        """Whether an entry exists on disk and, given ``decode``, decodes.
 
-        A read-only probe for status displays — corruption is only
-        discovered (and quarantined) by :meth:`load`.
+        A read-only probe for status displays: no counter changes, and
+        a corrupt entry stays where it is — only :meth:`load`
+        quarantines.
         """
-        return self.path_for(key).is_file()
+        path = self.path_for(key)
+        if decode is None:
+            return path.is_file()
+        try:
+            decode(json.loads(path.read_text()))
+        except _CORRUPT_ERRORS:
+            return False
+        return True
 
     def load(
         self,
@@ -290,6 +303,12 @@ class ResultStore(ContentStore):
         from repro.sim.system import ResultArtifact
 
         return self.load(key, decode=ResultArtifact.from_dict)
+
+    def has_artifact(self, key: str) -> bool:
+        """Whether a decodable artifact is stored (read-only)."""
+        from repro.sim.system import ResultArtifact
+
+        return self.contains(key, decode=ResultArtifact.from_dict)
 
     def store_artifact(self, key: str, artifact) -> Optional[Path]:
         """Persist one :class:`~repro.sim.system.ResultArtifact`."""

@@ -436,22 +436,34 @@ class SweepStatus:
     """Read-only progress view of a sweep against a store."""
 
     spec: SweepSpec
-    done: Tuple[str, ...]  # labels with a stored artifact
+    done: Tuple[str, ...]  # labels with a stored artifact that decodes
     missing: Tuple[str, ...]  # labels still to run
+    corrupt: Tuple[str, ...]  # missing labels whose entry does not decode
 
 
 def sweep_status(spec: SweepSpec, *, store_dir=None) -> SweepStatus:
-    """Which points are already in the store (existence check only)."""
+    """Which points are in the store, each decoded as a run would.
+
+    Read-only: an entry that does not decode counts as missing (the
+    next run re-executes it) and is left where it is.
+    """
     store = ResultStore(store_dir)
     done: List[str] = []
     missing: List[str] = []
+    corrupt: List[str] = []
     for point in spec.points:
-        if store.contains(point_digest(point)):
+        key = point_digest(point)
+        if store.has_artifact(key):
             done.append(point.label())
         else:
             missing.append(point.label())
+            if store.contains(key):
+                corrupt.append(point.label())
     return SweepStatus(
-        spec=spec, done=tuple(done), missing=tuple(missing)
+        spec=spec,
+        done=tuple(done),
+        missing=tuple(missing),
+        corrupt=tuple(corrupt),
     )
 
 

@@ -447,7 +447,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"{len(status.missing)} missing"
         )
         for label in status.missing:
-            print(f"  missing: {label}")
+            note = " (corrupt entry)" if label in status.corrupt else ""
+            print(f"  missing: {label}{note}")
         return 0
 
     if args.sweep_command == "diff":

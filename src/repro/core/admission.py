@@ -25,14 +25,24 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.job import Job
-from repro.core.modes import ModeKind
-from repro.core.spec import QoSTarget, ResourceVector
+from repro.core.modes import ExecutionMode, ModeKind
+from repro.core.spec import ResourceVector
 from repro.obs import get_observer
 from repro.util.validation import check_non_negative
+
+#: A first-fit memo entry: the request it was scanned for (held so its
+#: ``id`` stays unique while the entry lives), the ``not_before`` of
+#: the scan, and the first start found (``None``: no window fits).
+_FirstFit = Tuple[ResourceVector, float, Optional[float]]
+
+#: :meth:`LocalAdmissionController.earliest_fit` has not yet asked the
+#: memo (it asks only once the scan would evaluate a window).
+_UNSCANNED = object()
 
 
 @dataclass
@@ -66,7 +76,12 @@ class AdmissionDecision:
 
 @dataclass
 class LacStatistics:
-    """Bookkeeping for the Section 7.5 LAC-overhead characterisation."""
+    """Bookkeeping for the Section 7.5 LAC-overhead characterisation.
+
+    ``candidate_windows_evaluated`` counts the windows the paper's FCFS
+    scan evaluates, one per candidate start it tries; the first-fit
+    memo reproduces that count without evaluating them again.
+    """
 
     admission_tests: int = 0
     candidate_windows_evaluated: int = 0
@@ -84,6 +99,10 @@ class LocalAdmissionController:
         self.stats = LacStatistics()
         self._reservations: List[Reservation] = []
         self._ids = itertools.count(1)
+        # Per timeline version: the sorted distinct finite reservation
+        # ends (built on demand) and the first-fit memo.
+        self._ends: Optional[List[float]] = None
+        self._first_fits: Dict[Tuple[int, float], _FirstFit] = {}
 
     # -- capacity queries -------------------------------------------------------
 
@@ -134,10 +153,19 @@ class LocalAdmissionController:
         """
         if end <= start:
             raise ValueError(f"empty window [{start}, {end})")
-        self.stats.candidate_windows_evaluated += 1
-        obs = get_observer()
-        if obs.enabled:
-            obs.metrics.counter("lac.candidate_windows").inc()
+        self._count_windows(1)
+        return self._fits(start, end, request)
+
+    def _count_windows(self, evaluated: int) -> None:
+        """Count ``evaluated`` candidate windows of the paper's scan."""
+        if evaluated:
+            self.stats.candidate_windows_evaluated += evaluated
+            obs = get_observer()
+            if obs.enabled:
+                obs.metrics.counter("lac.candidate_windows").inc(evaluated)
+
+    def _fits(self, start: float, end: float, request: ResourceVector) -> bool:
+        """:meth:`window_fits` for a non-empty window, uncounted."""
         breakpoints = [start] + [
             r.start
             for r in self._reservations
@@ -183,23 +211,30 @@ class LocalAdmissionController:
         Candidate starts are ``not_before`` and the ends of existing
         reservations (usage only ever *decreases* at reservation ends,
         so any feasible start can be shifted left onto one of these).
+        The paper's scan tries them in order and stops at the first
+        window that fits or that ends after ``latest_end``.  The answer
+        comes from the first-fit memo (:meth:`_first_fit`); the windows
+        the scan evaluates are counted all the same.
         """
         if duration <= 0:
             raise ValueError(f"duration must be positive, got {duration}")
-        candidates = sorted(
-            {not_before}
-            | {
-                r.end
-                for r in self._reservations
-                if not_before < r.end < math.inf
-            }
-        )
-        for start in candidates:
-            if start + duration > latest_end:
-                break
-            if self.window_fits(start, start + duration, request):
-                return start
-        return None
+        first = _UNSCANNED
+        evaluated = 0
+        try:
+            for start in self._candidates(not_before):
+                end = start + duration
+                if end > latest_end:
+                    return None
+                if end <= start:
+                    raise ValueError(f"empty window [{start}, {end})")
+                evaluated += 1
+                if first is _UNSCANNED:
+                    first = self._first_fit(request, duration, not_before)
+                if start == first:
+                    return start
+            return None
+        finally:
+            self._count_windows(evaluated)
 
     def latest_fit(
         self,
@@ -214,7 +249,9 @@ class LocalAdmissionController:
         Section 3.4: an automatically-downgraded job's reserved timeslot
         should sit as far in the future as possible, maximising the
         chance the job finishes Opportunistically before the slot and
-        the reservation can be reclaimed.
+        the reservation can be reclaimed.  When the first-fit memo
+        shows that no window starting by ``latest_end - duration``
+        fits, the candidates are counted and rejected unevaluated.
         """
         if duration <= 0:
             raise ValueError(f"duration must be positive, got {duration}")
@@ -233,6 +270,21 @@ class LocalAdmissionController:
             | {not_before},
             reverse=True,
         )
+        # A negative or NaN time fails the window check's validation,
+        # which only the scan below reproduces.
+        if 0 <= not_before <= preferred:
+            first = self._first_fit(request, duration, not_before)
+            if first is None or preferred < first:
+                evaluated = 0
+                try:
+                    for start in candidates:
+                        end = start + duration
+                        if end <= start:
+                            raise ValueError(f"empty window [{start}, {end})")
+                        evaluated += 1
+                    return None
+                finally:
+                    self._count_windows(evaluated)
         for start in candidates:
             if start < not_before:
                 continue
@@ -240,82 +292,150 @@ class LocalAdmissionController:
                 return start
         return None
 
+    def _candidates(self, not_before: float) -> List[float]:
+        """``not_before``, then each finite reservation end after it."""
+        ends = self._ends
+        if ends is None:
+            ends = self._ends = sorted(
+                {r.end for r in self._reservations if r.end < math.inf}
+            )
+        return [not_before, *ends[bisect_right(ends, not_before):]]
+
+    def _first_fit(
+        self, request: ResourceVector, duration: float, not_before: float
+    ) -> Optional[float]:
+        """First candidate start from ``not_before`` whose window fits.
+
+        The first-fit memo.  The scan has no deadline bound, and an
+        empty window ends it as well (the paper's scan raises there).
+        Per timeline version, each ``(request, duration)`` keeps the
+        result ``first`` of its last scan, from ``t0``; it answers any
+        later ``not_before`` equal to ``t0``, or in ``[t0, first)``
+        (any ``not_before ≥ t0`` when ``first`` is ``None``).
+        :meth:`_reserve` and :meth:`release` start a new version.
+
+        Why the memo is exact.  Let ``d`` be the duration and ``C(t)``
+        the candidate starts at ``t``: ``t`` and every finite
+        reservation end after it.  While the timeline is unchanged no
+        window ``[t, t+d)`` with ``t0 ≤ t < first`` fits.  Suppose one
+        did, and let ``c`` be the largest start in ``C(t0)`` with
+        ``c ≤ t``.  No reservation ends in ``(c, t]``, so the
+        reservations active at each of ``c``'s breakpoints (its start
+        and each reservation start inside its window) are a subset of
+        those active at ``t`` or at that same breakpoint of ``t``'s
+        window, which reaches at least as far.  :meth:`_fits` sums
+        them in timeline order, and float addition of non-negative
+        terms is monotone, so ``c``'s window fits too: a contradiction,
+        since ``c < first`` was scanned and did not fit.  Hence, for
+        ``t`` in ``[t0, first)``, ``first`` is in ``C(t)`` and is the
+        first start there that fits; :meth:`earliest_fit` returns it
+        when its window ends by the deadline, and otherwise ``None``,
+        after the same candidates the scan evaluates.  If ``first`` is
+        ``None`` the same holds for every ``t ≥ t0``.
+        """
+        key = (id(request), duration)
+        memo = self._first_fits.get(key)
+        if memo is not None:
+            held, scanned_from, first = memo
+            # A copied controller's keys carry the original requests'
+            # ids; the identity check keeps them from matching others.
+            if held is request and (
+                not_before == scanned_from
+                or (
+                    scanned_from <= not_before
+                    and (first is None or not_before < first)
+                )
+            ):
+                return first
+        first = None
+        for start in self._candidates(not_before):
+            end = start + duration
+            if end <= start or self._fits(start, end, request):
+                first = start
+                break
+        # The entry holds the request, so no other object takes its id.
+        self._first_fits[key] = (request, not_before, first)
+        return first
+
     # -- admission ------------------------------------------------------------------
 
     def admit(
         self, job: Job, *, now: float, auto_downgrade: bool = False
     ) -> AdmissionDecision:
         """FCFS admission test for ``job`` at time ``now``."""
-        return self.admit_target(
-            job.job_id, job.target, now=now, auto_downgrade=auto_downgrade
+        target = job.target
+        timeslot = target.timeslot
+        return self.admit_request(
+            job.job_id,
+            target.resources,
+            target.mode,
+            None if timeslot is None else timeslot.max_wall_clock,
+            None if timeslot is None else timeslot.deadline,
+            now=now,
+            auto_downgrade=auto_downgrade,
         )
 
-    def admit_target(
+    def admit_request(
         self,
         job_id: int,
-        target: QoSTarget,
+        resources: ResourceVector,
+        mode: ExecutionMode,
+        max_wall_clock: Optional[float],
+        deadline: Optional[float],
         *,
         now: float,
         auto_downgrade: bool = False,
     ) -> AdmissionDecision:
-        """FCFS admission test for job ``job_id``'s ``target`` at ``now``.
+        """FCFS admission test for job ``job_id``'s request at ``now``.
 
-        With ``auto_downgrade`` a Strict job with slack gets its
-        reservation placed as late as possible and is expected to run
+        ``max_wall_clock=None`` asks for a lifetime reservation, and
+        ``deadline=None`` for a timeslot with no deadline.  With
+        ``auto_downgrade`` a Strict job with slack gets its reservation
+        placed as late as possible and is expected to run
         Opportunistically until then (the caller flips the job's mode).
-        Testing the target, not a :class:`Job`, lets a caller build the
-        job only once it is accepted.
+        Taking the request's parts, not a :class:`Job`, lets a caller
+        build the job and its target only once it is accepted.
         """
         self.stats.admission_tests += 1
         obs = get_observer()
         if obs.enabled:
             obs.metrics.counter("lac.admit_calls").inc()
-        mode = target.mode
 
         if mode.kind is ModeKind.OPPORTUNISTIC:
             # No reservation; spare resources are found at dispatch time.
             self.stats.acceptances += 1
             return AdmissionDecision(True, "opportunistic: no reservation needed")
 
-        if not target.resources.fits_within(self.capacity):
+        if not resources.fits_within(self.capacity):
             self.stats.rejections += 1
             return AdmissionDecision(
                 False,
-                f"request {target.resources} exceeds node capacity "
+                f"request {resources} exceeds node capacity "
                 f"{self.capacity}",
             )
 
-        if target.timeslot is None:
+        if max_wall_clock is None:
             # Lifetime reservation: must fit from now on, forever.
-            start = self._lifetime_fit(target.resources, now)
+            start = self._lifetime_fit(resources, now)
             if start is None:
                 self.stats.rejections += 1
                 return AdmissionDecision(
                     False, "no lifetime capacity available"
                 )
-            reservation = self._reserve(
-                job_id, start, math.inf, target.resources
-            )
+            reservation = self._reserve(job_id, start, math.inf, resources)
             self.stats.acceptances += 1
             return AdmissionDecision(True, "lifetime reservation", reservation)
 
-        duration = mode.reservation_duration(target.timeslot.max_wall_clock)
-        deadline = target.timeslot.deadline
+        duration = mode.reservation_duration(max_wall_clock)
         latest_end = deadline if deadline is not None else math.inf
 
         if auto_downgrade and mode.kind is ModeKind.STRICT and deadline is not None:
             start = self.latest_fit(
-                target.resources,
-                duration,
-                not_before=now,
-                latest_end=latest_end,
+                resources, duration, not_before=now, latest_end=latest_end
             )
         else:
             start = self.earliest_fit(
-                target.resources,
-                duration,
-                not_before=now,
-                latest_end=latest_end,
+                resources, duration, not_before=now, latest_end=latest_end
             )
         if start is None:
             self.stats.rejections += 1
@@ -324,9 +444,7 @@ class LocalAdmissionController:
                 f"no timeslot of length {duration:.3g} fits before "
                 f"deadline {latest_end:.6g}",
             )
-        reservation = self._reserve(
-            job_id, start, start + duration, target.resources
-        )
+        reservation = self._reserve(job_id, start, start + duration, resources)
         self.stats.acceptances += 1
         return AdmissionDecision(True, "timeslot reserved", reservation)
 
@@ -399,7 +517,13 @@ class LocalAdmissionController:
             resources=resources,
         )
         self._reservations.append(reservation)
+        self._timeline_changed()
         return reservation
+
+    def _timeline_changed(self) -> None:
+        """Start a new timeline version: drop its ends and first fits."""
+        self._ends = None
+        self._first_fits.clear()
 
     # -- reclamation --------------------------------------------------------------
 
@@ -419,6 +543,7 @@ class LocalAdmissionController:
             self._reservations.remove(reservation)
         else:
             reservation.end = min(reservation.end, at_time)
+        self._timeline_changed()
 
     def cancel(self, reservation: Reservation) -> None:
         """Drop a reservation entirely (job rejected downstream)."""

@@ -42,7 +42,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.admission import LocalAdmissionController, Reservation
+from repro.core.admission import (
+    AdmissionDecision,
+    LocalAdmissionController,
+    Reservation,
+)
 from repro.core.config import ModeMixConfig
 from repro.core.job import Job, JobState
 from repro.core.metrics import (
@@ -85,6 +89,7 @@ from repro.sim.engine import (
 )
 from repro.sim.tracing import ExecutionTrace
 from repro.util.rng import DeterministicRng
+from repro.util.validation import check_non_negative
 from repro.workloads.arrival import DeadlinePolicy
 from repro.workloads.benchmarks import get_benchmark
 from repro.workloads.composer import JobSpec, WorkloadSpec
@@ -157,9 +162,9 @@ class _JobRequest:
     """A pending job's admission request, less the probe's date.
 
     Everything here follows from the job's template and the simulator's
-    configuration, so it is built once per pending job; a probe only
-    dates the deadline (``now + deadline_span``) and builds the
-    :class:`Job` the LAC tests.
+    configuration, so it is built and validated once per pending job; a
+    probe only dates the deadline (``now + deadline_span``), and the
+    job's :class:`QoSTarget` and :class:`Job` are built on acceptance.
     """
 
     spec: JobSpec
@@ -342,6 +347,21 @@ class SystemResult:
 ARTIFACT_VERSION = 1
 
 
+def _artifact_field(payload: dict, name: str, types, items=None):
+    """``payload[name]``, checked to be of ``types``.
+
+    With ``items``, each value of a dict field and each entry of a list
+    field must be of ``items`` too.  Anything else raises ``ValueError``
+    naming the field.
+    """
+    value = payload[name]
+    if isinstance(value, types):
+        members = value.values() if isinstance(value, dict) else value or ()
+        if items is None or all(isinstance(m, items) for m in members):
+            return value
+    raise ValueError(f"artifact field {name!r} has the wrong type")
+
+
 @dataclass(frozen=True)
 class ResultArtifact:
     """The on-disk form of one :class:`SystemResult`.
@@ -380,26 +400,34 @@ class ResultArtifact:
     def from_dict(cls, payload: dict) -> "ResultArtifact":
         """Rebuild an artifact; raises on any schema mismatch.
 
-        ``ValueError``/``KeyError``/``TypeError`` here make the results
-        store quarantine the entry, exactly like unparseable JSON.
+        A missing field raises ``KeyError``, and a wrong version or a
+        wrong-typed field ``ValueError`` naming it; either makes the
+        results store quarantine the entry, exactly like unparseable
+        JSON.
         """
+        if not isinstance(payload, dict):
+            raise ValueError("artifact is not a JSON object")
         version = payload["version"]
         if version != ARTIFACT_VERSION:
             raise ValueError(
                 f"artifact version {version!r} != {ARTIFACT_VERSION}"
             )
-        slo = payload["slo"]
+        figures = _artifact_field(
+            payload, "figures_of_merit", dict, (int, float)
+        )
+        records = (list, type(None))
+        slo = _artifact_field(payload, "slo", records, dict)
+        metrics = _artifact_field(payload, "metrics", records, dict)
         return cls(
             version=int(version),
-            workload=str(payload["workload"]),
-            configuration=str(payload["configuration"]),
-            counters=dict(payload["counters"]),
+            workload=_artifact_field(payload, "workload", str),
+            configuration=_artifact_field(payload, "configuration", str),
+            counters=dict(_artifact_field(payload, "counters", dict)),
             figures_of_merit={
-                str(key): float(value)
-                for key, value in payload["figures_of_merit"].items()
+                str(key): float(value) for key, value in figures.items()
             },
             slo=None if slo is None else [dict(job) for job in slo],
-            metrics=payload["metrics"],
+            metrics=metrics,
         )
 
     def counter_fingerprint(self) -> str:
@@ -726,9 +754,14 @@ class QoSSystemSimulator:
         index = self._pending_index + 1
         while index < len(self._pending):
             request = self._pending[index]
-            target = self._probe_target(request, now)
-            decision = self.lac.admit_target(
-                job_id, target, now=now, auto_downgrade=request.auto_down
+            decision = self.lac.admit_request(
+                job_id,
+                request.resources,
+                request.spec.mode,
+                request.max_wall_clock,
+                now + request.deadline_span,
+                now=now,
+                auto_downgrade=request.auto_down,
             )
             if not decision.accepted:
                 index += 1
@@ -746,7 +779,7 @@ class QoSSystemSimulator:
                 index += 1
                 continue
             self._backfills += 1
-            self._register_accepted(job_id, request, target, decision, now)
+            self._register_accepted(job_id, request, decision, now)
             del self._pending[index]
             # Only one backfill per probe: keep the schedule close to
             # FCFS and re-evaluate the head at the next probe.
@@ -777,11 +810,17 @@ class QoSSystemSimulator:
         if promised <= 0.0:  # Opportunistic: no reservation to scale
             promised = max_wall_clock
         multiplier = DeadlinePolicy.multiplier(spec.deadline_class)
+        # A probe dates its deadline from ``max_wall_clock`` (which
+        # ``reservation_duration`` checked above), this span and its own
+        # time, so these checks cover every probe.
+        deadline_span = check_non_negative(
+            "deadline_span", multiplier * promised
+        )
         return _JobRequest(
             spec=spec,
             tw=tw,
             max_wall_clock=max_wall_clock,
-            deadline_span=multiplier * promised,
+            deadline_span=deadline_span,
             resources=ResourceVector(
                 cores=spec.requested_cores, cache_ways=spec.requested_ways
             ),
@@ -792,26 +831,17 @@ class QoSSystemSimulator:
             ),
         )
 
-    def _probe_target(self, request: _JobRequest, now: float) -> QoSTarget:
-        """The dated target ``request`` puts to the LAC when probing at ``now``.
-
-        The :class:`Job` is built only once the LAC accepts it.
-        """
-        return QoSTarget(
-            resources=request.resources,
-            timeslot=TimeslotRequest(
-                max_wall_clock=request.max_wall_clock,
-                deadline=now + request.deadline_span,
-            ),
-            mode=request.spec.mode,
-        )
-
     def _try_admit(self, request: _JobRequest, now: float) -> bool:
         spec = request.spec
-        target = self._probe_target(request, now)
         job_id = len(self._accepted) + 1
-        decision = self.lac.admit_target(
-            job_id, target, now=now, auto_downgrade=request.auto_down
+        decision = self.lac.admit_request(
+            job_id,
+            request.resources,
+            spec.mode,
+            request.max_wall_clock,
+            now + request.deadline_span,
+            now=now,
+            auto_downgrade=request.auto_down,
         )
         obs = get_observer()
         if obs.enabled and not decision.accepted:
@@ -840,15 +870,14 @@ class QoSSystemSimulator:
                     "an idle node; the workload cannot complete"
                 )
             return False
-        self._register_accepted(job_id, request, target, decision, now)
+        self._register_accepted(job_id, request, decision, now)
         return True
 
     def _register_accepted(
         self,
         job_id: int,
         request: _JobRequest,
-        target: QoSTarget,
-        decision,
+        decision: AdmissionDecision,
         now: float,
     ) -> None:
         """Post-acceptance registration: job, state, dispatch, downgrade."""
@@ -857,7 +886,14 @@ class QoSSystemSimulator:
         job = Job(
             job_id=job_id,
             benchmark=spec.benchmark,
-            target=target,
+            target=QoSTarget(
+                resources=request.resources,
+                timeslot=TimeslotRequest(
+                    max_wall_clock=request.max_wall_clock,
+                    deadline=now + request.deadline_span,
+                ),
+                mode=spec.mode,
+            ),
             arrival_time=now,
             instructions=self.sim_config.instructions_per_job,
         )

@@ -311,20 +311,35 @@ def curve_to_dict(curve: MissRatioCurve) -> dict:
 
 
 def curve_from_dict(payload: dict) -> MissRatioCurve:
-    """Rebuild a curve serialised by :func:`curve_to_dict`."""
+    """Rebuild a curve serialised by :func:`curve_to_dict`.
+
+    A missing or wrong-typed field raises :class:`ValueError` naming it.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError("curve payload is not a JSON object")
     try:
-        return MissRatioCurve(
-            benchmark=payload["benchmark"],
-            l2_accesses_per_instruction=payload[
-                "l2_accesses_per_instruction"
-            ],
-            points={
-                int(ways): float(rate)
-                for ways, rate in payload["points"].items()
-            },
-        )
+        benchmark = payload["benchmark"]
+        apki = payload["l2_accesses_per_instruction"]
+        points = payload["points"]
     except KeyError as missing:
         raise ValueError(f"curve payload missing key {missing}") from None
+    if not isinstance(benchmark, str):
+        raise ValueError("curve field 'benchmark' is not a string")
+    if not isinstance(apki, (int, float)):
+        raise ValueError(
+            "curve field 'l2_accesses_per_instruction' is not a number"
+        )
+    if not isinstance(points, dict) or not all(
+        isinstance(rate, (int, float)) for rate in points.values()
+    ):
+        raise ValueError(
+            "curve field 'points' is not an object of numbers"
+        )
+    return MissRatioCurve(
+        benchmark=benchmark,
+        l2_accesses_per_instruction=apki,
+        points={int(ways): float(rate) for ways, rate in points.items()},
+    )
 
 
 def save_curves(curves, path) -> "Path":

@@ -172,6 +172,29 @@ class TestRoundTrip:
         assert misscache.load_curve(profile, **PROFILE_KWARGS) is None
         assert misscache.quarantine_count() == 1
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("points", 3), ("l2_accesses_per_instruction", "x")],
+        ids=["points", "apki"],
+    )
+    def test_wrong_typed_entry_is_quarantined_and_recomputed(
+        self, isolated_store, field, value
+    ):
+        """A stored curve whose field has the wrong type is corruption:
+        ``get_curve`` quarantines it and profiles the curve again."""
+        profile = get_benchmark("bzip2")
+        kwargs = dict(num_sets=8, accesses=2_000, seed=7)
+        first = get_curve(profile, **kwargs)
+        (path,) = isolated_store.glob("*.json")
+        payload = json.loads(path.read_text())
+        payload["curve"][field] = value
+        path.write_text(json.dumps(payload))
+        clear_curve_cache()
+        again = get_curve(profile, **kwargs)
+        assert again.points == first.points
+        assert misscache.quarantine_count() == 1
+        assert misscache.stats()["stores"] == 2
+
     def test_concurrent_style_writes_leave_no_temp_files(
         self, isolated_store
     ):

@@ -25,6 +25,7 @@ from repro.analysis.sweep import (
     sweep_from_dict,
     sweep_status,
 )
+from repro.sim.system import ResultArtifact
 from repro.workloads.profiler import clear_curve_cache
 
 REPO_ROOT = os.path.dirname(
@@ -229,6 +230,38 @@ class TestRunSweep:
         store = ResultStore(store_dir)
         victim = store.path_for(point_digest(spec.points[0]))
         victim.write_text("{ torn")
+
+        again = run_sweep(spec, store_dir=store_dir)
+        assert again.executed == 1
+        assert again.served_from_store == 1
+        assert store.quarantine_count() == 1
+        assert again.report_path.read_bytes() == first_bytes
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("figures_of_merit", 3),
+            ("figures_of_merit", {"deadline_hit_rate": "x"}),
+            ("counters", [1]),
+            ("workload", 3),
+            ("slo", 3),
+            ("metrics", [3]),
+        ],
+        ids=["figures", "figure-value", "counters", "workload", "slo", "metrics"],
+    )
+    def test_wrong_typed_artifact_quarantines_and_reruns(
+        self, spec, tmp_path, field, value
+    ):
+        store_dir = tmp_path / "store"
+        cold = run_sweep(spec, store_dir=store_dir)
+        first_bytes = cold.report_path.read_bytes()
+        store = ResultStore(store_dir)
+        victim = store.path_for(point_digest(spec.points[0]))
+        payload = json.loads(victim.read_text())
+        payload[field] = value
+        victim.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=repr(field)):
+            ResultArtifact.from_dict(payload)
 
         again = run_sweep(spec, store_dir=store_dir)
         assert again.executed == 1

@@ -489,6 +489,58 @@ class TestSweepCommand:
             == 2
         )
 
+    @pytest.mark.parametrize("damage", ["torn", "wrong-typed"])
+    def test_status_counts_a_corrupt_entry_as_missing(
+        self, tmp_path, capsys, monkeypatch, damage
+    ):
+        """Status decodes each entry as a run would, and leaves a corrupt
+        one in place: the next run quarantines and re-executes it."""
+        from repro.analysis.store import QUARANTINE_SUFFIX, ResultStore
+        from repro.analysis.sweep import load_sweep_file, point_digest
+
+        monkeypatch.setenv(
+            "REPRO_MISS_CACHE_DIR", str(tmp_path / "curves")
+        )
+        spec_path = tmp_path / "pair.json"
+        spec_path.write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "name": "pair",
+                    "defaults": {
+                        "instructions_per_job": 2_000_000,
+                        "profile_num_sets": 8,
+                        "profile_accesses": 2_000,
+                    },
+                    "points": [
+                        {"workload": "bzip2", "configuration": config}
+                        for config in ("All-Strict", "EqualPart")
+                    ],
+                }
+            )
+        )
+        store_dir = tmp_path / "store"
+        store = ["--store-dir", str(store_dir)]
+        assert main(["sweep", "run", str(spec_path), *store]) == 0
+        capsys.readouterr()
+        point = load_sweep_file(spec_path).points[1]
+        victim = ResultStore(store_dir).path_for(point_digest(point))
+        if damage == "torn":
+            victim.write_text("{ torn")
+        else:
+            payload = json.loads(victim.read_text())
+            payload["figures_of_merit"] = 3
+            victim.write_text(json.dumps(payload))
+        damaged = victim.read_bytes()
+
+        assert main(["sweep", "status", str(spec_path), *store]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "sweep pair: 1/2 point(s) in store, 1 missing",
+            f"  missing: {point.label()} (corrupt entry)",
+        ]
+        assert victim.read_bytes() == damaged
+        assert not victim.with_suffix(QUARANTINE_SUFFIX).exists()
+
 
 class TestFaultsCommand:
     def test_defaults(self):
@@ -706,17 +758,25 @@ class TestBadInputExits2:
             ("text", "invalid JSON"),
             ("list", "not a JSON object"),
             ("scalar-curve", "curve 'bzip2' is not a JSON object"),
+            ("scalar-points", "curve field 'points'"),
+            ("text-apki", "curve field 'l2_accesses_per_instruction'"),
         ],
-        ids=["missing", "text", "list", "scalar-curve"],
+        ids=["missing", "text", "list", "scalar-curve", "scalar-points", "text-apki"],
     )
     def test_fig5_rejects_bad_curves_file(self, tmp_path, capsys, kind, message):
         path = tmp_path / f"{kind}.json"
+        curve = {"benchmark": "bzip2", "l2_accesses_per_instruction": 0.1}
         if kind == "text":
             path.write_text("not json\n")
         elif kind == "list":
             path.write_text("[1]\n")
         elif kind == "scalar-curve":
             path.write_text('{"bzip2": 3}\n')
+        elif kind == "scalar-points":
+            path.write_text(json.dumps({"bzip2": {**curve, "points": 3}}))
+        elif kind == "text-apki":
+            curve.update(l2_accesses_per_instruction="x", points={})
+            path.write_text(json.dumps({"bzip2": curve}))
         assert main(["fig5", "bzip2", "--curves", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("fig5: ")
