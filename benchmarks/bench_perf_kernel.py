@@ -7,17 +7,18 @@ Times the pieces of the performance layer on a fixed workload:
    object-model L2 and the fast flat-state kernel (accesses/sec each,
    and the counters are asserted identical while we're at it).
 2. **Parallel executor** — a multi-benchmark profiling sweep run
-   through the persistent worker pool at jobs ∈ {1, 2, 4, 8} (clamped
-   to the affinity-visible CPU count), with per-jobs speedup and
-   efficiency.  Scaling floors only apply when the runner actually has
-   more than one visible CPU; on a cpuset-limited single-CPU container
-   only the serial/parallel identity check is meaningful.
+   through ``parallel_map`` at jobs ∈ {1, 2, 4, 8} (clamped to the
+   affinity-visible CPU count), with per-jobs speedup and efficiency.
+   Each timed round forks and tears down its own pool, as every
+   command's map does.  Scaling floors only apply when the runner
+   actually has more than one visible CPU; on a cpuset-limited
+   single-CPU container only the serial/parallel identity check is
+   meaningful.
 3. **Miss-curve cache** — a cold profiling pass vs a warm re-run
    served from the on-disk store.
 
 Each timed comparison runs ``ROUNDS`` alternating rounds and reports
-the median round, and the pools are forked before the jobs sweep's
-timed region, so one stall on a shared host cannot decide a gate.
+the median round, so one stall on a shared host cannot decide a gate.
 
 Writes ``BENCH_perf.json`` so successive commits leave a perf
 trajectory, and exits non-zero when a gated number regresses — CI runs
@@ -145,10 +146,6 @@ def _profile_point(payload):
     return name, curve.points
 
 
-def _identity(item):
-    return item
-
-
 def _timed_map(payloads, jobs):
     start = time.perf_counter()
     output = parallel_map(_profile_point, payloads, jobs=jobs)
@@ -159,14 +156,6 @@ def bench_parallel(num_sets, accesses, jobs_values):
     """Jobs sweep over SWEEP_BENCHMARKS; every level must match serial."""
     payloads = [(name, num_sets, accesses) for name in SWEEP_BENCHMARKS]
     expected = parallel_map(_profile_point, payloads, jobs=1)
-    # The persistent pool forks once per process, not once per sweep,
-    # so fork every level's pool before the timed region and report
-    # its start-up on its own.
-    pool_start = {}
-    for jobs in jobs_values:
-        start = time.perf_counter()
-        parallel_map(_identity, range(jobs), jobs=jobs)
-        pool_start[jobs] = time.perf_counter() - start
     rounds = {jobs: [] for jobs in [1, *jobs_values]}
     for _ in range(ROUNDS):
         for jobs, seconds in rounds.items():
@@ -184,7 +173,6 @@ def bench_parallel(num_sets, accesses, jobs_values):
         sweep.append(
             {
                 "jobs": jobs,
-                "pool_start_seconds": round(pool_start[jobs], 4),
                 "seconds": round(elapsed, 4),
                 "speedup": speedup,
                 "efficiency": round(speedup / jobs, 2),
@@ -302,7 +290,7 @@ def main(argv=None):
         print(
             f"  jobs={entry['jobs']}: {entry['seconds']}s "
             f"({entry['speedup']}x, efficiency {entry['efficiency']}, "
-            f"output identical; pool start {entry['pool_start_seconds']}s)"
+            "output identical)"
         )
 
     print("miss-cache: cold vs warm profiling pass ...")

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Tuple
 
-from repro.analysis.parallel import parallel_map
-from repro.analysis.pool import current_shared
+from repro.analysis.parallel import current_shared, parallel_map
 from repro.core.config import CONFIGURATIONS, ModeMixConfig
 from repro.core.policy import Policy
 from repro.faults.model import FaultConfig

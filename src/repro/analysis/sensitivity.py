@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
-from repro.analysis.parallel import parallel_map
-from repro.analysis.pool import current_shared
+from repro.analysis.parallel import current_shared, parallel_map
 from repro.workloads.benchmarks import BENCHMARKS, BenchmarkProfile
 from repro.workloads.profiler import MissRatioCurve, get_curve
 

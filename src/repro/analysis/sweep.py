@@ -11,8 +11,8 @@ makes every rerun cheap:
   the simulation stack, and the artifact schema version — keying its
   :class:`~repro.sim.system.ResultArtifact` in the content-addressed
   :class:`~repro.analysis.store.ResultStore`,
-- :func:`run_sweep` shards the not-yet-stored points across the
-  persistent worker pool; each worker stores its artifact atomically
+- :func:`run_sweep` shards the not-yet-stored points across one
+  ``parallel_map`` call; each worker stores its artifact atomically
   the moment the point completes, so **resume after interruption is
   just rerun**: points already in the store are served from disk and
   only the missing ones execute,
@@ -37,8 +37,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis import misscache
-from repro.analysis.parallel import parallel_map
-from repro.analysis.pool import current_shared
+from repro.analysis.parallel import current_shared, parallel_map
 from repro.analysis.store import ResultStore, content_digest, modules_fingerprint
 from repro.obs.diff import DiffReport, diff_snapshots
 from repro.util.atomicio import write_atomic_text

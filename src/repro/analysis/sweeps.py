@@ -17,8 +17,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.parallel import parallel_map
-from repro.analysis.pool import current_shared
+from repro.analysis.parallel import current_shared, parallel_map
 from repro.cache.geometry import CacheGeometry
 from repro.core.cluster import ClusterJobProfile, ClusterSimulator
 from repro.core.config import ModeMixConfig

@@ -100,8 +100,10 @@ class LocalAdmissionController:
         self._reservations: List[Reservation] = []
         self._ids = itertools.count(1)
         # Per timeline version: the sorted distinct finite reservation
-        # ends (built on demand) and the first-fit memo.
+        # ends and the latest end (each built on demand), and the
+        # first-fit memo.
         self._ends: Optional[List[float]] = None
+        self._latest_end: Optional[float] = None
         self._first_fits: Dict[Tuple[int, float], _FirstFit] = {}
 
     # -- capacity queries -------------------------------------------------------
@@ -112,7 +114,12 @@ class LocalAdmissionController:
 
     def booked_from(self, time: float) -> bool:
         """True if any reservation covers ``time`` or a later instant."""
-        return any(r.end > time for r in self._reservations)
+        latest = self._latest_end
+        if latest is None:
+            latest = self._latest_end = max(
+                (r.end for r in self._reservations), default=-math.inf
+            )
+        return latest > time
 
     def used_at(self, time: float) -> ResourceVector:
         """Resources reserved at instant ``time``."""
@@ -369,7 +376,7 @@ class LocalAdmissionController:
             job.job_id,
             target.resources,
             target.mode,
-            None if timeslot is None else timeslot.max_wall_clock,
+            target.reservation_duration(),
             None if timeslot is None else timeslot.deadline,
             now=now,
             auto_downgrade=auto_downgrade,
@@ -380,7 +387,7 @@ class LocalAdmissionController:
         job_id: int,
         resources: ResourceVector,
         mode: ExecutionMode,
-        max_wall_clock: Optional[float],
+        duration: Optional[float],
         deadline: Optional[float],
         *,
         now: float,
@@ -388,7 +395,10 @@ class LocalAdmissionController:
     ) -> AdmissionDecision:
         """FCFS admission test for job ``job_id``'s request at ``now``.
 
-        ``max_wall_clock=None`` asks for a lifetime reservation, and
+        ``duration`` is the reservation length,
+        ``mode.reservation_duration(max_wall_clock)``, which a caller
+        probing one request many times computes once.
+        ``duration=None`` asks for a lifetime reservation, and
         ``deadline=None`` for a timeslot with no deadline.  With
         ``auto_downgrade`` a Strict job with slack gets its reservation
         placed as late as possible and is expected to run
@@ -414,7 +424,7 @@ class LocalAdmissionController:
                 f"{self.capacity}",
             )
 
-        if max_wall_clock is None:
+        if duration is None:
             # Lifetime reservation: must fit from now on, forever.
             start = self._lifetime_fit(resources, now)
             if start is None:
@@ -426,7 +436,6 @@ class LocalAdmissionController:
             self.stats.acceptances += 1
             return AdmissionDecision(True, "lifetime reservation", reservation)
 
-        duration = mode.reservation_duration(max_wall_clock)
         latest_end = deadline if deadline is not None else math.inf
 
         if auto_downgrade and mode.kind is ModeKind.STRICT and deadline is not None:
@@ -523,6 +532,7 @@ class LocalAdmissionController:
     def _timeline_changed(self) -> None:
         """Start a new timeline version: drop its ends and first fits."""
         self._ends = None
+        self._latest_end = None
         self._first_fits.clear()
 
     # -- reclamation --------------------------------------------------------------

@@ -3,8 +3,8 @@
 Coordinated pieces (the MGSim-style monitoring layer the ROADMAP
 calls for):
 
-- :class:`~repro.obs.metrics.MetricsRegistry` — named counters, gauges,
-  histograms and summaries with hierarchical dotted names and labels.
+- :class:`~repro.obs.metrics.MetricsRegistry` — named counters, gauges
+  and summaries with hierarchical dotted names and labels.
 - :class:`~repro.obs.events.EventLog` — an append-only, seed-
   deterministic JSONL event stream with a versioned schema.
 - :class:`~repro.obs.trace.TraceLog` — causal span trees (request

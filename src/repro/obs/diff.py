@@ -6,9 +6,6 @@ to a baseline run?*  :func:`diff_snapshots` answers it over two parsed
 metrics snapshots:
 
 - counters and gauges compare by value,
-- histograms compare by sample count (their value-side content lives
-  in the bucket table, which the byte-level artefact comparison in CI
-  already covers),
 - summaries compare by count and mean,
 - series present on only one side are reported as added/removed —
   an instrumentation-coverage change is a regression signal too —
@@ -91,8 +88,6 @@ def _comparable_values(record: dict) -> Dict[str, float]:
     kind = record["type"]
     if kind in ("counter", "gauge"):
         return {"": float(record["value"])}
-    if kind == "histogram":
-        return {".count": float(record["count"])}
     if kind == "summary":
         values = {".count": float(record["count"])}
         # A summary can legitimately lack its ``mean`` (an exporter

@@ -16,7 +16,7 @@ registry (``registry.snapshot()``) and on a loaded artefact
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 
 def summary_dict(
@@ -60,10 +60,48 @@ def summary_dict(
 # -- artefact loading ---------------------------------------------------------------
 
 
-def _load_jsonl(path) -> List[dict]:
+#: Per record type of a metrics snapshot: the numeric fields it must
+#: carry, and those it may.
+_METRIC_FIELDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
+    "counter": (("value",), ()),
+    "gauge": (("value",), ()),
+    "summary": (("count",), ("mean", "min", "max")),
+}
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _metrics_problem(record: dict) -> Optional[str]:
+    """Why ``record`` is not one ``MetricsRegistry`` writes, or ``None``."""
+    kind, name = record.get("type"), record.get("name")
+    if kind not in _METRIC_FIELDS:
+        return f"not a metrics snapshot (unknown record type {kind!r})"
+    if not isinstance(name, str):
+        return f"not a metrics snapshot (name {name!r} is not a string)"
+    required, optional = _METRIC_FIELDS[kind]
+    for field in required + tuple(f for f in optional if f in record):
+        value = record.get(field)
+        if not _is_number(value):
+            return (
+                f"not a metrics snapshot ({kind} {name!r} field "
+                f"{field!r} must be a number, got {value!r})"
+            )
+    return None
+
+
+def _events_problem(record: dict) -> Optional[str]:
+    if "kind" not in record or "t" not in record:
+        return f"not an event stream (record {record!r})"
+    return None
+
+
+def _load_jsonl(path, problem: Callable[[dict], Optional[str]]) -> List[dict]:
+    """Parse ``path``; a record ``problem`` objects to raises ``ValueError``."""
     records: List[dict] = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle):
+        for line_number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -71,36 +109,29 @@ def _load_jsonl(path) -> List[dict]:
                 record = json.loads(line)
             except json.JSONDecodeError as error:
                 raise ValueError(
-                    f"{path}:{line_number + 1}: invalid JSON: {error}"
+                    f"{path}:{line_number}: invalid JSON: {error}"
                 ) from None
             if not isinstance(record, dict):
-                raise ValueError(
-                    f"{path}:{line_number + 1}: not a JSON object"
-                )
+                raise ValueError(f"{path}:{line_number}: not a JSON object")
+            complaint = problem(record)
+            if complaint is not None:
+                raise ValueError(f"{path}:{line_number}: {complaint}")
             records.append(record)
     return records
 
 
 def load_metrics_jsonl(path) -> List[dict]:
-    """Parse a metrics snapshot written by ``MetricsRegistry.write_jsonl``."""
-    records = _load_jsonl(path)
-    for record in records:
-        if "type" not in record or "name" not in record:
-            raise ValueError(
-                f"{path}: not a metrics snapshot (record {record!r})"
-            )
-    return records
+    """Parse a metrics snapshot written by ``MetricsRegistry.write_jsonl``.
+
+    Accepts exactly the records the registry writes; any other record
+    raises a ``ValueError`` naming the path and the line.
+    """
+    return _load_jsonl(path, _metrics_problem)
 
 
 def load_events_jsonl(path) -> List[dict]:
     """Parse an event stream written by ``EventLog.write_jsonl``."""
-    records = _load_jsonl(path)
-    for record in records:
-        if "kind" not in record or "t" not in record:
-            raise ValueError(
-                f"{path}: not an event stream (record {record!r})"
-            )
-    return records
+    return _load_jsonl(path, _events_problem)
 
 
 def write_summary_json(

@@ -1,4 +1,4 @@
-"""The metrics registry: named counters, gauges, and histograms.
+"""The metrics registry: named counters, gauges, and summaries.
 
 Every subsystem that used to keep ad-hoc dicts of counts (cache stats,
 LAC bookkeeping, fault tallies) can publish through one registry
@@ -12,10 +12,9 @@ optional label mapping refines a name without exploding the namespace
 the metric key in sorted order, so the same label set always maps to
 the same series.
 
-Snapshots are deterministic: keys are emitted sorted, values reflect
-only what was recorded (never the host wall clock), and histogram
-buckets serialise in edge order — two identically-seeded runs produce
-byte-identical exports.
+Snapshots are deterministic: keys are emitted sorted and values
+reflect only what was recorded (never the host wall clock), so two
+identically-seeded runs produce byte-identical exports.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.util.stats import Histogram, RunningStats, SampleStats
+from repro.util.stats import RunningStats, SampleStats
 
 MetricValue = Union[int, float]
 
@@ -89,7 +88,6 @@ class MetricsRegistry:
         self._record_samples = record_samples
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
         self._summaries: Dict[str, RunningStats] = {}
 
     # -- series accessors -------------------------------------------------------
@@ -109,22 +107,6 @@ class MetricsRegistry:
         if gauge is None:
             gauge = self._gauges[key] = Gauge()
         return gauge
-
-    def histogram(
-        self, name: str, *, bucket_width: float = 1.0, **labels: object
-    ) -> Histogram:
-        """The histogram for ``(name, labels)``, created on first use.
-
-        ``bucket_width`` only applies at creation; later calls return
-        the existing histogram unchanged.
-        """
-        key = metric_key(name, labels)
-        histogram = self._histograms.get(key)
-        if histogram is None:
-            histogram = self._histograms[key] = Histogram(
-                bucket_width=bucket_width
-            )
-        return histogram
 
     def summary(self, name: str, **labels: object) -> RunningStats:
         """Streaming mean/min/max/variance series, created on first use."""
@@ -148,11 +130,17 @@ class MetricsRegistry:
         - counters add (commutative; integer increments are exact),
         - gauges take the incoming value (last write in input order
           wins, matching serial execution order),
-        - histogram bucket tables add (integers, exact),
-        - summaries replay the incoming side's retained samples when it
-          recorded them (bit-exact vs serial), falling back to pairwise
-          Welford merge (exact count/min/max, mean to float rounding).
+        - summaries replay the incoming side's retained samples
+          (bit-exact vs serial).  An incoming summary that kept no
+          samples cannot be merged exactly: it raises ``ValueError``
+          before anything is merged.
         """
+        for key, summary in other._summaries.items():
+            if not isinstance(summary, SampleStats):
+                raise ValueError(
+                    f"summary {key!r} kept no samples, so it cannot be "
+                    "merged exactly"
+                )
         for key, counter in other._counters.items():
             mine = self._counters.get(key)
             if mine is None:
@@ -163,37 +151,19 @@ class MetricsRegistry:
             if mine is None:
                 mine = self._gauges[key] = Gauge()
             mine.value = gauge.value
-        for key, histogram in other._histograms.items():
-            current = self._histograms.get(key)
-            if current is None:
-                current = Histogram(bucket_width=histogram.bucket_width)
-            self._histograms[key] = current.merge(histogram)
         for key, summary in other._summaries.items():
             mine = self._summaries.get(key)
-            samples = getattr(summary, "samples", None)
-            if samples is not None:
-                if mine is None:
-                    mine = self._summaries[key] = (
-                        SampleStats()
-                        if self._record_samples
-                        else RunningStats()
-                    )
-                for value in samples:
-                    mine.add(value)
-            elif mine is None:
-                self._summaries[key] = RunningStats().merge(summary)
-            else:
-                self._summaries[key] = mine.merge(summary)
+            if mine is None:
+                mine = self._summaries[key] = (
+                    SampleStats() if self._record_samples else RunningStats()
+                )
+            for value in summary.samples:
+                mine.add(value)
 
     # -- export -----------------------------------------------------------------
 
     def __len__(self) -> int:
-        return (
-            len(self._counters)
-            + len(self._gauges)
-            + len(self._histograms)
-            + len(self._summaries)
-        )
+        return len(self._counters) + len(self._gauges) + len(self._summaries)
 
     def snapshot(self) -> List[dict]:
         """All series as plain records, sorted by (type, key).
@@ -216,19 +186,6 @@ class MetricsRegistry:
                     "type": "gauge",
                     "name": key,
                     "value": self._gauges[key].value,
-                }
-            )
-        for key in sorted(self._histograms):
-            histogram = self._histograms[key]
-            records.append(
-                {
-                    "type": "histogram",
-                    "name": key,
-                    "bucket_width": histogram.bucket_width,
-                    "count": histogram.count,
-                    "buckets": [
-                        [edge, count] for edge, count in histogram.buckets()
-                    ],
                 }
             )
         for key in sorted(self._summaries):
@@ -295,11 +252,6 @@ class _NullGauge(Gauge):
         pass
 
 
-class _NullHistogram(Histogram):
-    def add(self, value: float) -> None:
-        pass
-
-
 class _NullSummary(RunningStats):
     def add(self, value: float) -> None:
         pass
@@ -307,7 +259,6 @@ class _NullSummary(RunningStats):
 
 _NULL_COUNTER = _NullCounter()
 _NULL_GAUGE = _NullGauge()
-_NULL_HISTOGRAM = _NullHistogram(bucket_width=1.0)
 _NULL_SUMMARY = _NullSummary()
 
 
@@ -327,11 +278,6 @@ class NullMetricsRegistry(MetricsRegistry):
 
     def gauge(self, name: str, **labels: object) -> Gauge:
         return _NULL_GAUGE
-
-    def histogram(
-        self, name: str, *, bucket_width: float = 1.0, **labels: object
-    ) -> Histogram:
-        return _NULL_HISTOGRAM
 
     def summary(self, name: str, **labels: object) -> RunningStats:
         return _NULL_SUMMARY

@@ -170,6 +170,7 @@ class _JobRequest:
     spec: JobSpec
     tw: float  # uncontended wall-clock time, or the user's declared limit
     max_wall_clock: float  # tw padded by RESERVATION_MARGIN
+    duration: float  # the mode's reservation length for max_wall_clock
     deadline_span: float  # deadline minus arrival
     resources: ResourceVector
     auto_down: bool
@@ -741,13 +742,10 @@ class QoSSystemSimulator:
         Returns whether a job was admitted.
         """
         head = self._pending[self._pending_index]
-        head_duration = head.spec.mode.reservation_duration(
-            head.max_wall_clock
-        )
-        if head_duration <= 0:
+        if head.duration <= 0:
             return False  # an Opportunistic head is never blocked
         head_before = self.lac.earliest_fit(
-            head.resources, head_duration, not_before=now
+            head.resources, head.duration, not_before=now
         )
 
         job_id = len(self._accepted) + 1
@@ -758,7 +756,7 @@ class QoSSystemSimulator:
                 job_id,
                 request.resources,
                 request.spec.mode,
-                request.max_wall_clock,
+                request.duration,
                 now + request.deadline_span,
                 now=now,
                 auto_downgrade=request.auto_down,
@@ -767,7 +765,7 @@ class QoSSystemSimulator:
                 index += 1
                 continue
             head_after = self.lac.earliest_fit(
-                head.resources, head_duration, not_before=now
+                head.resources, head.duration, not_before=now
             )
             delays_head = (
                 head_before is not None
@@ -806,13 +804,13 @@ class QoSSystemSimulator:
         # an Elastic(X) user accepted an up-to-X% stretch, so their
         # "tight" deadline is 1.05x the stretched duration — otherwise
         # Elastic-with-tight-deadline could never be admitted at all.
-        promised = spec.mode.reservation_duration(max_wall_clock)
-        if promised <= 0.0:  # Opportunistic: no reservation to scale
-            promised = max_wall_clock
+        duration = spec.mode.reservation_duration(max_wall_clock)
+        # Opportunistic: no reservation to scale.
+        promised = max_wall_clock if duration <= 0.0 else duration
         multiplier = DeadlinePolicy.multiplier(spec.deadline_class)
-        # A probe dates its deadline from ``max_wall_clock`` (which
-        # ``reservation_duration`` checked above), this span and its own
-        # time, so these checks cover every probe.
+        # A probe passes ``duration`` (``reservation_duration`` checked
+        # ``max_wall_clock`` above) and dates its deadline from this span
+        # and its own time, so these checks cover every probe.
         deadline_span = check_non_negative(
             "deadline_span", multiplier * promised
         )
@@ -820,6 +818,7 @@ class QoSSystemSimulator:
             spec=spec,
             tw=tw,
             max_wall_clock=max_wall_clock,
+            duration=duration,
             deadline_span=deadline_span,
             resources=ResourceVector(
                 cores=spec.requested_cores, cache_ways=spec.requested_ways
@@ -838,7 +837,7 @@ class QoSSystemSimulator:
             job_id,
             request.resources,
             spec.mode,
-            request.max_wall_clock,
+            request.duration,
             now + request.deadline_span,
             now=now,
             auto_downgrade=request.auto_down,

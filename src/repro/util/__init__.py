@@ -13,7 +13,7 @@ This package deliberately contains only dependency-free helpers:
 """
 
 from repro.util.rng import DeterministicRng, derive_seed
-from repro.util.stats import Histogram, RunningStats
+from repro.util.stats import RunningStats
 from repro.util.tables import format_table
 from repro.util.validation import (
     check_finite,
@@ -29,7 +29,6 @@ __all__ = [
     "DeterministicRng",
     "derive_seed",
     "RunningStats",
-    "Histogram",
     "format_table",
     "check_finite",
     "check_positive",

@@ -8,8 +8,7 @@ streaming mean/min/max/variance without storing every sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 
 class RunningStats:
@@ -74,33 +73,6 @@ class RunningStats:
         """``max - min``: the length of the Figure-6 candle."""
         return self.maximum - self.minimum
 
-    def merge(self, other: "RunningStats") -> "RunningStats":
-        """Return a new accumulator combining both sets of samples."""
-        merged = RunningStats()
-        if self.count == 0:
-            merged.count = other.count
-            merged._mean = other._mean
-            merged._m2 = other._m2
-            merged._min, merged._max = other._min, other._max
-            return merged
-        if other.count == 0:
-            merged.count = self.count
-            merged._mean = self._mean
-            merged._m2 = self._m2
-            merged._min, merged._max = self._min, self._max
-            return merged
-        merged.count = self.count + other.count
-        delta = other._mean - self._mean
-        merged._mean = self._mean + delta * other.count / merged.count
-        merged._m2 = (
-            self._m2
-            + other._m2
-            + delta * delta * self.count * other.count / merged.count
-        )
-        merged._min = min(self._min, other._min)  # type: ignore[arg-type]
-        merged._max = max(self._max, other._max)  # type: ignore[arg-type]
-        return merged
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if not self.count:
             return "RunningStats(empty)"
@@ -113,13 +85,11 @@ class RunningStats:
 class SampleStats(RunningStats):
     """:class:`RunningStats` that also retains the raw samples.
 
-    Pairwise :meth:`RunningStats.merge` is exact in count/min/max but
-    not bit-exact in the mean (float addition is non-associative), so a
-    parent process merging worker accumulators cannot reproduce the
-    serial run's snapshot byte for byte.  Worker-side registries
-    therefore record with this class and the parent *replays* the
-    samples in input order — the exact additions the serial run would
-    have performed.  Memory is bounded by the worker's sample count,
+    Float addition is non-associative, so combining two accumulators'
+    moments cannot reproduce the serial run's mean bit for bit.
+    Worker-side registries therefore record with this class and the
+    parent *replays* the samples in input order — the exact additions
+    the serial run would have performed.  Memory is bounded by the worker's sample count,
     which telemetry summaries keep small (per-job, per-phase numbers).
     """
 
@@ -130,78 +100,3 @@ class SampleStats(RunningStats):
     def add(self, value: float) -> None:
         super().add(value)
         self.samples.append(value)
-
-
-@dataclass
-class Histogram:
-    """Fixed-width-bucket histogram for coarse distribution summaries."""
-
-    bucket_width: float
-    _buckets: Dict[int, int] = field(default_factory=dict)
-    _stats: RunningStats = field(default_factory=RunningStats)
-
-    def __post_init__(self) -> None:
-        # Validate at construction, not on first add(): a misconfigured
-        # histogram that never receives a sample used to go unnoticed.
-        if self.bucket_width <= 0:
-            raise ValueError(
-                f"bucket_width must be positive, got {self.bucket_width}"
-            )
-
-    def add(self, value: float) -> None:
-        """Record one sample."""
-        index = int(value // self.bucket_width)
-        self._buckets[index] = self._buckets.get(index, 0) + 1
-        self._stats.add(value)
-
-    @property
-    def count(self) -> int:
-        """Total number of samples."""
-        return self._stats.count
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Return a new histogram combining both sets of samples.
-
-        Bucket counts are integers, so the merged bucket table is exact
-        regardless of merge order; the embedded streaming stats merge
-        pairwise (see :meth:`RunningStats.merge`).
-        """
-        if other.bucket_width != self.bucket_width:
-            raise ValueError(
-                f"cannot merge histograms with bucket widths "
-                f"{self.bucket_width} and {other.bucket_width}"
-            )
-        merged = Histogram(bucket_width=self.bucket_width)
-        counts = dict(self._buckets)
-        for index, bucket_count in other._buckets.items():
-            counts[index] = counts.get(index, 0) + bucket_count
-        merged._buckets = counts
-        merged._stats = self._stats.merge(other._stats)
-        return merged
-
-    @property
-    def stats(self) -> RunningStats:
-        """The underlying streaming statistics."""
-        return self._stats
-
-    def buckets(self) -> List[tuple]:
-        """Return ``(bucket_low_edge, count)`` pairs, sorted by edge."""
-        return [
-            (index * self.bucket_width, self._buckets[index])
-            for index in sorted(self._buckets)
-        ]
-
-    def percentile(self, q: float) -> float:
-        """Approximate the ``q``-th percentile (0–100) from bucket edges."""
-        if not 0 <= q <= 100:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
-        if not self._buckets:
-            raise ValueError("histogram is empty")
-        target = self.count * q / 100.0
-        seen = 0
-        for edge, bucket_count in self.buckets():
-            seen += bucket_count
-            if seen >= target:
-                return edge + self.bucket_width / 2
-        last_edge, _ = self.buckets()[-1]
-        return last_edge + self.bucket_width / 2

@@ -534,18 +534,6 @@ def _jobs_pair(
     report.checks.append(
         _compare_stream("trace", arm_a.trace_lines, arm_b.trace_lines)
     )
-    if not report.passed:
-        from repro.analysis.parallel import pool_fingerprints
-
-        report.checks.append(
-            CheckResult(
-                name="worker-fingerprints",
-                passed=True,  # diagnostic, not a verdict
-                details=tuple(
-                    str(fp) for fp in pool_fingerprints(scenario.jobs)
-                ),
-            )
-        )
     return report
 
 

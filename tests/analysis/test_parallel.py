@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis.parallel import (
     parallel_map,
-    point_seed,
     resolve_jobs,
     visible_cpu_count,
 )
@@ -36,10 +35,6 @@ def _fail_on_three(x):
     if x == 3:
         raise ValueError("boom")
     return x
-
-
-def _seed_of(label):
-    return point_seed(7, label)
 
 
 def _instrumented_square(x):
@@ -95,28 +90,6 @@ class TestResolveJobs:
 
     def test_explicit_count_passes_through(self):
         assert resolve_jobs(7) == 7
-
-
-class TestPointSeed:
-    def test_deterministic_in_inputs(self):
-        assert point_seed(42, "a") == point_seed(42, "a")
-
-    def test_distinct_labels_distinct_seeds(self):
-        seeds = {point_seed(42, label) for label in range(50)}
-        assert len(seeds) == 50
-
-    def test_parent_seed_matters(self):
-        assert point_seed(1, "a") != point_seed(2, "a")
-
-    def test_stable_across_worker_counts(self):
-        """The seed depends only on (parent seed, label) — never on
-        which worker computed it or how many there were."""
-        labels = [f"point-{index}" for index in range(8)]
-        expected = [point_seed(7, label) for label in labels]
-        for jobs in (1, 2, 4):
-            assert (
-                parallel_map(_seed_of, labels, jobs=jobs) == expected
-            )
 
 
 class TestDriversSerialParallelIdentity:

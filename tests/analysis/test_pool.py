@@ -1,41 +1,24 @@
-"""Lifecycle and telemetry contracts of the persistent worker pool.
+"""Lifecycle and telemetry contracts of the per-call worker pool.
 
 Covers what ``test_parallel.py`` (semantics of ``parallel_map``) does
-not: that the pool is actually *persistent* (same worker pids across
-consecutive sweeps), that shared payloads ship once via the
-initializer, that exceptions and shutdowns leave clean state, and that
-the chunked observer merge reproduces serial artifact streams byte for
-byte — including event sequence rebasing across chunk boundaries.
+not: that no worker outlives a map, whether it returns or raises, that
+shared payloads and the parent's miss-cache state reach the workers
+via the pool initializer, and that the chunked observer merge
+reproduces serial artifact streams byte for byte — including event
+sequence rebasing across chunk boundaries.
 """
 
-import os
+import multiprocessing
 
 import pytest
 
 from repro.analysis import misscache
-from repro.analysis.parallel import parallel_map, pool_fingerprints
-from repro.analysis.pool import (
-    SessionState,
-    WorkerPool,
-    chunk_ranges,
-    current_shared,
-    existing_pool,
-    shared_pool,
-    shutdown_shared_pools,
-)
+from repro.analysis.parallel import chunk_ranges, current_shared, parallel_map
 from repro.obs import Observer, observed
 
 
-@pytest.fixture(autouse=True)
-def _clean_pools():
-    """Each test starts and ends with no process-wide pools."""
-    shutdown_shared_pools()
-    yield
-    shutdown_shared_pools()
-
-
-def _pid(_item):
-    return os.getpid()
+def _square(value):
+    return value * value
 
 
 def _shared_sum(index):
@@ -47,6 +30,10 @@ def _raise_on_two(value):
     if value == 2:
         raise RuntimeError("point 2 is broken")
     return value
+
+
+def _miss_cache_state(_item):
+    return misscache.enabled(), str(misscache.cache_dir())
 
 
 def _observed_point(value):
@@ -84,56 +71,27 @@ class TestChunkRanges:
             chunk_ranges(5, 0)
 
 
-class TestPoolPersistence:
-    def test_workers_survive_across_maps(self):
-        """Two consecutive sweeps run on the same worker processes.
+class TestOnePoolPerMap:
+    def test_no_worker_outlives_a_map(self):
+        assert parallel_map(_square, range(8), jobs=2) == [
+            value * value for value in range(8)
+        ]
+        assert multiprocessing.active_children() == []
 
-        The barrier probe is the deterministic pid census (every worker
-        answers exactly once); map results only show whichever workers
-        happened to drain chunks, so they are checked as subsets.
-        """
-        with WorkerPool(2) as pool:
-            census = {probe["pid"] for probe in pool.fingerprints()}
-            first = set(pool.map(_pid, list(range(8))))
-            second = set(pool.map(_pid, list(range(8))))
-            after = {probe["pid"] for probe in pool.fingerprints()}
-        assert len(census) == 2
-        assert after == census  # no silent re-fork between maps
-        assert first <= census and second <= census
-        assert os.getpid() not in census
+    def test_no_worker_outlives_a_failed_map(self):
+        with pytest.raises(RuntimeError, match="point 2 is broken"):
+            parallel_map(_raise_on_two, range(8), jobs=2)
+        assert multiprocessing.active_children() == []
 
-    def test_shared_pool_reused_for_same_state_and_payload(self):
-        payload = (10, [1, 2, 3])
-        pool = shared_pool(2, shared=payload)
-        assert shared_pool(2, shared=payload) is pool
-        assert existing_pool(2) is pool
-
-    def test_shared_pool_reforks_on_new_payload(self):
-        pool = shared_pool(2, shared=(1,))
-        replacement = shared_pool(2, shared=(2,))
-        assert replacement is not pool
-        assert not pool.forked  # the stale pool was shut down
-
-    def test_shared_pool_reforks_on_session_state_change(self):
-        pool = shared_pool(2)
-        pool.map(_pid, [0, 1])
-        flipped = not misscache.enabled()
-        misscache.set_enabled(flipped)
+    def test_workers_resolve_the_parent_miss_cache_state(self, tmp_path):
+        misscache.set_enabled(False)
+        misscache.set_cache_dir(tmp_path)
         try:
-            replacement = shared_pool(2)
-            assert replacement is not pool
-            assert replacement.state.miss_cache_enabled is flipped
+            states = parallel_map(_miss_cache_state, range(4), jobs=2)
         finally:
             misscache.set_enabled(None)
-
-    def test_parallel_map_uses_process_wide_pool(self):
-        first = set(parallel_map(_pid, list(range(8)), jobs=2))
-        pool = existing_pool(2)
-        assert pool is not None and pool.forked
-        census = {probe["pid"] for probe in pool.fingerprints()}
-        second = set(parallel_map(_pid, list(range(8)), jobs=2))
-        assert first <= census and second <= census
-        assert existing_pool(2) is pool
+            misscache.set_cache_dir(None)
+        assert states == [(False, str(tmp_path))] * 4
 
 
 class TestSharedPayload:
@@ -153,21 +111,6 @@ class TestSharedPayload:
             _shared_sum, [0, 1], jobs=1, shared=(7, offsets)
         ) == [107, 207]
         assert current_shared() is None  # scoped, not leaked
-
-
-class TestLifecycleOnFailure:
-    def test_exception_mid_chunk_propagates_and_pool_survives(self):
-        with WorkerPool(2) as pool:
-            with pytest.raises(RuntimeError, match="point 2 is broken"):
-                pool.map(_raise_on_two, list(range(8)))
-            # Same workers, still serving maps.
-            assert pool.map(_raise_on_two, [0, 1, 3]) == [0, 1, 3]
-
-    def test_context_exit_terminates_workers(self):
-        with WorkerPool(2) as pool:
-            pool.map(_pid, [0, 1])
-            assert pool.forked
-        assert not pool.forked
 
 
 class TestObserverMerge:
@@ -196,37 +139,3 @@ class TestObserverMerge:
     def test_null_observer_ships_no_telemetry(self):
         results = parallel_map(_observed_point, [1, 2, 3, 4], jobs=2)
         assert results == [3, 6, 9, 12]
-
-
-class TestFingerprints:
-    def test_every_worker_answers_once(self):
-        with WorkerPool(2) as pool:
-            probes = pool.fingerprints()
-        assert len(probes) == 2
-        pids = {probe["pid"] for probe in probes}
-        assert len(pids) == 2
-        assert os.getpid() not in pids
-
-    def test_pool_fingerprints_probes_the_persistent_pool(self):
-        """The diagnostic must reflect the pool sweeps actually use,
-        not a throwaway lookalike."""
-        parallel_map(_pid, list(range(8)), jobs=2)
-        pool = existing_pool(2)
-        assert pool is not None
-        probes = pool_fingerprints(2)
-        assert probes[0]["role"] == "parent"
-        assert probes[0]["pid"] == os.getpid()
-        workers = [probe for probe in probes if probe["role"] == "worker"]
-        assert len(workers) == 2
-        # A fast map may be drained by a subset of workers; every pid it
-        # does report must belong to the probed pool.
-        worker_pids = {probe["pid"] for probe in workers}
-        assert worker_pids >= set(parallel_map(_pid, list(range(8)), jobs=2))
-
-    def test_fingerprints_capture_session_state(self):
-        state = SessionState.capture()
-        with WorkerPool(2) as pool:
-            probes = pool.fingerprints()
-        for probe in probes:
-            assert probe["miss_cache_enabled"] == state.miss_cache_enabled
-            assert probe["miss_cache_dir"] == state.miss_cache_dir

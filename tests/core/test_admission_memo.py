@@ -7,9 +7,11 @@ and count the candidate windows the FCFS scan would have evaluated
 start, in order, through the counted ``window_fits``.  Seeded random
 sequences of admissions, re-admissions, searches, releases and cancels
 run on both, and every decision, reason, start, statistic and metric
-must match.  The probe-level tests pin what the memo saves in a real
-run: the uncounted window check runs a small fraction of the counted
-windows, and a probe builds no ``QoSTarget``.
+must match; after every operation ``booked_from``, which answers from
+the latest reservation end of the timeline version, must agree with a
+scan of the reservations.  The probe-level tests pin what the memo
+saves in a real run: the uncounted window check runs a small fraction
+of the counted windows, and a probe builds no ``QoSTarget``.
 """
 
 import math
@@ -164,11 +166,12 @@ def _probe(lac, rng, kind, request, duration, span, now, job_id):
     """One admission test or search of ``kind``; returns its outcome."""
     deadline = now + span
     if kind in ("strict", "elastic", "autodown"):
+        mode = ELASTIC if kind == "elastic" else STRICT
         decision = lac.admit_request(
             job_id,
             request,
-            ELASTIC if kind == "elastic" else STRICT,
-            duration,
+            mode,
+            mode.reservation_duration(duration),
             deadline,
             now=now,
             auto_downgrade=kind == "autodown",
@@ -247,6 +250,7 @@ def _sequence(cls, seed, operations=40):
             if rng.random() < 0.15:
                 kind = rng.choice(CHANGES)
                 seen.append((kind, _change(lac, rng, kind)))
+                _check_booked(lac, now)
             else:
                 # A train: one request probed at rising times, as the
                 # blocked head of a queue is.
@@ -259,10 +263,19 @@ def _sequence(cls, seed, operations=40):
                         lac, rng, kind, request, duration, span, now, job_id
                     )
                     seen.append((kind, now, outcome, _stats(lac)))
+                    _check_booked(lac, now)
                     now += rng.choice(TRAIN_STEPS)
             seen.append(_stats(lac))
             now = max(0.0, now + rng.choice(STEPS))
     return (seen, list(telemetry.metrics.to_jsonl_lines())), lac
+
+
+def _check_booked(lac, now):
+    """``booked_from`` answers from the latest end of the timeline
+    version; it must agree with a scan of the reservations."""
+    assert lac.booked_from(now) == any(
+        r.end > now for r in lac._reservations
+    )
 
 
 def _stats(lac):

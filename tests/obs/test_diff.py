@@ -50,17 +50,11 @@ class TestExactComparison:
         )
         (delta,) = report.deltas
         assert delta.series == "s.mean"
-        histogram_base = {
-            "type": "histogram",
-            "name": "h",
-            "bucket_width": 1.0,
-            "count": 3,
-            "buckets": [[0.0, 3]],
-        }
-        histogram_current = dict(histogram_base, count=4)
-        report = diff_snapshots([histogram_base], [histogram_current])
+        report = diff_snapshots(
+            [summary("s", 2, 1.0)], [summary("s", 3, 1.0)]
+        )
         (delta,) = report.deltas
-        assert delta.series == "h.count"
+        assert delta.series == "s.count"
 
 
 class TestFieldAsymmetry:

@@ -17,9 +17,6 @@ def sample_registry():
     registry = MetricsRegistry()
     registry.counter("cache.l2.misses", core=0).inc(7)
     registry.gauge("slo.violation_fraction", job=1).set(0.25)
-    histogram = registry.histogram("bus.latency", bucket_width=10.0)
-    for value in (5.0, 15.0, 15.0):
-        histogram.add(value)
     summary = registry.summary("job.wall_clock")
     for value in (1.0, 3.0):
         summary.add(value)
@@ -29,11 +26,10 @@ def sample_registry():
 class TestSummaryDict:
     def test_metrics_only(self):
         summary = summary_dict(sample_registry().snapshot())
-        assert summary["series"] == 4
+        assert summary["series"] == 3
         assert summary["series_by_type"] == {
             "counter": 1,
             "gauge": 1,
-            "histogram": 1,
             "summary": 1,
         }
         assert summary["counter_total"] == 7

@@ -658,6 +658,47 @@ class TestBadInputExits2:
     mistyped path or value must not read as a regression.
     """
 
+    #: Metrics records that parse as JSON objects but are not records
+    #: the registry writes, and the complaint each one draws.
+    MALFORMED_METRICS = {
+        "unknown-type": (
+            {"type": "foo", "name": "x", "value": 1},
+            "unknown record type 'foo'",
+        ),
+        "histogram": (
+            {"type": "histogram", "name": "h", "count": 1},
+            "unknown record type 'histogram'",
+        ),
+        "no-value": (
+            {"type": "counter", "name": "c"},
+            "'value' must be a number, got None",
+        ),
+        "text-value": (
+            {"type": "counter", "name": "c", "value": "x"},
+            "'value' must be a number, got 'x'",
+        ),
+        "no-count": (
+            {"type": "summary", "name": "s"},
+            "'count' must be a number, got None",
+        ),
+        "text-count": (
+            {"type": "summary", "name": "s", "count": "x", "mean": 1.0},
+            "'count' must be a number, got 'x'",
+        ),
+        "text-mean": (
+            {"type": "summary", "name": "s", "count": 1, "mean": "x"},
+            "'mean' must be a number, got 'x'",
+        ),
+        "list-name": (
+            {"type": "counter", "name": ["x"], "value": 1},
+            "name ['x'] is not a string",
+        ),
+        "bool-value": (
+            {"type": "gauge", "name": "g", "value": True},
+            "'value' must be a number, got True",
+        ),
+    }
+
     @pytest.mark.parametrize("command", ["summarize", "top", "diff"])
     @pytest.mark.parametrize(
         "kind, message",
@@ -665,23 +706,34 @@ class TestBadInputExits2:
             ("missing", "No such file"),
             ("text", "invalid JSON"),
             ("scalar", "not a JSON object"),
+            *[(kind, why) for kind, (_, why) in MALFORMED_METRICS.items()],
         ],
     )
     def test_obs_rejects_bad_metrics_file(
         self, tmp_path, capsys, command, kind, message
     ):
         path = tmp_path / f"{kind}.jsonl"
+        prefix = "obs: "
         if kind == "text":
             path.write_text("not json\n")
         elif kind == "scalar":
             path.write_text("42\n")
+        elif kind in self.MALFORMED_METRICS:
+            record = self.MALFORMED_METRICS[kind][0]
+            path.write_text(
+                '{"name":"ok","type":"counter","value":1}\n'
+                + json.dumps(record)
+                + "\n"
+            )
+            prefix = f"obs: {path}:2: not a metrics snapshot ("
         argv = ["obs", command, str(path)]
         if command == "diff":
             argv.append(str(path))
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("obs: ")
+        assert err.startswith(prefix)
         assert message in err
+        assert len(err.splitlines()) == 1
 
     def test_obs_summarize_rejects_bad_events_file(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.jsonl"
