@@ -37,8 +37,9 @@ shared by every point (curves, machine/sim configs, workload profiles)
 travel once per worker via ``shared=`` and are read back inside the
 worker function with :func:`current_shared`; the serial path installs
 the same payload in-process, so worker functions are written once.
-The pool initializer also installs the parent's miss-cache switch and
-directory, so workers agree with the parent under any start method.
+Workers agree with the parent's miss-cache switch and directory under
+any start method without the initializer's help: ``misscache``'s
+setters mirror both into the environment, which every worker inherits.
 
 **Observer aggregation** — when the parent process has a live observer
 installed, each worker runs its *chunk* under a local observer (worker
@@ -68,7 +69,6 @@ from typing import (
     TypeVar,
 )
 
-from repro.analysis import misscache
 from repro.obs import Observer, get_observer, observed, reset_observer
 
 __all__ = [
@@ -116,17 +116,13 @@ def installed_shared(shared: Any) -> Iterator[None]:
         _worker_shared = previous
 
 
-def _pool_initializer(
-    miss_cache_enabled: bool, miss_cache_dir: str, shared: Any
-) -> None:
-    """Runs once in each worker at fork: install the parent's session."""
+def _pool_initializer(shared: Any) -> None:
+    """Runs once in each worker at fork: install the shared payload."""
     global _worker_shared
     # A pool forked mid-observation would inherit the parent's live
     # observer; chunk tasks scope their own, but anything a worker
     # records *outside* a chunk must go nowhere.
     reset_observer()
-    misscache.set_enabled(miss_cache_enabled)
-    misscache.set_cache_dir(miss_cache_dir)
     _worker_shared = shared
 
 
@@ -255,7 +251,7 @@ def parallel_map(
     pool = multiprocessing.Pool(
         worker_count,
         initializer=_pool_initializer,
-        initargs=(misscache.enabled(), str(misscache.cache_dir()), shared),
+        initargs=(shared,),
     )
     try:
         pairs = pool.map(task, chunks, chunksize=1)

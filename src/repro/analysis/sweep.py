@@ -49,18 +49,36 @@ SWEEP_FILE_VERSION = 1
 SWEEP_REPORT_VERSION = 1
 
 #: Modules whose source determines a sweep point's artifact: the
-#: curve-producing modules the miss-curve store fingerprints, plus the
-#: simulator.  Editing any of them changes every scenario digest, so
-#: stale artifacts are never served for new code.
+#: curve-producing modules the miss-curve store fingerprints, plus every
+#: module whose code runs while a point is simulated and can change what
+#: is stored (the artifact carries the metrics snapshot and SLO report).
+#: Editing any of them changes every scenario digest, so stale artifacts
+#: are never served for new code.  The modules that run but cannot
+#: change an artifact are listed, with the reason, in
+#: ``tests/analysis/test_sweep.py``.
 _FINGERPRINT_MODULES = misscache._FINGERPRINT_MODULES + (
+    "repro.analysis.runner",
+    "repro.analysis.sweep",
     "repro.core.admission",
     "repro.core.config",
+    "repro.core.job",
     "repro.core.metrics",
     "repro.core.modes",
+    "repro.core.spec",
     "repro.core.stealing",
+    "repro.cpu.cpi",
+    "repro.faults.resilience",
+    "repro.mem.bandwidth",
+    "repro.obs",
+    "repro.obs.metrics",
+    "repro.obs.slo",
+    "repro.sim.config",
     "repro.sim.engine",
     "repro.sim.equalpart",
     "repro.sim.system",
+    "repro.sim.tracing",
+    "repro.util.stats",
+    "repro.workloads.arrival",
     "repro.workloads.composer",
 )
 

@@ -60,8 +60,8 @@ class JobSensor:
 
     ``rates_by_ways[w]`` is the model-predicted execution rate (instructions
     per second) the job would sustain with ``w`` L2 ways at full CPU share
-    and an uncontended bus.  It is only populated for reserved jobs that a
-    policy may resize; index 0 is always 0.0.
+    and an uncontended bus; index 0 is always 0.0.  Every sensor has it,
+    as the simulator builds sensors only for jobs a policy may resize.
     """
 
     job_id: int
@@ -72,12 +72,10 @@ class JobSensor:
     requested_ways: int
     progress: float
     instructions: int
-    rate: float
     deadline: Optional[float]
     reservation_end: Optional[float]
     projected_finish: float
-    miss_increase_fraction: float
-    rates_by_ways: Tuple[float, ...] = ()
+    rates_by_ways: Tuple[float, ...]
 
     def limit(self) -> float:
         """Earliest hard completion bound (deadline or reservation end)."""
@@ -116,7 +114,14 @@ class JobSensor:
 
 @dataclass(frozen=True)
 class SensorSnapshot:
-    """System-wide reading taken at a decision epoch."""
+    """System-wide reading taken at a decision epoch.
+
+    ``reserved_ways`` counts every running reserved job, stealing ones
+    included.  ``jobs`` holds, in job-id order, a sensor for each running
+    reserved job that no stealing controller owns (the jobs a
+    :class:`SetWays` can resize), and nothing for a policy whose
+    ``job_sensors`` is False.
+    """
 
     now: float
     epoch_index: int
@@ -127,12 +132,6 @@ class SensorSnapshot:
     bus_saturated: bool
     bus_granted: bool
     jobs: Tuple[JobSensor, ...] = ()
-
-    def job(self, job_id: int) -> Optional[JobSensor]:
-        for sensor in self.jobs:
-            if sensor.job_id == job_id:
-                return sensor
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +176,10 @@ PolicyAction = object  # union of SetWays | SetBusGrant
 class ActuatorState:
     """Mutable shadow of the actuatable system state.
 
-    The simulator rebuilds one of these from live state each epoch and runs
-    every proposed action through :func:`apply_action`; only actions that
-    report a change are committed.  The conformance suite drives the same
+    The simulator builds one of these from live state on each epoch whose
+    policy proposes an action (not on every epoch) and runs every proposed
+    action through :func:`apply_action`; only actions that report a change
+    are committed.  The conformance suite drives the same
     harness directly, so the idempotence law exercises exactly the code the
     simulator uses.
     """
@@ -240,6 +240,9 @@ class Policy:
     """
 
     name: str = "policy"
+    #: Whether :meth:`decide` reads ``snapshot.jobs``; the simulator
+    #: builds no per-job sensor for a policy that does not.
+    job_sensors: bool = True
 
     def reset(self) -> None:
         """Clear internal state before a run (policies may be reused)."""
@@ -353,7 +356,10 @@ class BandwidthStealPolicy(Policy):
     The policy trusts ``snapshot.bus_granted`` as the source of truth for
     the current grant, so re-deciding on an already-actuated state emits
     nothing (idempotence law).  ``low_watermark < 0`` disables stealing.
+    It decides on the bus fields alone, so it gets no per-job sensors.
     """
+
+    job_sensors = False
 
     def __init__(
         self,

@@ -21,6 +21,8 @@ A callback that would schedule its own successor may instead ask
 :meth:`EventQueue.fire_inline` whether the run loop would pop that
 event next, and handle it in place when it would: the event is counted
 and the clock moves exactly as if it had passed through the heap.
+:meth:`EventQueue.pop_inline` does the same for an event already in
+the heap: it pops that event only when the run loop would pop it next.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ class EventQueue:
         self.now = 0.0
         self.events_fired = 0
         # The limits and fired count of the run() call in progress, which
-        # fire_inline reads; _in_run is False outside run().
+        # fire_inline and pop_inline read; _in_run is False outside run().
         self._in_run = False
         self._until = math.inf
         self._max_events = 0
@@ -215,22 +217,61 @@ class EventQueue:
         :meth:`run` it returns False.
         """
         self._check_time(time)
-        if not self._in_run:
-            return False
-        fired = self._fired + 1  # the current event, once it returns
-        if (
-            fired >= self._max_events
-            or time > self._until
-            or self._stop_outcome(fired) is not None
-        ):
+        if not self._loop_would_fire(time):
             return False
         self._drop_cancelled()
         if self._heap and self._heap[0][0] <= time:
             return False
-        self._fired = fired
+        self._count_inline(time)
+        return True
+
+    def pop_inline(self, handle: EventHandle, not_after: float) -> bool:
+        """Pop ``handle`` from the heap from inside the running callback.
+
+        Returns True only when the run loop, once the current callback
+        returned, would pop ``handle`` next: it is the next live heap
+        entry (a same-time entry with a smaller sequence number comes
+        first), its time is at most ``not_after`` and ``until``, and
+        the same ``stop_when``, budget and runaway-guard checks as
+        :meth:`fire_inline` allow one more event.  The entry is then
+        popped and counted as fired, and ``now`` moves to its time; the
+        caller runs its callback in place.  Outside :meth:`run` it
+        returns False.
+        """
+        if not self._in_run:
+            return False
+        self._drop_cancelled()
+        if not self._heap:
+            return False
+        time, _, entry = self._heap[0]
+        if (
+            entry is not handle
+            or time > not_after
+            or not self._loop_would_fire(time)
+        ):
+            return False
+        heapq.heappop(self._heap)
+        handle.popped = True
+        self._count_inline(time)
+        return True
+
+    def _loop_would_fire(self, time: float) -> bool:
+        """Whether the run loop, once the current callback returned,
+        would fire an event at ``time`` were it next: inside :meth:`run`,
+        within ``until``, and no stop, budget or runaway guard first."""
+        fired = self._fired + 1  # the current event, once it returns
+        return (
+            self._in_run
+            and fired < self._max_events
+            and time <= self._until
+            and self._stop_outcome(fired) is None
+        )
+
+    def _count_inline(self, time: float) -> None:
+        """Count an event fired in place as the run loop would."""
+        self._fired += 1
         self.events_fired += 1
         self.now = time
-        return True
 
     def _stop_outcome(self, fired: int) -> Optional[str]:
         """Why the run loop stops before its next event, if it does."""

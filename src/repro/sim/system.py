@@ -61,6 +61,7 @@ from repro.core.policy import (
     ActuatorState,
     JobSensor,
     Policy,
+    PolicyAction,
     SensorSnapshot,
     SetBusGrant,
     SetWays,
@@ -535,6 +536,9 @@ class QoSSystemSimulator:
         self._policy_epoch_seconds = self.machine.cycles_to_seconds(
             self.machine.repartition_interval_instructions
         )
+        # The decision epoch last scheduled; a probe train pops it in
+        # place when the queue would pop it next.
+        self._epoch_handle: Optional[EventHandle] = None
         self._policy_epoch_index = 0
         self._policy_decisions = 0
         self._policy_bus_grant = False
@@ -646,9 +650,7 @@ class QoSSystemSimulator:
         self.events.schedule(0.0, self._on_probe)
         if self.policy is not None:
             self.policy.reset()
-            self.events.schedule(
-                self._policy_epoch_seconds, self._on_policy_epoch
-            )
+            self._schedule_epoch(self._next_epoch_time(0.0))
         if self.fault_config is not None:
             if self.fault_config.has_any_faults:
                 horizon = self.fault_config.horizon
@@ -696,10 +698,11 @@ class QoSSystemSimulator:
     # -- probing and admission ----------------------------------------------------------
 
     def _on_probe(self, now: float) -> None:
-        # A run of rejected probes with no other event between them is a
-        # train: each probe's re-date stays out of the event queue, and
-        # the next probe fires here when the queue would pop it next
-        # anyway, so only the last probe of a train schedules anything.
+        # A run of rejected probes with no other event between them but
+        # policy epochs that decide nothing is a train: each probe's
+        # re-date stays out of the event queue, and the next probe fires
+        # here when the queue would pop it next anyway, so only the last
+        # probe of a train schedules anything (DESIGN.md §7.5).
         while True:
             self._advance_all(now)
             deferred_until = None
@@ -718,17 +721,66 @@ class QoSSystemSimulator:
             if self._pending_index >= len(self._pending):
                 return
             next_probe = now + self._probe_rng.exponential(self._mean_gap)
-            # On a tie the deferred event fires first, as its earlier
-            # schedule call would have made it.
-            if (
-                deferred_until is None
-                or next_probe >= deferred_until
-                or not self.events.fire_inline(next_probe)
-            ):
-                self._schedule_deferred()
+            if deferred_until is None:
                 self.events.schedule(next_probe, self._on_probe)
                 return
+            if not self._train_reaches(next_probe, deferred_until):
+                return
             now = next_probe
+
+    def _train_reaches(self, next_probe: float, deferred_until: float) -> bool:
+        """Carry a train on to its next probe; False once it has ended.
+
+        The queue would pop, by time and then by schedule call: the
+        heap's entries, the deferred events, the next probe, and the
+        epoch following one fired here (its schedule call would come
+        after theirs).  Whatever it would pop next fires here while that
+        is the next probe or an epoch that decides nothing.  Anything
+        else ends the train, which schedules what is left in that order.
+        An epoch that acts ends it too, before it actuates: its decision
+        read nothing a schedule call moves.
+        """
+        events = self.events
+        follow: Optional[float] = None  # a following epoch, unscheduled
+        while True:
+            if (
+                next_probe < deferred_until
+                and (follow is None or next_probe <= follow)
+                and events.fire_inline(next_probe)
+            ):
+                if follow is not None:
+                    self._schedule_epoch(follow)
+                return True
+            if follow is None:
+                # The epoch in the heap was scheduled before the deferred
+                # events and the probe, so it wins ties with both.
+                if self._epoch_handle is None or not events.pop_inline(
+                    self._epoch_handle, min(next_probe, deferred_until)
+                ):
+                    break
+            elif (
+                follow >= next_probe
+                or follow >= deferred_until
+                or not events.fire_inline(follow)
+            ):
+                break
+            now = events.now
+            effective = self._policy_decide(now)
+            if effective:
+                self._end_train(next_probe, None)
+                self._policy_actuate(now, effective)
+                self._schedule_epoch(self._next_epoch_time(now))
+                return False
+            follow = self._next_epoch_time(now)
+        self._end_train(next_probe, follow)
+        return False
+
+    def _end_train(self, next_probe: float, follow: Optional[float]) -> None:
+        """Schedule the deferred events, the next probe and ``follow``."""
+        self._schedule_deferred()
+        self.events.schedule(next_probe, self._on_probe)
+        if follow is not None:
+            self._schedule_epoch(follow)
 
     def _try_backfill(self, now: float) -> bool:
         """EASY backfill: admit a later job that cannot delay the head.
@@ -1422,18 +1474,27 @@ class QoSSystemSimulator:
         Progress is projected locally from the piecewise-constant rates
         (``progress + rate * (now - last_advance)``) instead of calling
         ``_advance_all``, so an epoch whose decision is empty leaves the
-        trajectory byte-identical to a run without the policy.  A job's
+        trajectory byte-identical to a run without the policy.  Sensors
+        are built only for the jobs a ``SetWays`` can resize (running
+        reserved jobs no stealing controller owns), and none for a
+        policy whose ``job_sensors`` is False.  A job's
         ``rates_by_ways`` is built at its first read and memoised.
         """
+        sense_jobs = self.policy.job_sensors
         elapsed = max(0.0, now - self._last_advance)
         jobs: List[JobSensor] = []
         reserved_ways_total = 0
-        for job_id in sorted(self._states):
-            state = self._states[job_id]
-            if not state.running or state.job.state is not JobState.RUNNING:
+        # Jobs are admitted, and so inserted, in job-id order.
+        for job_id, state in self._states.items():
+            if (
+                not state.reserved_running
+                or not state.running
+                or state.job.state is not JobState.RUNNING
+            ):
                 continue
-            if state.reserved_running:
-                reserved_ways_total += state.ways
+            reserved_ways_total += state.ways
+            if not sense_jobs or state.steal is not None:
+                continue
             progress = state.progress
             if state.rate > 0.0 and elapsed > 0.0:
                 progress = min(
@@ -1447,17 +1508,14 @@ class QoSSystemSimulator:
                 projected = now + remaining / state.rate
             else:
                 projected = math.inf
-            rates_by_ways: Tuple[float, ...] = ()
-            if state.reserved_running and state.steal is None:
-                if not state.rates_by_ways:
-                    state.rates_by_ways = tuple(
-                        0.0
-                        if ways == 0
-                        else self.machine.clock_hz
-                        / state.cpi_model.cpi(state.curve.mpi(ways))
-                        for ways in range(self.machine.l2_ways + 1)
-                    )
-                rates_by_ways = state.rates_by_ways
+            if not state.rates_by_ways:
+                state.rates_by_ways = tuple(
+                    0.0
+                    if ways == 0
+                    else self.machine.clock_hz
+                    / state.cpi_model.cpi(state.curve.mpi(ways))
+                    for ways in range(self.machine.l2_ways + 1)
+                )
             reservation_end: Optional[float] = None
             if (
                 state.reservation is not None
@@ -1468,18 +1526,16 @@ class QoSSystemSimulator:
                 JobSensor(
                     job_id=job_id,
                     mode=state.job.current_mode.kind.value,
-                    reserved=state.reserved_running,
-                    elastic=state.steal is not None,
+                    reserved=True,
+                    elastic=False,
                     ways=state.ways,
                     requested_ways=state.spec.requested_ways,
                     progress=progress,
                     instructions=state.job.instructions,
-                    rate=state.rate,
                     deadline=state.job.deadline,
                     reservation_end=reservation_end,
                     projected_finish=projected,
-                    miss_increase_fraction=state.miss_increase_fraction(),
-                    rates_by_ways=rates_by_ways,
+                    rates_by_ways=state.rates_by_ways,
                 )
             )
         return SensorSnapshot(
@@ -1524,32 +1580,59 @@ class QoSSystemSimulator:
     def _on_policy_epoch(self, now: float) -> None:
         if self._finished or self.policy is None:
             return
+        effective = self._policy_decide(now)
+        if effective:
+            self._policy_actuate(now, effective)
+        self._schedule_epoch(self._next_epoch_time(now))
+
+    def _next_epoch_time(self, now: float) -> float:
+        """When the epoch after the one at ``now`` is due."""
+        return now + self._policy_epoch_seconds
+
+    def _schedule_epoch(self, time: float) -> None:
+        self._epoch_handle = self.events.schedule(time, self._on_policy_epoch)
+
+    def _policy_decide(self, now: float) -> List[PolicyAction]:
+        """Take the epoch's decision and audit it; return its effective
+        actions.
+
+        The actuator view is built only when the policy proposes an
+        action; an epoch without a proposal changes nothing, and its
+        audit record takes the reserved and spare ways of the snapshot.
+        """
         snapshot = self._policy_sensors(now)
         actions = self.policy.decide(snapshot)
+        self._policy_epoch_index += 1
+        if not actions:
+            self._policy_audit.append(
+                (now, snapshot.reserved_ways, snapshot.spare_ways)
+            )
+            return []
         view = self._policy_actuator_view()
         effective = [a for a in actions if apply_action(view, a)]
-        self._policy_epoch_index += 1
         self._policy_audit.append((now, view.reserved_total(), view.spare()))
-        if effective:
-            self._advance_all(now)
-            obs = get_observer()
-            for action in effective:
-                self._commit_policy_action(action)
-                self._policy_decisions += 1
-                if obs.enabled:
-                    obs.metrics.counter(
-                        "sim.policy.decisions", policy=self.policy.name
-                    ).inc()
-                    obs.events.emit(
-                        "policy.decision",
-                        now,
-                        policy=self.policy.name,
-                        **action.describe(),
-                    )
-            self._recompute(now)
-        self.events.schedule(
-            now + self._policy_epoch_seconds, self._on_policy_epoch
-        )
+        return effective
+
+    def _policy_actuate(
+        self, now: float, effective: List[PolicyAction]
+    ) -> None:
+        """Commit an epoch's effective actions and derive."""
+        self._advance_all(now)
+        obs = get_observer()
+        for action in effective:
+            self._commit_policy_action(action)
+            self._policy_decisions += 1
+            if obs.enabled:
+                obs.metrics.counter(
+                    "sim.policy.decisions", policy=self.policy.name
+                ).inc()
+                obs.events.emit(
+                    "policy.decision",
+                    now,
+                    policy=self.policy.name,
+                    **action.describe(),
+                )
+        self._recompute(now)
 
     def _commit_policy_action(self, action) -> None:
         if isinstance(action, SetWays):

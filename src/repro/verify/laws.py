@@ -504,11 +504,9 @@ class SyntheticPolicyWorld:
                     requested_ways=job["requested"],
                     progress=job["progress"],
                     instructions=job["instructions"],
-                    rate=rate,
                     deadline=job["limit"],
                     reservation_end=job["limit"],
                     projected_finish=projected,
-                    miss_increase_fraction=0.0,
                     rates_by_ways=job["rates"],
                 )
             )

@@ -12,6 +12,8 @@ import pytest
 
 from repro.analysis import misscache
 from repro.analysis.store import QUARANTINE_SUFFIX, ResultStore
+from repro.analysis import sweep
+from repro.analysis.parallel import installed_shared
 from repro.analysis.sweep import (
     SweepPoint,
     SweepSpec,
@@ -203,6 +205,56 @@ class TestDigests:
         digests = [point_digest(p) for p in variants]
         assert point_digest(base) not in digests
         assert len(set(digests)) == len(digests)
+
+
+class TestCodeFingerprint:
+    #: Modules whose functions run while a point is simulated and stored
+    #: but cannot change a stored artifact.
+    ALLOWLIST = {
+        # Store mechanics: a curve comes back as the fingerprinted
+        # profiler made it, or not at all; an artifact is written whole.
+        "repro.analysis.misscache": "curve store round trip",
+        "repro.analysis.store": "results store round trip",
+        "repro.util.atomicio": "atomic file writes",
+        "repro.analysis.parallel": "hands each point to its worker",
+        # The artifact carries the metrics snapshot and the SLO report,
+        # not the event log, the causal spans or host timings.
+        "repro.obs.events": "event log",
+        "repro.obs.profiler": "host-time phases",
+        "repro.obs.trace": "causal spans",
+        "repro.util.validation": "only raises",
+    }
+
+    def test_fingerprint_covers_every_module_a_point_runs(self, tmp_path):
+        """Editing any module a point's simulation runs, and that can
+        change its artifact, must re-key the store."""
+        points = [
+            SweepPoint(workload="Mix-1", configuration=name, count=4, **FAST_KNOBS)
+            for name in ("Hybrid-2", "All-Strict+AutoDown", "EqualPart")
+        ]
+        ran = set()
+
+        def record(frame, event, arg):
+            if event == "call":
+                ran.add(frame.f_globals.get("__name__") or "")
+
+        previous = sys.getprofile()
+        sys.setprofile(record)
+        try:
+            with installed_shared((points, tmp_path / "store")):
+                for index in range(len(points)):
+                    sweep._point_worker(index)
+        finally:
+            sys.setprofile(previous)
+        unfingerprinted = {
+            module
+            for module in ran
+            if module.startswith("repro.")
+            and module not in sweep._FINGERPRINT_MODULES
+        }
+        assert unfingerprinted <= self.ALLOWLIST.keys(), sorted(
+            unfingerprinted - self.ALLOWLIST.keys()
+        )
 
 
 class TestRunSweep:

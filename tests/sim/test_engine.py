@@ -373,3 +373,213 @@ class TestFireInline:
             queue.fire_inline(math.nan)
         with pytest.raises(ValueError, match="past"):
             queue.fire_inline(4.0)
+
+
+class TestPopInline:
+    """A callback may pop a scheduled event and run it in place, but
+    only when the run loop would pop that very entry next."""
+
+    @staticmethod
+    def _first_event_pops(queue, time, not_after=math.inf, **run_kwargs):
+        """Run ``queue`` with an event at 1.0 that pops the one at ``time``."""
+        answers = []
+        target = {}
+        queue.schedule(
+            1.0,
+            lambda t: answers.append(
+                queue.pop_inline(target["handle"], not_after)
+            ),
+        )
+        target["handle"] = queue.schedule(time, lambda t: None)
+        outcome = queue.run(**run_kwargs)
+        return answers[0], outcome
+
+    def test_refused_outside_run(self):
+        queue = EventQueue()
+        handle = queue.schedule(2.0, lambda t: None)
+        assert queue.pop_inline(handle, math.inf) is False
+        answers = []
+        queue.schedule(
+            1.0, lambda t: answers.append(queue.pop_inline(handle, math.inf))
+        )
+        assert queue.step()
+        assert answers == [False]
+        assert (queue.now, queue.events_fired, handle.popped) == (1.0, 1, False)
+
+    def test_popped_entry_counts_as_if_the_loop_popped_it(self):
+        queue = EventQueue()
+        seen = []
+        fired = []
+
+        def callback(t):
+            seen.append((queue.now, queue.events_fired))
+            assert queue.pop_inline(second, math.inf)
+            seen.append((queue.now, queue.events_fired))
+
+        queue.schedule(1.0, callback)
+        second = queue.schedule(2.0, lambda t: fired.append(t))
+        queue.schedule(3.0, lambda t: seen.append((t, queue.events_fired)))
+        queue.schedule(4.0, lambda t: seen.append((t, queue.events_fired)))
+        # The loop's own count includes the popped entry: a budget of
+        # three events stops before the one at 4.0.
+        outcome = queue.run(budget=RunBudget(max_events=3))
+        assert outcome == RUN_EVENT_BUDGET
+        assert seen == [(1.0, 1), (2.0, 2), (3.0, 3)]
+        assert fired == [], "the loop fired the popped entry again"
+        assert second.popped and len(queue) == 1
+        second.cancel()  # a popped entry's cancel leaves the counter alone
+        assert queue._cancelled_in_heap == 0
+        assert queue.run() == RUN_DRAINED
+        assert queue.events_fired == 4
+
+    @pytest.mark.parametrize(
+        "other, fires",
+        [(1.5, False), (2.0, False), (2.5, True)],
+        ids=["earlier", "same-time-scheduled-first", "later"],
+    )
+    def test_only_the_next_live_entry_pops(self, other, fires):
+        queue = EventQueue()
+        answers = []
+        handles = {}
+        queue.schedule(
+            1.0,
+            lambda t: answers.append(
+                queue.pop_inline(handles["target"], math.inf)
+            ),
+        )
+        queue.schedule(other, lambda t: None)
+        handles["target"] = queue.schedule(2.0, lambda t: None)
+        assert queue.run() == RUN_DRAINED
+        assert answers == [fires]
+        assert queue.events_fired == 3
+
+    def test_same_time_entry_scheduled_later_does_not_block(self):
+        queue = EventQueue()
+        answers = []
+        handles = {}
+        queue.schedule(
+            1.0,
+            lambda t: answers.append(
+                queue.pop_inline(handles["target"], math.inf)
+            ),
+        )
+        handles["target"] = queue.schedule(2.0, lambda t: None)
+        queue.schedule(2.0, lambda t: None)
+        assert queue.run() == RUN_DRAINED
+        assert answers == [True]
+
+    def test_cancelled_entries_do_not_block(self):
+        queue = EventQueue()
+        answers = []
+        handles = {}
+        queue.schedule(
+            1.0,
+            lambda t: answers.append(
+                queue.pop_inline(handles["target"], math.inf)
+            ),
+        )
+        queue.schedule(1.5, lambda t: None).cancel()
+        handles["target"] = queue.schedule(2.0, lambda t: None)
+        assert queue.run() == RUN_DRAINED
+        assert answers == [True]
+
+    def test_cancelled_handle_is_refused(self):
+        queue = EventQueue()
+        answers = []
+        handles = {}
+
+        def callback(t):
+            handles["target"].cancel()
+            answers.append(queue.pop_inline(handles["target"], math.inf))
+
+        queue.schedule(1.0, callback)
+        handles["target"] = queue.schedule(2.0, lambda t: None)
+        assert queue.run() == RUN_DRAINED
+        assert answers == [False]
+        assert queue.events_fired == 1
+
+    @pytest.mark.parametrize(
+        "not_after, fires",
+        [(2.0, True), (math.nextafter(2.0, 0.0), False)],
+        ids=["at", "just-before"],
+    )
+    def test_refused_past_not_after(self, not_after, fires):
+        assert self._first_event_pops(EventQueue(), 2.0, not_after) == (
+            fires,
+            RUN_DRAINED,
+        )
+
+    @pytest.mark.parametrize("until, fires", [(2.0, True), (1.5, False)])
+    def test_refused_past_until(self, until, fires):
+        queue = EventQueue()
+        answer, outcome = self._first_event_pops(queue, 2.0, until=until)
+        assert answer is fires
+        assert outcome == (RUN_DRAINED if fires else RUN_HORIZON)
+
+    @pytest.mark.parametrize("allowance, fires", [(1, False), (2, True)])
+    def test_refused_at_exhausted_event_budget(self, allowance, fires):
+        queue = EventQueue()
+        answer, outcome = self._first_event_pops(
+            queue, 2.0, budget=RunBudget(max_events=allowance)
+        )
+        assert (answer, outcome) == (fires, RUN_EVENT_BUDGET)
+        assert queue.events_fired == allowance
+
+    def test_refused_at_exhausted_wall_clock_budget(self, monkeypatch):
+        from repro.sim import engine
+
+        clock = [0.0]
+        monkeypatch.setattr(
+            engine, "_time", SimpleNamespace(monotonic=lambda: clock[0])
+        )
+        queue = EventQueue()
+        answers = []
+        handles = {}
+
+        def callback(t):
+            answers.append(queue.pop_inline(handles[2.0], math.inf))
+            clock[0] = 10.0
+            answers.append(queue.pop_inline(handles[3.0], math.inf))
+
+        queue.schedule(1.0, callback)
+        handles[2.0] = queue.schedule(2.0, lambda t: None)
+        handles[3.0] = queue.schedule(3.0, lambda t: None)
+        outcome = queue.run(budget=RunBudget(max_wall_seconds=10.0))
+        assert answers == [True, False]
+        assert outcome == RUN_WALL_CLOCK_BUDGET
+        assert queue.events_fired == 2
+
+    def test_refused_when_stop_when_holds(self):
+        queue = EventQueue()
+        stop = []
+        answers = []
+        handles = {}
+
+        def callback(t):
+            answers.append(queue.pop_inline(handles[2.0], math.inf))
+            stop.append(True)
+            answers.append(queue.pop_inline(handles[3.0], math.inf))
+
+        queue.schedule(1.0, callback)
+        handles[2.0] = queue.schedule(2.0, lambda t: None)
+        handles[3.0] = queue.schedule(3.0, lambda t: None)
+        assert queue.run(stop_when=lambda: bool(stop)) == RUN_STOPPED
+        assert answers == [True, False]
+        assert queue.events_fired == 2
+
+    @pytest.mark.parametrize("max_events, fires", [(1, False), (2, True)])
+    def test_refused_at_the_runaway_guard(self, max_events, fires):
+        queue = EventQueue()
+        answers = []
+        handles = {}
+        queue.schedule(
+            1.0,
+            lambda t: answers.append(
+                queue.pop_inline(handles["target"], math.inf)
+            ),
+        )
+        handles["target"] = queue.schedule(2.0, lambda t: None)
+        with pytest.raises(RuntimeError, match="budget"):
+            queue.run(max_events=max_events)
+        assert answers == [fires]
+        assert queue.events_fired == max_events

@@ -1,25 +1,39 @@
-"""A probe's re-date must equal a full derivation.
+"""A probe's re-date, and an epoch fired inside a train, must equal the
+queue they stand in for.
 
 A probe that admits nothing changes no allocation, so
 ``QoSSystemSimulator._recompute`` only re-dates the running jobs'
 history entries and completion and steal times, and keeps those times
 out of the event queue; the next probe of such a train fires in place
-when the queue would pop it next (DESIGN.md §7.5).  The oracle below is
-a test-only subclass that sends every re-date to a full derivation, so
-it never defers an event and every probe passes through the queue, as
-every call did before.  Each scenario runs under both and must give the
-same ``fingerprint()``; observed runs, and runs a budget stops inside a
-train, must write the same metrics, events and trace JSONL.
+when the queue would pop it next, and so does a policy epoch, the train
+going on while the epoch decides nothing (DESIGN.md §7.5).  The oracle
+below is a test-only subclass that sends every re-date to a full
+derivation, so it never defers an event, and every probe and every
+epoch passes through the queue, as every call did before.  Each
+scenario runs under both and must give the same ``fingerprint()``, run
+its probes, epochs, completions and steal intervals in the same order,
+and leave the same live heap entries, in the same schedule order,
+whenever the run loop takes control; observed runs, and runs a budget
+stops inside a train, must write the same metrics, events and trace
+JSONL.  A second oracle keeps the epoch that built a sensor for every
+running job and an actuator view at every epoch.
 """
 
 import json
+import math
 from types import SimpleNamespace
 
 import pytest
 
 from repro.core.config import CONFIGURATIONS, ModeMixConfig
+from repro.core.job import JobState
 from repro.core.modes import ExecutionMode
-from repro.core.policy import make_policy
+from repro.core.policy import (
+    JobSensor,
+    SensorSnapshot,
+    apply_action,
+    make_policy,
+)
 from repro.faults import FaultConfig
 from repro.faults.checkpoint import (
     checkpoint_simulator,
@@ -37,30 +51,130 @@ from repro.workloads.composer import JobSpec, WorkloadSpec, mixed_workload
 from repro.workloads.profiler import get_curve
 
 
-class AlwaysDerive(QoSSystemSimulator):
+def _live_heap(queue):
+    """The queue's live entries in schedule order: (time, callback)."""
+    return tuple(
+        (time, handle.callback.__name__)
+        for time, _, handle in sorted(queue._heap, key=lambda item: item[1])
+        if not handle.cancelled
+    )
+
+
+class Watched:
+    """Records what the run loop would see and the order things ran.
+
+    ``heaps`` maps the events fired so far to the live heap each time
+    the run loop takes control (only at the counts in ``watch``, when
+    set); ``order`` lists each probe, epoch decision, completion and
+    steal interval as it runs.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.heaps = {}
+        self.order = []
+        self.watch = None
+        peek_time = self.events.peek_time
+
+        def watched():
+            fired = self.events.events_fired
+            if self.watch is None or fired in self.watch:
+                self.heaps[fired] = _live_heap(self.events)
+            return peek_time()
+
+        self.events.peek_time = watched
+
+    def _try_admit(self, request, now):
+        self.order.append(("probe", now))
+        return super()._try_admit(request, now)
+
+    def _policy_decide(self, now):
+        self.order.append(("epoch", now))
+        return super()._policy_decide(now)
+
+    def _make_completion(self, job_id):
+        callback = super()._make_completion(job_id)
+
+        def complete(now):
+            self.order.append(("complete", job_id, now))
+            callback(now)
+
+        return complete
+
+    def _make_steal_interval(self, job_id):
+        callback = super()._make_steal_interval(job_id)
+
+        def interval(now):
+            self.order.append(("steal", job_id, now))
+            callback(now)
+
+        return interval
+
+
+class AlwaysDerive(Watched, QoSSystemSimulator):
     """The oracle: every call derives, re-date or not, so nothing is
-    deferred and every probe is scheduled."""
+    deferred, no train forms, and every probe and every epoch is
+    scheduled and popped by the run loop."""
 
     def _recompute(self, now, *, redate=False):
         return super()._recompute(now)
 
 
-class Shipped(QoSSystemSimulator):
-    """The simulator as shipped, counting what its re-date calls did."""
+class Shipped(Watched, QoSSystemSimulator):
+    """The simulator as shipped, counting what its re-date calls did and
+    what it fired in place."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.redates = 0  # re-date calls that kept the derivation
         self.forced = 0  # re-date calls a completion sent to a derivation
-        self.inline = 0  # probes fired in place instead of scheduled
-        fire_inline = self.events.fire_inline
+        self.probes = self.queued_probes = 0  # all, and popped by the loop
+        self.epochs = self.queued_epochs = 0
+        # How the event running now fired: "queue", or in place by
+        # "pop" (pop_inline) or "fire" (fire_inline).
+        self.fired_by = "queue"
+        for name in ("pop", "fire"):
+            self._count_inline(name)
 
-        def counted(time):
-            fired = fire_inline(time)
-            self.inline += fired
+    def _count_inline(self, name):
+        method = getattr(self.events, f"{name}_inline")
+
+        def counted(*args):
+            fired = method(*args)
+            if fired:
+                self.fired_by = name
             return fired
 
-        self.events.fire_inline = counted
+        setattr(self.events, f"{name}_inline", counted)
+
+    @property
+    def inline(self):
+        """Probes fired in place."""
+        return self.probes - self.queued_probes
+
+    @property
+    def inline_epochs(self):
+        """Epochs fired in place."""
+        return self.epochs - self.queued_epochs
+
+    def _on_probe(self, now):
+        self.queued_probes += 1
+        self.fired_by = "queue"
+        super()._on_probe(now)
+
+    def _try_admit(self, request, now):
+        self.probes += 1
+        return super()._try_admit(request, now)
+
+    def _on_policy_epoch(self, now):
+        before = self.epochs
+        self.fired_by = "queue"
+        super()._on_policy_epoch(now)
+        self.queued_epochs += self.epochs - before
+
+    def _policy_decide(self, now):
+        self.epochs += 1
+        return super()._policy_decide(now)
 
     def _recompute(self, now, *, redate=False):
         if redate:
@@ -69,6 +183,89 @@ class Shipped(QoSSystemSimulator):
             else:
                 self.redates += 1
         return super()._recompute(now, redate=redate)
+
+
+class FullEpoch(QoSSystemSimulator):
+    """The second oracle: the epoch as first written, with a sensor for
+    every running job and an actuator view built at every epoch, which
+    the audit record is taken from."""
+
+    def _policy_sensors(self, now):
+        elapsed = max(0.0, now - self._last_advance)
+        jobs = []
+        reserved_ways_total = 0
+        for job_id in sorted(self._states):
+            state = self._states[job_id]
+            if not state.running or state.job.state is not JobState.RUNNING:
+                continue
+            if state.reserved_running:
+                reserved_ways_total += state.ways
+            progress = state.progress
+            if state.rate > 0.0 and elapsed > 0.0:
+                progress = min(
+                    progress + state.rate * elapsed,
+                    float(state.job.instructions),
+                )
+            remaining = state.job.instructions - progress
+            if remaining <= 1e-3:
+                projected = now
+            elif state.rate > 0.0:
+                projected = now + remaining / state.rate
+            else:
+                projected = math.inf
+            rates_by_ways = ()
+            if state.reserved_running and state.steal is None:
+                if not state.rates_by_ways:
+                    state.rates_by_ways = tuple(
+                        0.0
+                        if ways == 0
+                        else self.machine.clock_hz
+                        / state.cpi_model.cpi(state.curve.mpi(ways))
+                        for ways in range(self.machine.l2_ways + 1)
+                    )
+                rates_by_ways = state.rates_by_ways
+            reservation_end = None
+            if (
+                state.reservation is not None
+                and state.reservation.end != math.inf
+            ):
+                reservation_end = state.reservation.end
+            jobs.append(
+                JobSensor(
+                    job_id=job_id,
+                    mode=state.job.current_mode.kind.value,
+                    reserved=state.reserved_running,
+                    elastic=state.steal is not None,
+                    ways=state.ways,
+                    requested_ways=state.spec.requested_ways,
+                    progress=progress,
+                    instructions=state.job.instructions,
+                    deadline=state.job.deadline,
+                    reservation_end=reservation_end,
+                    projected_finish=projected,
+                    rates_by_ways=rates_by_ways,
+                )
+            )
+        return SensorSnapshot(
+            now=now,
+            epoch_index=self._policy_epoch_index,
+            l2_ways=self.machine.l2_ways,
+            reserved_ways=reserved_ways_total,
+            spare_ways=self.machine.l2_ways - reserved_ways_total,
+            bus_utilisation=self._last_bus_utilisation,
+            bus_saturated=self._bus_saturated,
+            bus_granted=self._policy_bus_grant,
+            jobs=tuple(jobs),
+        )
+
+    def _policy_decide(self, now):
+        snapshot = self._policy_sensors(now)
+        actions = self.policy.decide(snapshot)
+        view = self._policy_actuator_view()
+        effective = [a for a in actions if apply_action(view, a)]
+        self._policy_epoch_index += 1
+        self._policy_audit.append((now, view.reserved_total(), view.spare()))
+        return effective
 
 
 #: perfbench's adaptive-faults rates, plus core stalls.
@@ -85,13 +282,18 @@ QOS_CONFIGURATIONS = (
     "Hybrid-2",
     "All-Strict+AutoDown",
 )
-#: A half fraction of faults x policy x queue discipline: every pair of
-#: the three factors meets in all four of its combinations.
+POLICIES = ("grow-shrink", "bandwidth-steal")
+#: Faults x policy x queue discipline: a half fraction over no policy
+#: and grow-shrink (every pair of the three factors meets in all four of
+#: its combinations), and bandwidth-steal under both fault settings and
+#: both disciplines.
 VARIANTS = (
     (False, None, "fcfs"),
     (False, "grow-shrink", "backfill"),
     (True, None, "backfill"),
     (True, "grow-shrink", "fcfs"),
+    (False, "bandwidth-steal", "fcfs"),
+    (True, "bandwidth-steal", "backfill"),
 )
 
 
@@ -101,9 +303,9 @@ def _scenarios():
             for v, (faults, policy, queue) in enumerate(VARIANTS):
                 yield mix, configuration, (m + c + v) % 3, faults, policy, queue
     # Hybrid-2 runs finish two opportunistic jobs that share a core at
-    # one instant, the second inside a derivation; keep these four.
+    # one instant, the second inside a derivation; keep these six.
     for faults in (False, True):
-        for policy in (None, "grow-shrink"):
+        for policy in (None,) + POLICIES:
             yield "Mix-2", "Hybrid-2", 0, faults, policy, "fcfs"
 
 
@@ -137,7 +339,7 @@ def mix_curves():
     }
 
 
-def _run(cls, scenario, curves):
+def _run(cls, scenario, curves, watch=None):
     mix, configuration, seed, faults, policy, queue = scenario
     simulator = cls(
         mixed_workload(mix, CONFIGURATIONS[configuration], seed=seed),
@@ -146,16 +348,37 @@ def _run(cls, scenario, curves):
         fault_config=FaultConfig(seed=seed, **FAULT_RATES) if faults else None,
         policy=make_policy(policy) if policy else None,
     )
+    if watch is not None:
+        simulator.watch = set(watch)
     return simulator, simulator.run()
+
+
+def _assert_same_queue(shipped, oracle):
+    """Same order of work, and the oracle's live heap wherever the
+    shipped run loop took control."""
+    assert shipped.order == oracle.order
+    assert shipped.heaps.keys() <= oracle.heaps.keys()
+    for fired, heap in shipped.heaps.items():
+        assert heap == oracle.heaps[fired], f"after {fired} events"
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=_scenario_id)
 def test_redate_matches_full_derivation(scenario, mix_curves):
     shipped, result = _run(Shipped, scenario, mix_curves)
-    _, oracle = _run(AlwaysDerive, scenario, mix_curves)
+    oracle, oracle_result = _run(
+        AlwaysDerive, scenario, mix_curves, watch=shipped.heaps
+    )
     assert shipped.redates > 0, "no probe was re-dated: nothing compared"
     assert shipped.inline > 0, "no probe fired in place: nothing compared"
-    assert result.fingerprint() == oracle.fingerprint()
+    assert result.fingerprint() == oracle_result.fingerprint()
+    _assert_same_queue(shipped, oracle)
+    if scenario[4] is None:
+        return
+    assert shipped.inline_epochs > 0, "no epoch fired in place"
+    full, full_result = _run(FullEpoch, scenario, mix_curves)
+    assert shipped.policy_audit == full.policy_audit
+    assert result.policy_decisions == full_result.policy_decisions
+    assert result.fingerprint() == full_result.fingerprint()
 
 
 def _without_compactions(metrics_lines):
@@ -246,70 +469,131 @@ def test_twin_finish_forces_the_next_call_to_derive(fake_curves):
 
 
 #: Event budgets that stop the run after the first few events, and
-#: later, inside trains of rejected probes.
+#: later, inside trains of rejected probes and on epochs fired in them.
 BUDGET_STOPS = (1, 2, 3, 7, 50, 333, 1000)
+#: (configuration, policy); the policy-free cases keep their ids.
+BUDGET_CASES = [
+    pytest.param(
+        configuration,
+        policy,
+        id=configuration if policy is None else f"{configuration}-{policy}",
+    )
+    for policy in (None,) + POLICIES
+    for configuration in ("Hybrid-2", "All-Strict+AutoDown")
+]
 
 
-@pytest.mark.parametrize("configuration", ("Hybrid-2", "All-Strict+AutoDown"))
+@pytest.mark.parametrize("configuration, policy", BUDGET_CASES)
 def test_budget_stop_inside_a_train_matches_full_derivation(
-    configuration, mix_curves
+    configuration, policy, mix_curves
 ):
     """A budget stops the loop where the oracle's queue would stop.
 
     A stop inside a train must leave the clock, the fired count and the
     pending events exactly as the oracle leaves them, and the resumed
-    run must go on as the oracle's does.
+    run must go on as the oracle's does.  Under a policy, at least one
+    stop must land on an epoch the uninterrupted run fired in place.
     """
     workload = mixed_workload("Mix-1", CONFIGURATIONS[configuration], seed=0)
-    uninterrupted = Shipped(workload, curves=mix_curves)
+
+    def build(cls):
+        return cls(
+            workload,
+            curves=mix_curves,
+            policy=make_policy(policy) if policy else None,
+        )
+
+    uninterrupted = build(Shipped)
     uninterrupted.run()
-    trains_cut = 0
+    trains_cut = epochs_cut = 0
     for budget in BUDGET_STOPS:
         outcomes = []
         for cls in (Shipped, AlwaysDerive):
             telemetry = Observer()
             with observed(telemetry):
-                simulator = cls(workload, curves=mix_curves)
+                simulator = build(cls)
                 partial = simulator.run(budget=RunBudget(max_events=budget))
                 stopped = (
                     simulator.events.events_fired,
                     simulator.events.now,
-                    len(simulator.events),
+                    _live_heap(simulator.events),
                     partial.fingerprint(),
+                    simulator.policy_audit,
                 )
                 resumed = simulator.run().fingerprint()
             outcomes.append(
                 (stopped, resumed, list(telemetry.events.to_jsonl_lines()))
             )
             if cls is Shipped:
-                # The probe after a stop inside a train is popped from
-                # the queue, not fired in place.
+                # The probe or epoch after a stop inside a train is
+                # popped from the queue, not fired in place.
                 cut = uninterrupted.inline - simulator.inline
-                assert cut in (0, 1)
-                trains_cut += cut
+                cut_epoch = (
+                    uninterrupted.inline_epochs - simulator.inline_epochs
+                )
+                assert cut in (0, 1) and cut_epoch in (0, 1)
+                trains_cut += cut or cut_epoch
+                epochs_cut += cut_epoch
         assert outcomes[0] == outcomes[1], f"budget {budget}"
     assert trains_cut > 0, "no budget stopped a train: nothing compared"
+    if policy is not None:
+        assert epochs_cut > 0, "no budget stopped on an epoch fired in place"
 
 
 def test_checkpoint_inside_a_train_resumes_to_the_uninterrupted_run(
     mix_curves, tmp_path
 ):
     workload = mixed_workload("Mix-1", CONFIGURATIONS["Hybrid-2"], seed=0)
-    uninterrupted = Shipped(workload, curves=mix_curves)
-    expected = uninterrupted.run().fingerprint()
-    stopped = Shipped(workload, curves=mix_curves)
-    stopped.run(budget=RunBudget(max_events=50))
-    path = save_checkpoint(
-        checkpoint_simulator(stopped), tmp_path / "train.ckpt"
-    )
-    resumed = resume_simulator(load_checkpoint(path), curves=mix_curves)
-    assert resumed.events.events_fired == 50
-    assert resumed.run().fingerprint() == expected
-    stopped.run()
-    assert stopped.inline == uninterrupted.inline - 1, "no train was cut"
+    for policy in (None,) + POLICIES:
+        uninterrupted, stopped = (
+            Shipped(
+                workload,
+                curves=mix_curves,
+                policy=make_policy(policy) if policy else None,
+            )
+            for _ in range(2)
+        )
+        expected = uninterrupted.run().fingerprint()
+        stopped.run(budget=RunBudget(max_events=50))
+        path = save_checkpoint(
+            checkpoint_simulator(stopped), tmp_path / f"{policy}.ckpt"
+        )
+        resumed = resume_simulator(load_checkpoint(path), curves=mix_curves)
+        assert resumed.events.events_fired == 50
+        assert resumed.run().fingerprint() == expected, policy
+        stopped.run()
+        cut = (
+            uninterrupted.inline - stopped.inline,
+            uninterrupted.inline_epochs - stopped.inline_epochs,
+        )
+        assert cut in ((1, 0), (0, 1), (1, 1)), f"no train was cut ({policy})"
 
 
-class TiedProbes:
+class Redated:
+    """Keeps in ``_redated`` the completion and steal times the last
+    ``_recompute`` call re-dated, as ``_redated_at`` returns them."""
+
+    def __init__(self, *args, **kwargs):
+        self._redated = []
+        super().__init__(*args, **kwargs)
+
+    def _recompute(self, now, *, redate=False):
+        self._redated = []
+        return super()._recompute(now, redate=redate)
+
+    def _redate_completion(self, state, now):
+        return self._redated_at(super()._redate_completion(state, now), now)
+
+    def _redate_steal(self, state, now):
+        return self._redated_at(super()._redate_steal(state, now), now)
+
+    def _redated_at(self, when, now):
+        if when is not None:
+            self._redated.append(when)
+        return when
+
+
+class TiedProbes(Redated):
     """Moves the next probe exactly onto the earliest completion or
     steal time the current probe re-dated, when it would land later.
 
@@ -324,7 +608,6 @@ class TiedProbes:
             return
         super().start()
         self.ties = 0
-        self._redated = []  # times the last _recompute call re-dated
         draws = self._probe_rng
         self._probe_rng = SimpleNamespace(
             exponential=lambda mean: self._tie_gap(draws.exponential(mean))
@@ -340,22 +623,6 @@ class TiedProbes:
             return gap
         self.ties += 1
         return tie
-
-    def _recompute(self, now, *, redate=False):
-        self._redated = []
-        return super()._recompute(now, redate=redate)
-
-    def _redate_completion(self, state, now):
-        when = super()._redate_completion(state, now)
-        if when is not None:
-            self._redated.append(when)
-        return when
-
-    def _redate_steal(self, state, now):
-        when = super()._redate_steal(state, now)
-        if when is not None:
-            self._redated.append(when)
-        return when
 
 
 class TiedShipped(TiedProbes, Shipped):
@@ -377,3 +644,149 @@ def test_deferred_event_wins_a_tie_with_the_next_probe(
     assert result.fingerprint() == oracle.run().fingerprint()
     assert shipped.ties == oracle.ties > 0, "no probe tied: nothing compared"
     assert shipped.inline > 0
+
+
+class TiedEpochs(Redated):
+    """Steers one kind of tie between a decision epoch and a probe or a
+    deferred event, named by ``tie``:
+
+    - ``heap-probe``: the next probe moves onto the epoch in the heap,
+      when it would land later;
+    - ``heap-deferred``: each epoch moves onto the earliest time the last
+      ``_recompute`` re-dated, when it would land later, and a re-dated
+      time within a few ulps of the epoch in the heap snaps onto it (a
+      few ulps of time retire far fewer instructions than a
+      completion's tolerance);
+    - ``follow-probe``: each epoch moves onto the pending probe;
+    - ``follow-deferred``: as ``heap-deferred``, without the snap.
+
+    Every steer is a function of the run's state, so the shipped
+    simulator and the oracle steer alike; ``ties`` counts the steers.
+    ``hits`` counts, in a shipped run, the ties met inside a train: an
+    epoch popped in place at the pending probe's time (``heap-probe``)
+    or at a deferred time (``heap-deferred``), the epoch following one
+    fired in place moved onto the pending probe (``follow-probe``), or
+    a train ending with its following epoch at its earliest deferred
+    time (``follow-deferred``).
+    """
+
+    tie = None
+
+    def __init__(self, *args, **kwargs):
+        self.ties = self.hits = 0
+        self.epoch_at = None  # the epoch last scheduled or pending
+        self.probe_at = None  # the probe last drawn
+        super().__init__(*args, **kwargs)
+
+    def start(self):
+        if self._started:
+            return
+        super().start()
+        draws = self._probe_rng
+        self._probe_rng = SimpleNamespace(
+            exponential=lambda mean: self._tie_gap(draws.exponential(mean))
+        )
+
+    def _in_place(self):
+        return getattr(self, "fired_by", "queue") != "queue"
+
+    def _tie_gap(self, gap):
+        now = self.events.now
+        epoch = self.epoch_at
+        if (
+            self.tie == "heap-probe"
+            and epoch is not None
+            and now < epoch < now + gap
+            and now + (epoch - now) == epoch
+        ):
+            gap = epoch - now
+            self.ties += 1
+        self.probe_at = now + gap
+        return gap
+
+    def _next_epoch_time(self, now):
+        when = super()._next_epoch_time(now)
+        target = None
+        if self.tie == "follow-probe":
+            target = self.probe_at
+        elif self.tie in ("heap-deferred", "follow-deferred") and self._redated:
+            target = min(self._redated)
+        if target is not None and now < target < when:
+            when = target
+            self.ties += 1
+            if self.tie == "follow-probe" and self._in_place():
+                self.hits += 1
+        self.epoch_at = when
+        return when
+
+    def _policy_decide(self, now):
+        if getattr(self, "fired_by", None) == "pop" and (
+            (self.tie == "heap-probe" and now == self.probe_at)
+            or (self.tie == "heap-deferred" and now in self._redated)
+        ):
+            self.hits += 1
+        return super()._policy_decide(now)
+
+    def _end_train(self, next_probe, follow):
+        times = [
+            when
+            for _, completion, steal in self._deferred
+            for when in (completion, steal)
+            if when is not None
+        ]
+        if (
+            self.tie == "follow-deferred"
+            and follow is not None
+            and times
+            and follow == min(times)
+        ):
+            self.hits += 1
+        super()._end_train(next_probe, follow)
+
+    def _redated_at(self, when, now):
+        epoch = self.epoch_at
+        if (
+            self.tie == "heap-deferred"
+            and when is not None
+            and epoch is not None
+            and now <= epoch
+            and abs(when - epoch) <= 4 * math.ulp(epoch)
+        ):
+            when = epoch
+        return super()._redated_at(when, now)
+
+
+class EpochTiedShipped(TiedEpochs, Shipped):
+    pass
+
+
+class EpochTiedOracle(TiedEpochs, AlwaysDerive):
+    pass
+
+
+#: tie -> (configuration, policy) whose run meets that tie in trains.
+EPOCH_TIES = {
+    "heap-probe": ("Hybrid-2", "grow-shrink"),
+    "heap-deferred": ("Hybrid-2", "grow-shrink"),
+    "follow-probe": ("Hybrid-2", "bandwidth-steal"),
+    "follow-deferred": ("Hybrid-2", "bandwidth-steal"),
+}
+
+
+@pytest.mark.parametrize("tie", sorted(EPOCH_TIES))
+def test_epoch_ties_resolve_as_the_queue_would(tie, mix_curves):
+    """The epoch in the heap wins ties with the deferred events and the
+    next probe; the epoch following one fired in place loses them."""
+    configuration, policy = EPOCH_TIES[tie]
+    scenario = ("Mix-1", configuration, 0, True, policy, "fcfs")
+    shipped_cls = type("Tied", (EpochTiedShipped,), {"tie": tie})
+    oracle_cls = type("Tied", (EpochTiedOracle,), {"tie": tie})
+    shipped, result = _run(shipped_cls, scenario, mix_curves)
+    oracle, oracle_result = _run(
+        oracle_cls, scenario, mix_curves, watch=shipped.heaps
+    )
+    assert shipped.ties == oracle.ties > 0, "nothing was steered"
+    assert shipped.hits > 0, "no tie met a train: nothing compared"
+    assert result.fingerprint() == oracle_result.fingerprint()
+    assert shipped.policy_audit == oracle.policy_audit
+    _assert_same_queue(shipped, oracle)
