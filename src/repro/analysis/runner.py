@@ -9,21 +9,26 @@ cache so every entry point measures identically.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 from repro.analysis.parallel import current_shared, parallel_map
+from repro.cache.geometry import CacheGeometry
 from repro.core.config import CONFIGURATIONS, ModeMixConfig
 from repro.core.policy import Policy
 from repro.faults.model import FaultConfig
+from repro.obs import Observer, observed
 from repro.sim.config import MachineConfig, SimulationConfig
 from repro.sim.equalpart import EqualPartSimulator
-from repro.sim.system import QoSSystemSimulator, SystemResult
+from repro.sim.system import QoSSystemSimulator, ResultArtifact, SystemResult
 from repro.workloads.composer import (
     WorkloadSpec,
     mixed_workload,
     single_benchmark_workload,
 )
 from repro.workloads.profiler import MissRatioCurve
+
+if TYPE_CHECKING:
+    from repro.analysis.sweep import SweepPoint
 
 
 def run_configuration(
@@ -86,6 +91,45 @@ def _workload_for(
     return single_benchmark_workload(
         benchmark_or_mix, configuration, count=count, seed=seed
     )
+
+
+def run_point(point: "SweepPoint") -> ResultArtifact:
+    """Simulate one sweep point; returns its ``ResultArtifact``.
+
+    Runs under a fresh local observer so the artifact carries the
+    point's own metrics snapshot and an SLO report, independent of
+    execution order and worker placement.  It lives here, not beside
+    the sweep orchestration, because the sweep store fingerprints the
+    modules whose code can change an artifact.
+    """
+    machine = None
+    if point.l2_ways is not None:
+        machine = MachineConfig(
+            l2_geometry=CacheGeometry.from_sets(2048, point.l2_ways, 64)
+        )
+    sim_kwargs: Dict[str, object] = {"seed": point.seed}
+    if point.instructions_per_job is not None:
+        sim_kwargs["instructions_per_job"] = point.instructions_per_job
+    if point.profile_num_sets is not None:
+        sim_kwargs["profile_num_sets"] = point.profile_num_sets
+    if point.profile_accesses is not None:
+        sim_kwargs["profile_accesses"] = point.profile_accesses
+    sim_config = SimulationConfig(**sim_kwargs)  # type: ignore[arg-type]
+    workload = _workload_for(
+        point.workload,
+        CONFIGURATIONS[point.configuration],
+        count=point.count,
+        seed=point.seed,
+    )
+    with observed(Observer()) as observer:
+        result = run_configuration(
+            workload,
+            machine=machine,
+            sim_config=sim_config,
+            record_trace=False,
+        )
+        metrics = observer.metrics.snapshot()
+    return result.to_artifact(metrics=metrics)
 
 
 def _configuration_worker(name: str) -> Tuple[str, SystemResult]:

@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis import misscache
 from repro.analysis.parallel import current_shared, parallel_map
+from repro.analysis.runner import run_point
 from repro.analysis.store import ResultStore, content_digest, modules_fingerprint
 from repro.obs.diff import DiffReport, diff_snapshots
 from repro.util.atomicio import write_atomic_text
@@ -58,7 +59,6 @@ SWEEP_REPORT_VERSION = 1
 #: ``tests/analysis/test_sweep.py``.
 _FINGERPRINT_MODULES = misscache._FINGERPRINT_MODULES + (
     "repro.analysis.runner",
-    "repro.analysis.sweep",
     "repro.core.admission",
     "repro.core.config",
     "repro.core.job",
@@ -278,49 +278,6 @@ def load_sweep_file(path) -> SweepSpec:
 
 
 # -- running one point -------------------------------------------------------
-
-
-def run_point(point: SweepPoint):
-    """Simulate one sweep point; returns its ``ResultArtifact``.
-
-    Runs under a fresh local observer so the artifact carries the
-    point's own metrics snapshot and an SLO report, independent of
-    execution order and worker placement.
-    """
-    from repro.analysis.runner import _workload_for, run_configuration
-    from repro.cache.geometry import CacheGeometry
-    from repro.core.config import CONFIGURATIONS
-    from repro.obs import Observer, observed
-    from repro.sim.config import MachineConfig, SimulationConfig
-
-    machine = None
-    if point.l2_ways is not None:
-        machine = MachineConfig(
-            l2_geometry=CacheGeometry.from_sets(2048, point.l2_ways, 64)
-        )
-    sim_kwargs: Dict[str, object] = {"seed": point.seed}
-    if point.instructions_per_job is not None:
-        sim_kwargs["instructions_per_job"] = point.instructions_per_job
-    if point.profile_num_sets is not None:
-        sim_kwargs["profile_num_sets"] = point.profile_num_sets
-    if point.profile_accesses is not None:
-        sim_kwargs["profile_accesses"] = point.profile_accesses
-    sim_config = SimulationConfig(**sim_kwargs)  # type: ignore[arg-type]
-    workload = _workload_for(
-        point.workload,
-        CONFIGURATIONS[point.configuration],
-        count=point.count,
-        seed=point.seed,
-    )
-    with observed(Observer()) as observer:
-        result = run_configuration(
-            workload,
-            machine=machine,
-            sim_config=sim_config,
-            record_trace=False,
-        )
-        metrics = observer.metrics.snapshot()
-    return result.to_artifact(metrics=metrics)
 
 
 def _point_worker(index: int) -> Dict[str, object]:

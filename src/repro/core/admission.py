@@ -74,6 +74,27 @@ class AdmissionDecision:
         return self.reservation.start if self.reservation else None
 
 
+class _NoTimeslot(AdmissionDecision):
+    """A rejection because no timeslot fits before the deadline.
+
+    Nearly every probe of a Fig. 5 run ends here, and only an observed
+    run reads the reason, so it is formatted when it is read.
+    """
+
+    accepted = False
+
+    def __init__(self, duration: float, latest_end: float) -> None:
+        object.__setattr__(self, "_window", (duration, latest_end))
+
+    @property
+    def reason(self) -> str:  # type: ignore[override]
+        duration, latest_end = self._window
+        return (
+            f"no timeslot of length {duration:.3g} fits before "
+            f"deadline {latest_end:.6g}"
+        )
+
+
 @dataclass
 class LacStatistics:
     """Bookkeeping for the Section 7.5 LAC-overhead characterisation.
@@ -221,14 +242,18 @@ class LocalAdmissionController:
         The paper's scan tries them in order and stops at the first
         window that fits or that ends after ``latest_end``.  The answer
         comes from the first-fit memo (:meth:`_first_fit`); the windows
-        the scan evaluates are counted all the same.
+        the scan evaluates are counted all the same.  The candidates
+        are read in place from the sorted reservation ends.
         """
         if duration <= 0:
             raise ValueError(f"duration must be positive, got {duration}")
+        ends = self._reservation_ends()
+        index = bisect_right(ends, not_before)
+        start = not_before
         first = _UNSCANNED
         evaluated = 0
         try:
-            for start in self._candidates(not_before):
+            while True:
                 end = start + duration
                 if end > latest_end:
                     return None
@@ -239,7 +264,10 @@ class LocalAdmissionController:
                     first = self._first_fit(request, duration, not_before)
                 if start == first:
                     return start
-            return None
+                if index == len(ends):
+                    return None
+                start = ends[index]
+                index += 1
         finally:
             self._count_windows(evaluated)
 
@@ -299,13 +327,18 @@ class LocalAdmissionController:
                 return start
         return None
 
-    def _candidates(self, not_before: float) -> List[float]:
-        """``not_before``, then each finite reservation end after it."""
+    def _reservation_ends(self) -> List[float]:
+        """The timeline version's sorted distinct finite reservation ends."""
         ends = self._ends
         if ends is None:
             ends = self._ends = sorted(
                 {r.end for r in self._reservations if r.end < math.inf}
             )
+        return ends
+
+    def _candidates(self, not_before: float) -> List[float]:
+        """``not_before``, then each finite reservation end after it."""
+        ends = self._reservation_ends()
         return [not_before, *ends[bisect_right(ends, not_before):]]
 
     def _first_fit(
@@ -448,11 +481,7 @@ class LocalAdmissionController:
             )
         if start is None:
             self.stats.rejections += 1
-            return AdmissionDecision(
-                False,
-                f"no timeslot of length {duration:.3g} fits before "
-                f"deadline {latest_end:.6g}",
-            )
+            return _NoTimeslot(duration, latest_end)
         reservation = self._reserve(job_id, start, start + duration, resources)
         self.stats.acceptances += 1
         return AdmissionDecision(True, "timeslot reserved", reservation)

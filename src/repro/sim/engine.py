@@ -215,14 +215,43 @@ class EventQueue:
         event is then counted as fired and ``now`` moves to ``time``;
         the caller runs it in place instead of scheduling it.  Outside
         :meth:`run` it returns False.
+
+        A train of rejected probes asks this once per probe, so the
+        checks of :meth:`_check_time`, :meth:`_loop_would_fire`,
+        :meth:`_stop_outcome`, :meth:`_drop_cancelled` and
+        :meth:`_count_inline` are written out here, in their order.
         """
-        self._check_time(time)
-        if not self._loop_would_fire(time):
+        if math.isnan(time):
+            raise ValueError("cannot schedule an event at NaN")
+        if time < self.now:
+            raise ValueError(
+                f"cannot schedule in the past: {time} < now {self.now}"
+            )
+        fired = self._fired + 1  # the current event, once it returns
+        if (
+            not self._in_run
+            or fired >= self._max_events
+            or not time <= self._until
+            or (self._stop_when is not None and self._stop_when())
+            or (
+                self._budget_events is not None
+                and fired >= self._budget_events
+            )
+            or (
+                self._wall_deadline is not None
+                and _time.monotonic() >= self._wall_deadline
+            )
+        ):
             return False
-        self._drop_cancelled()
-        if self._heap and self._heap[0][0] <= time:
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)[2].popped = True
+            self._cancelled_in_heap -= 1
+        if heap and heap[0][0] <= time:
             return False
-        self._count_inline(time)
+        self._fired = fired
+        self.events_fired += 1
+        self.now = time
         return True
 
     def pop_inline(self, handle: EventHandle, not_after: float) -> bool:

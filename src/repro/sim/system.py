@@ -520,12 +520,13 @@ class QoSSystemSimulator:
         self._finished = False
         self._bus_saturated = False
         # Running jobs as of the last derivation in _recompute, and
-        # whether the next call must derive again although it may
-        # re-date: set when a job completes or is terminated.
+        # whether the next probe must derive again although it admitted
+        # nothing: set when a job completes or is terminated.
         self._running: List[_JobRun] = []
         self._derive_next = True
-        # The last re-date's (job, completion, steal) times, not yet
-        # scheduled; None for an event the job does not have.
+        # The last re-date's or derivation's (job, completion, steal)
+        # times, None for an event the job does not have; a train holds
+        # its re-date's unscheduled.
         self._deferred: List[
             Tuple[_JobRun, Optional[float], Optional[float]]
         ] = []
@@ -702,22 +703,33 @@ class QoSSystemSimulator:
         # policy epochs that decide nothing is a train: each probe's
         # re-date stays out of the event queue, and the next probe fires
         # here when the queue would pop it next anyway, so only the last
-        # probe of a train schedules anything (DESIGN.md §7.5).
+        # probe of a train schedules anything (DESIGN.md §7.5).  Nothing
+        # but a probe's progress, histories and re-dated times changes
+        # along a train, so the running jobs' records are built once,
+        # at its first re-date, and each later probe advances and
+        # re-dates through them.
+        self._advance_all(now)
+        if self._pending_index >= len(self._pending):
+            return
+        request = self._pending[self._pending_index]
+        backfill = self.sim_config.queue_policy == "backfill"
+        records = advancing = None
         while True:
-            self._advance_all(now)
-            deferred_until = None
-            if self._pending_index < len(self._pending):
-                self._probes += 1
-                request = self._pending[self._pending_index]
-                admitted = self._try_admit(request, now)
-                if admitted:
-                    self._pending_index += 1
-                else:
-                    self._rejections += 1
-                    if self.sim_config.queue_policy == "backfill":
-                        admitted = self._try_backfill(now)
+            self._probes += 1
+            if self._try_admit(request, now):
+                self._pending_index += 1
+                admitted = True
+            else:
+                self._rejections += 1
+                admitted = backfill and self._try_backfill(now)
+            if admitted or self._derive_next:
+                self._recompute(now)
+                deferred_until = None
+            else:
                 # A probe that admitted nothing changed no allocation.
-                deferred_until = self._recompute(now, redate=not admitted)
+                if records is None:
+                    records, advancing = self._train_records()
+                deferred_until = self._redate(now, records)
             if self._pending_index >= len(self._pending):
                 return
             next_probe = now + self._probe_rng.exponential(self._mean_gap)
@@ -726,7 +738,111 @@ class QoSSystemSimulator:
                 return
             if not self._train_reaches(next_probe, deferred_until):
                 return
-            now = next_probe
+            # _advance_all, over the jobs that advance.
+            delta = next_probe - self._last_advance
+            if delta > 0:
+                for state, rate, mpi, baseline_mpi in advancing:
+                    instructions = rate * delta
+                    state.progress += instructions
+                    state.actual_misses += instructions * mpi
+                    if baseline_mpi is not None:
+                        state.baseline_misses += instructions * baseline_mpi
+            self._last_advance = now = next_probe
+
+    def _train_records(self) -> Tuple[list, list]:
+        """The running jobs' records for a train, at its first re-date.
+
+        Returns the re-date records, ``(job, history, ways, instructions,
+        rate, steals)`` for every job of the last derivation's running
+        list, in its order, and the advance records, ``(job, rate, mpi,
+        baseline_mpi)`` for those with a rate (``baseline_mpi`` None for
+        a job without a stealing controller).  Only a derivation changes
+        a rate, ways, miss rate or stealing controller, and anything
+        that derives ends the train, so the records hold for all of it;
+        progress moves, and is read from the job.  Cancels the jobs'
+        scheduled completions and steal intervals: the train defers
+        their re-dated times.
+        """
+        redate = []
+        advance = []
+        for state in self._running:
+            if state.completion_handle is not None:
+                state.completion_handle.cancel()
+                state.completion_handle = None
+            if state.steal_handle is not None:
+                state.steal_handle.cancel()
+                state.steal_handle = None
+            rate = state.rate
+            redate.append(
+                (
+                    state,
+                    self._ways_history[state.job.job_id],
+                    state.ways,
+                    state.job.instructions,
+                    rate,
+                    state.steal is not None and state.reserved_running,
+                )
+            )
+            if rate > 0.0:
+                advance.append(
+                    (
+                        state,
+                        rate,
+                        state.mpi,
+                        None if state.steal is None else state.baseline_mpi,
+                    )
+                )
+        return redate, advance
+
+    def _redate(self, now: float, records: list) -> Optional[float]:
+        """Re-date the running jobs at a probe that admitted nothing.
+
+        Unless a job completed or was terminated since the last
+        derivation (``_derive_next``, which sends the probe to
+        :meth:`_recompute` instead), the derived allocations, bus load,
+        rates and trace segments still hold, so each running job gets
+        only its history entry and its completion and steal times, from
+        ``now + remaining / rate`` as a derivation computes them
+        (DESIGN.md §7.5).  The times go to ``_deferred`` instead of the
+        event queue, and the earliest of them (``math.inf`` for none) is
+        returned; the probe then schedules them, or fires the next probe
+        in place.  A job with no work left completes here; the others
+        are still re-dated, everything is scheduled at once, and None is
+        returned.
+        """
+        if self._bus_saturated:
+            obs = get_observer()
+            if obs.enabled:
+                obs.metrics.counter("mem.bus.saturated_intervals").inc()
+        earliest = math.inf
+        deferred = []
+        for state, history, ways, instructions, rate, steals in records:
+            history.append(ways)
+            completion = steal = None
+            remaining = instructions - state.progress
+            if remaining <= _PROGRESS_EPSILON:
+                self._complete(state, now)
+            elif rate > 0.0:
+                completion = now + remaining / rate
+                if completion < earliest:
+                    earliest = completion
+                if steals:
+                    remaining = state.next_interval_at - state.progress
+                    if remaining <= 0:
+                        remaining = 0.0
+                    steal = now + remaining / rate
+                    if steal < earliest:
+                        earliest = steal
+            deferred.append((state, completion, steal))
+        self._deferred = deferred
+        completed = self._derive_next
+        if completed:
+            self._schedule_deferred()
+        if self._slo is not None:
+            self._project_slo(now)
+        if self._invariants is not None:
+            self._invariants.maybe_check()
+        return None if completed else earliest
 
     def _train_reaches(self, next_probe: float, deferred_until: float) -> bool:
         """Carry a train on to its next probe; False once it has ended.
@@ -866,15 +982,23 @@ class QoSSystemSimulator:
         deadline_span = check_non_negative(
             "deadline_span", multiplier * promised
         )
+        resources = ResourceVector(
+            cores=spec.requested_cores, cache_ways=spec.requested_ways
+        )
+        if duration > 0.0 and not resources.fits_within(self.lac.capacity):
+            # The LAC rejects it at every probe (an Opportunistic job
+            # reserves nothing, and the LAC accepts it as it is).
+            raise RuntimeError(
+                f"job requests {resources}, beyond node capacity; it can "
+                f"never be admitted"
+            )
         return _JobRequest(
             spec=spec,
             tw=tw,
             max_wall_clock=max_wall_clock,
             duration=duration,
             deadline_span=deadline_span,
-            resources=ResourceVector(
-                cores=spec.requested_cores, cache_ways=spec.requested_ways
-            ),
+            resources=resources,
             auto_down=(
                 self.config.auto_downgrade
                 and spec.mode.kind is ModeKind.STRICT
@@ -894,24 +1018,20 @@ class QoSSystemSimulator:
             now=now,
             auto_downgrade=request.auto_down,
         )
-        obs = get_observer()
-        if obs.enabled and not decision.accepted:
-            obs.metrics.counter("sim.admission.rejected").inc()
-            obs.events.emit(
-                "admission",
-                now,
-                job_id=job_id,
-                benchmark=spec.benchmark,
-                mode=spec.mode.describe(),
-                accepted=False,
-                reason=decision.reason,
-            )
         if not decision.accepted:
-            if not request.resources.fits_within(self.lac.capacity):
-                raise RuntimeError(
-                    f"job requests {request.resources}, beyond node "
-                    f"capacity; it can never be admitted"
+            obs = get_observer()
+            if obs.enabled:
+                obs.metrics.counter("sim.admission.rejected").inc()
+                obs.events.emit(
+                    "admission",
+                    now,
+                    job_id=job_id,
+                    benchmark=spec.benchmark,
+                    mode=spec.mode.describe(),
+                    accepted=False,
+                    reason=decision.reason,
                 )
+            # _request_for refused a request beyond the node's capacity.
             if not self.lac.booked_from(now):
                 # Nothing is booked now or in the future, yet the job
                 # still does not fit before its deadline: it never will.
@@ -1242,11 +1362,17 @@ class QoSSystemSimulator:
     # -- progress accounting ---------------------------------------------------------------
 
     def _advance_all(self, now: float) -> None:
+        """Retire each running job's work since the last advance.
+
+        Walks the last derivation's running list: a job gets a rate only
+        in a derivation, which also sets that list, and ``_complete``,
+        ``_terminate`` and ``_displace`` zero the rate of a job they stop.
+        """
         delta = now - self._last_advance
         if delta <= 0:
             self._last_advance = now
             return
-        for state in self._states.values():
+        for state in self._running:
             if not state.running or state.rate <= 0.0:
                 continue
             instructions = state.rate * delta
@@ -1258,100 +1384,101 @@ class QoSSystemSimulator:
 
     # -- allocation & rate recomputation ------------------------------------------------------
 
-    def _recompute(
-        self, now: float, *, redate: bool = False
-    ) -> Optional[float]:
+    def _recompute(self, now: float) -> None:
         """Re-derive allocations, bus contention, rates, and events.
 
-        ``redate`` marks a call after which no allocation can have
-        changed (a probe that admitted nothing).  Unless a job completed
-        or was terminated since the last derivation, the derived
-        allocations, bus load, rates and trace segments then still hold,
-        and only each running job's history entry, completion and steal
-        times are re-dated (DESIGN.md §7.5).  A re-date keeps those
-        times in ``_deferred`` instead of the event queue and returns
-        the earliest of them (``math.inf`` for none); the probe then
-        schedules them, or fires the next probe in place, whose call
-        drops them.  Returns None when every event was scheduled.
+        Derives the running list, allocations and bus load, then each
+        running job's rate, trace segment, history entry and completion
+        and steal times, which it schedules at once.  A probe that
+        admitted nothing only re-dates (:meth:`_redate`).
         """
-        self._deferred = []
-        derive = not redate or self._derive_next
-        if derive:
-            # Cleared first: a completion inside the loop below sets it.
-            self._derive_next = False
-            running = [s for s in self._states.values() if s.running]
-            self._running = running
-            opp_multiplier = self._derive_allocations(running)
-        else:
-            running = self._running
-        obs = get_observer()
-        if obs.enabled and self._bus_saturated:
-            obs.metrics.counter("mem.bus.saturated_intervals").inc()
+        # Cleared first: a completion inside the loop below sets it.
+        self._derive_next = False
+        running = [s for s in self._states.values() if s.running]
+        self._running = running
+        opp_multiplier = self._derive_allocations(running)
+        if self._bus_saturated:
+            obs = get_observer()
+            if obs.enabled:
+                obs.metrics.counter("mem.bus.saturated_intervals").inc()
 
         # Rates, trace, and event rescheduling.
-        earliest = math.inf
+        deferred = []
         for state in running:
-            if derive:
-                multiplier = (
-                    1.0 if state.reserved_running else opp_multiplier
+            multiplier = 1.0 if state.reserved_running else opp_multiplier
+            if state.cpu_share <= 0.0:
+                state.rate = 0.0
+            else:
+                cpi = state.cpi_model.cpi(
+                    state.mpi, miss_penalty_multiplier=multiplier
                 )
-                if state.cpu_share <= 0.0:
-                    state.rate = 0.0
-                else:
-                    cpi = state.cpi_model.cpi(
-                        state.mpi, miss_penalty_multiplier=multiplier
-                    )
-                    state.rate = (
-                        state.cpu_share * self.machine.clock_hz / cpi
-                    )
-                if self.record_trace:
-                    self.trace.update(
-                        now,
-                        state.job.job_id,
-                        mode=state.job.current_mode,
-                        ways=state.ways,
-                        core_id=state.core_id,
-                        cpu_share=state.cpu_share,
-                    )
-            self._ways_history[state.job.job_id].append(state.ways)
-            completion = self._redate_completion(state, now)
-            steal = self._redate_steal(state, now)
-            self._deferred.append((state, completion, steal))
-            for when in (completion, steal):
-                if when is not None and when < earliest:
-                    earliest = when
-        # A derivation, or a re-date in which a job completed, schedules
-        # at once; a re-date leaves its events to the probe.
-        deferred = not derive and not self._derive_next
-        if not deferred:
-            self._schedule_deferred()
-
-        # SLO projection pass: rates are final for this interval, so
-        # project every monitored in-flight job (including displaced
-        # jobs, whose zero rate projects to infinity — violating until
-        # resources return).  States iterate in admission order, so the
-        # emitted transition events are deterministic.
-        if self._slo is not None:
-            for state in self._states.values():
-                if state.job.state is not JobState.RUNNING:
-                    continue
-                transition = self._slo.observe(
+                state.rate = state.cpu_share * self.machine.clock_hz / cpi
+            if self.record_trace:
+                self.trace.update(
                     now,
                     state.job.job_id,
-                    progress=state.progress,
-                    rate=state.rate,
+                    mode=state.job.current_mode,
+                    ways=state.ways,
+                    core_id=state.core_id,
+                    cpu_share=state.cpu_share,
                 )
-                if transition is not None:
-                    obs.events.emit(
-                        "slo." + transition,
-                        now,
-                        job_id=state.job.job_id,
-                        deadline=state.job.deadline,
-                    )
-
+            self._ways_history[state.job.job_id].append(state.ways)
+            # The completion: None when the job cannot finish at its
+            # rate, or has no work left and completes here.
+            if state.completion_handle is not None:
+                state.completion_handle.cancel()
+                state.completion_handle = None
+            completion = None
+            remaining = state.job.instructions - state.progress
+            if remaining <= _PROGRESS_EPSILON:
+                self._complete(state, now)
+            elif state.rate > 0.0:
+                completion = now + remaining / state.rate
+            # The steal interval.
+            if state.steal_handle is not None:
+                state.steal_handle.cancel()
+                state.steal_handle = None
+            steal = None
+            if (
+                state.steal is not None
+                and state.reserved_running
+                and state.rate > 0.0
+            ):
+                remaining = state.next_interval_at - state.progress
+                if remaining <= 0:
+                    remaining = 0.0
+                steal = now + remaining / state.rate
+            deferred.append((state, completion, steal))
+        self._deferred = deferred
+        self._schedule_deferred()
+        if self._slo is not None:
+            self._project_slo(now)
         if self._invariants is not None:
             self._invariants.maybe_check()
-        return earliest if deferred else None
+
+    def _project_slo(self, now: float) -> None:
+        """SLO projection pass: rates are final for this interval, so
+        project every monitored in-flight job (including displaced jobs,
+        whose zero rate projects to infinity — violating until resources
+        return).  States iterate in admission order, so the emitted
+        transition events are deterministic."""
+        obs = get_observer()
+        for state in self._states.values():
+            if state.job.state is not JobState.RUNNING:
+                continue
+            transition = self._slo.observe(
+                now,
+                state.job.job_id,
+                progress=state.progress,
+                rate=state.rate,
+            )
+            if transition is not None:
+                obs.events.emit(
+                    "slo." + transition,
+                    now,
+                    job_id=state.job.job_id,
+                    deadline=state.job.deadline,
+                )
 
     def _derive_allocations(self, running: List[_JobRun]) -> float:
         """Ways, CPU shares and bus load of the running jobs.
@@ -1640,27 +1767,9 @@ class QoSSystemSimulator:
         elif isinstance(action, SetBusGrant):
             self._policy_bus_grant = action.granted
 
-    def _redate_completion(
-        self, state: _JobRun, now: float
-    ) -> Optional[float]:
-        """Cancel the job's completion event and return its new time.
-
-        None when the job cannot finish at its rate, or has no work left
-        and is completed here.
-        """
-        if state.completion_handle is not None:
-            state.completion_handle.cancel()
-            state.completion_handle = None
-        remaining = state.job.instructions - state.progress
-        if remaining <= _PROGRESS_EPSILON:
-            self._complete(state, now)
-            return None
-        if state.rate <= 0.0:
-            return None
-        return now + remaining / state.rate
-
     def _schedule_deferred(self) -> None:
-        """Schedule the re-dated completion and steal events, in order."""
+        """Schedule the last re-date's or derivation's completion and
+        steal events, in order."""
         for state, completion, steal in self._deferred:
             job_id = state.job.job_id
             if completion is not None:
@@ -1671,7 +1780,6 @@ class QoSSystemSimulator:
                 state.steal_handle = self.events.schedule(
                     steal, self._make_steal_interval(job_id)
                 )
-        self._deferred = []
 
     def _make_completion(self, job_id: int):
         def complete(now: float) -> None:
@@ -1694,8 +1802,8 @@ class QoSSystemSimulator:
         state.job.mark_completed(now)
         state.running = False
         state.rate = 0.0
-        # Its core and ways are free now: the next _recompute must derive
-        # even if it is only a re-date (this runs inside one, too).
+        # Its core and ways are free now: the next probe must derive even
+        # if it admits nothing (this runs inside a re-date, too).
         self._derive_next = True
         if state.completion_handle is not None:
             state.completion_handle.cancel()
@@ -1738,22 +1846,6 @@ class QoSSystemSimulator:
             self._finished = True
 
     # -- resource stealing ---------------------------------------------------------------------
-
-    def _redate_steal(self, state: _JobRun, now: float) -> Optional[float]:
-        """Cancel the job's steal-interval event and return its new time."""
-        if state.steal_handle is not None:
-            state.steal_handle.cancel()
-            state.steal_handle = None
-        if (
-            state.steal is None
-            or not state.reserved_running
-            or state.rate <= 0.0
-        ):
-            return None
-        remaining = state.next_interval_at - state.progress
-        if remaining <= 0:
-            remaining = 0.0
-        return now + remaining / state.rate
 
     def _make_steal_interval(self, job_id: int):
         def interval(now: float) -> None:

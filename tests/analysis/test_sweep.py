@@ -223,7 +223,16 @@ class TestCodeFingerprint:
         "repro.obs.profiler": "host-time phases",
         "repro.obs.trace": "causal spans",
         "repro.util.validation": "only raises",
+        # Spec parsing, digests, status, reports and diffs: a point's
+        # fields are in its digest, and it is simulated by run_point.
+        "repro.analysis.sweep": "orchestration around run_point",
     }
+
+    def test_point_runs_in_a_fingerprinted_module(self):
+        """Editing the orchestration must not re-key the store; editing
+        the code that simulates a point must."""
+        assert sweep.run_point.__module__ in sweep._FINGERPRINT_MODULES
+        assert "repro.analysis.sweep" not in sweep._FINGERPRINT_MODULES
 
     def test_fingerprint_covers_every_module_a_point_runs(self, tmp_path):
         """Editing any module a point's simulation runs, and that can

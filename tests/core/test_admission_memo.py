@@ -9,9 +9,12 @@ sequences of admissions, re-admissions, searches, releases and cancels
 run on both, and every decision, reason, start, statistic and metric
 must match; after every operation ``booked_from``, which answers from
 the latest reservation end of the timeline version, must agree with a
-scan of the reservations.  The probe-level tests pin what the memo
-saves in a real run: the uncounted window check runs a small fraction
-of the counted windows, and a probe builds no ``QoSTarget``.
+scan of the reservations.  A rejection for want of a window formats
+its reason only when it is read, so the reasons are pinned to the text
+the LAC always wrote, over a grid of lengths and deadlines.  The
+probe-level tests pin what the memo saves in a real run: the uncounted
+window check runs a small fraction of the counted windows, and a probe
+builds no ``QoSTarget``.
 """
 
 import math
@@ -331,6 +334,90 @@ def test_a_train_of_rejected_probes_scans_once():
     # fits.  Each probe's deadline stops its count after one window.
     assert scans == [0.0, 5.0, 6.0]
     assert lac.stats.candidate_windows_evaluated - booked == 40
+
+
+#: Reservation lengths and deadlines for the rejection reasons: tiny,
+#: fractional and large values.
+REASON_DURATIONS = (1e-9, 3.0e-7, 0.1 + 0.2, 1.0 / 3.0, 2.5, 1234.5678, 98765432.1)
+REASON_DEADLINES = (5e-10, 1e-6, 0.7, 2.0 / 3.0, 1234.56789, 3.14159265e8)
+
+
+def _fully_booked():
+    """A node whose whole capacity is booked for good: no window fits."""
+    lac = LocalAdmissionController(CAPACITY)
+    assert lac.admit_request(1, CAPACITY, STRICT, None, None, now=0.0).accepted
+    return lac
+
+
+@pytest.mark.parametrize("duration", REASON_DURATIONS)
+def test_no_window_rejection_reads_as_it_always_did(duration):
+    """A rejection for want of a window formats its reason only when the
+    reason is read; it must read as the LAC always wrote it."""
+    lac = _fully_booked()
+    request = ResourceVector(1, 4)
+    cases = [(STRICT, math.inf, False), (STRICT, None, False)]
+    for deadline in REASON_DEADLINES:
+        cases += [(STRICT, deadline, False), (ELASTIC, deadline, False)]
+        # AutoDown tries the window ending at the deadline first, which
+        # is empty, and raises, when the length is below its precision.
+        preferred = deadline - duration
+        if preferred + duration > preferred:
+            cases.append((STRICT, deadline, True))
+    for mode, deadline, auto_downgrade in cases:
+        decision = lac.admit_request(
+            2,
+            request,
+            mode,
+            duration,
+            deadline,
+            now=0.0,
+            auto_downgrade=auto_downgrade,
+        )
+        latest_end = math.inf if deadline is None else deadline
+        assert decision.reason == (
+            f"no timeslot of length {duration:.3g} fits before "
+            f"deadline {latest_end:.6g}"
+        )
+        assert decision.accepted is False
+        assert decision.reservation is None
+        assert decision.reserved_start is None
+
+
+def test_rejection_reasons_pinned():
+    lac = _fully_booked()
+    request = ResourceVector(1, 4)
+    decision = lac.admit_request(
+        2, request, STRICT, 0.1 + 0.2, 1234.56789, now=0.0
+    )
+    assert decision.reason == (
+        "no timeslot of length 0.3 fits before deadline 1234.57"
+    )
+    decision = lac.admit_request(
+        2, request, STRICT, 98765432.1, math.inf, now=0.0
+    )
+    assert decision.reason == (
+        "no timeslot of length 9.88e+07 fits before deadline inf"
+    )
+    decision = lac.admit_request(
+        2, request, STRICT, 3e-7, 3.14159265e8, now=0.0, auto_downgrade=True
+    )
+    assert decision.reason == (
+        "no timeslot of length 3e-07 fits before deadline 3.14159e+08"
+    )
+    decision = lac.admit_request(2, request, ELASTIC, 1e-9, 5e-10, now=0.0)
+    assert decision.reason == (
+        "no timeslot of length 1e-09 fits before deadline 5e-10"
+    )
+    oversized = ResourceVector(1, 20, 0.5)
+    decision = lac.admit_request(2, oversized, STRICT, 1.0, 5.0, now=0.0)
+    assert (decision.accepted, decision.reservation) == (False, None)
+    assert decision.reason == (
+        "request 1 core(s) + 20 way(s) + 50% bus exceeds node capacity "
+        "4 core(s) + 16 way(s) + 100% bus"
+    )
+    decision = lac.admit_request(2, request, STRICT, None, None, now=0.0)
+    assert (decision.accepted, decision.reservation) == (False, None)
+    assert decision.reason == "no lifetime capacity available"
 
 
 def _mix1_all_strict():

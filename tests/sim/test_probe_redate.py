@@ -2,14 +2,16 @@
 queue they stand in for.
 
 A probe that admits nothing changes no allocation, so
-``QoSSystemSimulator._recompute`` only re-dates the running jobs'
-history entries and completion and steal times, and keeps those times
-out of the event queue; the next probe of such a train fires in place
-when the queue would pop it next, and so does a policy epoch, the train
-going on while the epoch decides nothing (DESIGN.md §7.5).  The oracle
-below is a test-only subclass that sends every re-date to a full
-derivation, so it never defers an event, and every probe and every
-epoch passes through the queue, as every call did before.  Each
+``QoSSystemSimulator._redate`` only re-dates the running jobs' history
+entries and completion and steal times, and keeps those times out of
+the event queue; the next probe of such a train fires in place when the
+queue would pop it next, and so does a policy epoch, the train going on
+while the epoch decides nothing.  A train runs as one loop in
+``_on_probe`` over records of the running jobs built at its first
+re-date (DESIGN.md §7.5).  The oracle below is a test-only subclass
+whose ``_redate`` derives instead, so it never defers an event, forms
+no train and builds no records, every probe and every epoch passes
+through the queue, and every advance walks every admitted job.  Each
 scenario runs under both and must give the same ``fingerprint()``, run
 its probes, epochs, completions and steal intervals in the same order,
 and leave the same live heap entries, in the same schedule order,
@@ -112,12 +114,32 @@ class Watched:
 
 
 class AlwaysDerive(Watched, QoSSystemSimulator):
-    """The oracle: every call derives, re-date or not, so nothing is
-    deferred, no train forms, and every probe and every epoch is
-    scheduled and popped by the run loop."""
+    """The oracle: a probe that admitted nothing derives too, so nothing
+    is deferred, no train forms, and every probe and every epoch is
+    scheduled and popped by the run loop; every advance walks every
+    admitted job."""
 
-    def _recompute(self, now, *, redate=False):
-        return super()._recompute(now)
+    def _train_records(self):
+        return None, None
+
+    def _redate(self, now, records):
+        self._recompute(now)
+        return None
+
+    def _advance_all(self, now):
+        delta = now - self._last_advance
+        if delta <= 0:
+            self._last_advance = now
+            return
+        for state in self._states.values():
+            if not state.running or state.rate <= 0.0:
+                continue
+            instructions = state.rate * delta
+            state.progress += instructions
+            state.actual_misses += instructions * state.mpi
+            if state.steal is not None:
+                state.baseline_misses += instructions * state.baseline_mpi
+        self._last_advance = now
 
 
 class Shipped(Watched, QoSSystemSimulator):
@@ -126,8 +148,8 @@ class Shipped(Watched, QoSSystemSimulator):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.redates = 0  # re-date calls that kept the derivation
-        self.forced = 0  # re-date calls a completion sent to a derivation
+        self.redates = 0  # probes that admitted nothing and re-dated
+        self.forced = 0  # such probes a completion sent to a derivation
         self.probes = self.queued_probes = 0  # all, and popped by the loop
         self.epochs = self.queued_epochs = 0
         # How the event running now fired: "queue", or in place by
@@ -164,7 +186,10 @@ class Shipped(Watched, QoSSystemSimulator):
 
     def _try_admit(self, request, now):
         self.probes += 1
-        return super()._try_admit(request, now)
+        admitted = super()._try_admit(request, now)
+        if not admitted and self._derive_next:
+            self.forced += 1
+        return admitted
 
     def _on_policy_epoch(self, now):
         before = self.epochs
@@ -176,13 +201,9 @@ class Shipped(Watched, QoSSystemSimulator):
         self.epochs += 1
         return super()._policy_decide(now)
 
-    def _recompute(self, now, *, redate=False):
-        if redate:
-            if self._derive_next:
-                self.forced += 1
-            else:
-                self.redates += 1
-        return super()._recompute(now, redate=redate)
+    def _redate(self, now, records):
+        self.redates += 1
+        return super()._redate(now, records)
 
 
 class FullEpoch(QoSSystemSimulator):
@@ -571,25 +592,43 @@ def test_checkpoint_inside_a_train_resumes_to_the_uninterrupted_run(
 
 class Redated:
     """Keeps in ``_redated`` the completion and steal times the last
-    ``_recompute`` call re-dated, as ``_redated_at`` returns them."""
+    re-date or derivation computed, as ``_redated_at`` returns them.
+
+    Both leave their ``(job, completion, steal)`` entries in
+    ``_deferred``: a derivation schedules them at once, a re-date hands
+    them to its train unless a job completed.  Each fresh list passes
+    through ``_redated_at`` once, before anything reads or schedules it.
+    """
 
     def __init__(self, *args, **kwargs):
         self._redated = []
+        self._kept = None  # the last list passed through _redated_at
         super().__init__(*args, **kwargs)
 
-    def _recompute(self, now, *, redate=False):
-        self._redated = []
-        return super()._recompute(now, redate=redate)
+    def _schedule_deferred(self):
+        self._keep(self.events.now)
+        super()._schedule_deferred()
 
-    def _redate_completion(self, state, now):
-        return self._redated_at(super()._redate_completion(state, now), now)
+    def _redate(self, now, records):
+        until = super()._redate(now, records)
+        self._keep(now)
+        return None if until is None else min(self._redated, default=math.inf)
 
-    def _redate_steal(self, state, now):
-        return self._redated_at(super()._redate_steal(state, now), now)
+    def _keep(self, now):
+        if self._deferred is self._kept:
+            return
+        self._deferred = self._kept = [
+            (state, self._redated_at(completion, now), self._redated_at(steal, now))
+            for state, completion, steal in self._deferred
+        ]
+        self._redated = [
+            when
+            for _, completion, steal in self._kept
+            for when in (completion, steal)
+            if when is not None
+        ]
 
     def _redated_at(self, when, now):
-        if when is not None:
-            self._redated.append(when)
         return when
 
 
@@ -653,9 +692,9 @@ class TiedEpochs(Redated):
     - ``heap-probe``: the next probe moves onto the epoch in the heap,
       when it would land later;
     - ``heap-deferred``: each epoch moves onto the earliest time the last
-      ``_recompute`` re-dated, when it would land later, and a re-dated
-      time within a few ulps of the epoch in the heap snaps onto it (a
-      few ulps of time retire far fewer instructions than a
+      re-date or derivation computed, when it would land later, and a
+      re-dated time within a few ulps of the epoch in the heap snaps
+      onto it (a few ulps of time retire far fewer instructions than a
       completion's tolerance);
     - ``follow-probe``: each epoch moves onto the pending probe;
     - ``follow-deferred``: as ``heap-deferred``, without the snap.
