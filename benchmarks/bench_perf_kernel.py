@@ -17,8 +17,11 @@ Times the pieces of the performance layer on a fixed workload:
 3. **Miss-curve cache** — a cold profiling pass vs a warm re-run
    served from the on-disk store.
 
-Each timed comparison runs ``ROUNDS`` alternating rounds and reports
-the median round, so one stall on a shared host cannot decide a gate.
+Each timed comparison runs ``ROUNDS`` rounds, timing its arms back to
+back within each round, and gates on the median of the per-round
+ratios: a slow stretch of a shared host then slows both arms of the
+rounds it covers, and one stall cannot decide a gate.  The reported
+times are the median rounds of each arm.
 
 Writes ``BENCH_perf.json`` so successive commits leave a perf
 trajectory, and exits non-zero when a gated number regresses — CI runs
@@ -60,7 +63,8 @@ SWEEP_BENCHMARKS = ("bzip2", "hmmer", "gobmk", "sjeng")
 #: Candidate worker counts for the jobs sweep, clamped to visible CPUs.
 JOBS_CANDIDATES = (1, 2, 4, 8)
 
-#: Timed rounds per comparison; every reported time is the median round.
+#: Timed rounds per comparison; every gated ratio is the median of the
+#: per-round ratios, and every reported time the median round.
 ROUNDS = 5
 
 
@@ -130,11 +134,12 @@ def bench_kernel(accesses, num_sets=512, block_bytes=64, num_cores=4):
             f"  fast:      {counters['fast']}"
         )
     results["accesses"] = len(addresses)
-    results["speedup"] = round(
-        results["fast_accesses_per_sec"]
-        / results["reference_accesses_per_sec"],
-        2,
-    )
+    ratios = [
+        reference / fast
+        for reference, fast in zip(rounds["reference"], rounds["fast"])
+    ]
+    results["round_speedups"] = [round(ratio, 2) for ratio in ratios]
+    results["speedup"] = round(statistics.median(ratios), 2)
     return results
 
 
@@ -168,12 +173,16 @@ def bench_parallel(num_sets, accesses, jobs_values):
     serial_seconds = statistics.median(rounds[1])
     sweep = []
     for jobs in jobs_values:
-        elapsed = statistics.median(rounds[jobs])
-        speedup = round(serial_seconds / max(elapsed, 1e-9), 2)
+        ratios = [
+            serial / max(elapsed, 1e-9)
+            for serial, elapsed in zip(rounds[1], rounds[jobs])
+        ]
+        speedup = round(statistics.median(ratios), 2)
         sweep.append(
             {
                 "jobs": jobs,
-                "seconds": round(elapsed, 4),
+                "seconds": round(statistics.median(rounds[jobs]), 4),
+                "round_speedups": [round(ratio, 2) for ratio in ratios],
                 "speedup": speedup,
                 "efficiency": round(speedup / jobs, 2),
             }
@@ -271,7 +280,7 @@ def main(argv=None):
 
     print(
         f"kernel: {kernel_accesses} accesses, reference vs fast, "
-        f"median of {ROUNDS} rounds ..."
+        f"median ratio of {ROUNDS} rounds ..."
     )
     kernel = bench_kernel(kernel_accesses)
     print(

@@ -511,12 +511,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 jobs=args.pair_jobs,
                 pair_policy=args.pair_policy,
             )
-        report = run_diff(
-            scenario,
-            pairs=tuple(args.pairs),
-            rel_tol=args.rel_tol,
-            abs_tol=args.abs_tol,
-        )
+        report = run_diff(scenario, pairs=tuple(args.pairs))
     elif args.verify_command == "laws":
         known = LAWS if args.policy is None else POLICY_LAWS
         unknown = sorted(set(args.laws or ()) - set(known))
@@ -541,8 +536,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             budget_seconds=budget_seconds,
             max_cases=args.max_cases,
             out=args.out,
-            rel_tol=args.rel_tol,
-            abs_tol=args.abs_tol,
             pairs=tuple(args.pairs) if args.pairs else None,
         )
     elif args.verify_command == "replay":
@@ -551,9 +544,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as error:
             print(f"verify: {error}", file=sys.stderr)
             return 2
-        report = replay_case(
-            case, rel_tol=args.rel_tol, abs_tol=args.abs_tol
-        )
+        report = replay_case(case)
     else:  # pragma: no cover - argparse enforces the choices
         raise AssertionError(
             f"unknown verify command {args.verify_command!r}"
@@ -918,17 +909,9 @@ def build_parser() -> argparse.ArgumentParser:
         dest="verify_command", required=True
     )
 
-    # Tolerances shared by every verify subcommand (default: exact).
-    verify_tol = argparse.ArgumentParser(add_help=False)
-    verify_tol.add_argument(
-        "--rel-tol", type=float, default=0.0,
-        help="relative tolerance per compared value (default: exact)",
-    )
-    verify_tol.add_argument(
-        "--abs-tol", type=float, default=0.0,
-        help="absolute tolerance per compared value (default: exact)",
-    )
-    verify_tol.add_argument(
+    # Shared by every verify subcommand; every comparison is exact.
+    verify_json = argparse.ArgumentParser(add_help=False)
+    verify_json.add_argument(
         "--json", default=None, metavar="PATH",
         help="also write the machine-readable report here",
     )
@@ -937,7 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
         "diff",
         help="paired executions: backend / jobs / faults / policy "
         "agreement",
-        parents=[verify_tol],
+        parents=[verify_json],
     )
     verify_diff.add_argument(
         "--fig", choices=["fig5", "fig7"], default=None,
@@ -975,7 +958,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_laws = verify_commands.add_parser(
         "laws",
         help="metamorphic paper-level laws",
-        parents=[verify_tol],
+        parents=[verify_json],
     )
     verify_laws.add_argument("--seed", type=int, default=0)
     verify_laws.add_argument(
@@ -992,7 +975,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_fuzz = verify_commands.add_parser(
         "fuzz",
         help="seeded scenario fuzzing with shrinking",
-        parents=[verify_tol],
+        parents=[verify_json],
     )
     verify_fuzz.add_argument("--seed", type=int, default=0)
     verify_fuzz.add_argument(
@@ -1016,7 +999,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_replay = verify_commands.add_parser(
         "replay",
         help="re-run a saved verify-case.json",
-        parents=[verify_tol],
+        parents=[verify_json],
     )
     verify_replay.add_argument(
         "case", help="path to a verify-case.json written by fuzz"

@@ -240,10 +240,12 @@ class LocalAdmissionController:
         reservations (usage only ever *decreases* at reservation ends,
         so any feasible start can be shifted left onto one of these).
         The paper's scan tries them in order and stops at the first
-        window that fits or that ends after ``latest_end``.  The answer
-        comes from the first-fit memo (:meth:`_first_fit`); the windows
-        the scan evaluates are counted all the same.  The candidates
-        are read in place from the sorted reservation ends.
+        window that fits or that ends after ``latest_end``; a window
+        that is empty in floating point (``start + duration == start``)
+        fits nothing.  The answer comes from the first-fit memo
+        (:meth:`_first_fit`); the windows the scan evaluates are counted
+        all the same.  The candidates are read in place from the sorted
+        reservation ends.
         """
         if duration <= 0:
             raise ValueError(f"duration must be positive, got {duration}")
@@ -254,11 +256,8 @@ class LocalAdmissionController:
         evaluated = 0
         try:
             while True:
-                end = start + duration
-                if end > latest_end:
+                if start + duration > latest_end:
                     return None
-                if end <= start:
-                    raise ValueError(f"empty window [{start}, {end})")
                 evaluated += 1
                 if first is _UNSCANNED:
                     first = self._first_fit(request, duration, not_before)
@@ -284,9 +283,16 @@ class LocalAdmissionController:
         Section 3.4: an automatically-downgraded job's reserved timeslot
         should sit as far in the future as possible, maximising the
         chance the job finishes Opportunistically before the slot and
-        the reservation can be reclaimed.  When the first-fit memo
-        shows that no window starting by ``latest_end - duration``
-        fits, the candidates are counted and rejected unevaluated.
+        the reservation can be reclaimed.  An empty window fits nothing.
+        When the first-fit memo shows that no window starting by
+        ``preferred = latest_end - duration`` fits, the candidates are
+        counted and rejected unevaluated.  The memo's argument
+        (:meth:`_first_fit`) covers ``preferred``, the one candidate its
+        scan does not try: the window from ``preferred`` is empty
+        whenever one from an earlier start is, because the float
+        spacing only grows with the start, and where ``duration`` is
+        half the spacing, ``preferred`` rounds to an even last bit,
+        whose window is empty.
         """
         if duration <= 0:
             raise ValueError(f"duration must be positive, got {duration}")
@@ -310,20 +316,15 @@ class LocalAdmissionController:
         if 0 <= not_before <= preferred:
             first = self._first_fit(request, duration, not_before)
             if first is None or preferred < first:
-                evaluated = 0
-                try:
-                    for start in candidates:
-                        end = start + duration
-                        if end <= start:
-                            raise ValueError(f"empty window [{start}, {end})")
-                        evaluated += 1
-                    return None
-                finally:
-                    self._count_windows(evaluated)
+                self._count_windows(len(candidates))
+                return None
         for start in candidates:
             if start < not_before:
                 continue
-            if self.window_fits(start, start + duration, request):
+            end = start + duration
+            if end <= start:
+                self._count_windows(1)
+            elif self.window_fits(start, end, request):
                 return start
         return None
 
@@ -346,13 +347,14 @@ class LocalAdmissionController:
     ) -> Optional[float]:
         """First candidate start from ``not_before`` whose window fits.
 
-        The first-fit memo.  The scan has no deadline bound, and an
-        empty window ends it as well (the paper's scan raises there).
-        Per timeline version, each ``(request, duration)`` keeps the
-        result ``first`` of its last scan, from ``t0``; it answers any
-        later ``not_before`` equal to ``t0``, or in ``[t0, first)``
-        (any ``not_before ≥ t0`` when ``first`` is ``None``).
-        :meth:`_reserve` and :meth:`release` start a new version.
+        The first-fit memo.  The scan has no deadline bound, and a
+        window that is empty in floating point fits nothing.  Per
+        timeline version, each ``(request, duration)`` keeps the result
+        ``first`` of its last scan, from ``t0``, unless that scan met an
+        empty window; it answers any later ``not_before`` equal to
+        ``t0``, or in ``[t0, first)`` (any ``not_before ≥ t0`` when
+        ``first`` is ``None``).  :meth:`_reserve` and :meth:`release`
+        start a new version.
 
         Why the memo is exact.  Let ``d`` be the duration and ``C(t)``
         the candidate starts at ``t``: ``t`` and every finite
@@ -372,6 +374,12 @@ class LocalAdmissionController:
         when its window ends by the deadline, and otherwise ``None``,
         after the same candidates the scan evaluates.  If ``first`` is
         ``None`` the same holds for every ``t ≥ t0``.
+
+        The argument needs ``c``'s window to be non-empty when ``t``'s
+        is.  That holds unless ``d`` is exactly half the float spacing
+        at ``c`` and ``t``, where rounding to even leaves every other
+        start's window empty; so a scan that met an empty window is not
+        kept.  An empty window at ``t`` itself fits nothing either way.
         """
         key = (id(request), duration)
         memo = self._first_fits.get(key)
@@ -388,13 +396,17 @@ class LocalAdmissionController:
             ):
                 return first
         first = None
+        empty = False
         for start in self._candidates(not_before):
             end = start + duration
-            if end <= start or self._fits(start, end, request):
+            if end <= start:
+                empty = True
+            elif self._fits(start, end, request):
                 first = start
                 break
-        # The entry holds the request, so no other object takes its id.
-        self._first_fits[key] = (request, not_before, first)
+        if not empty:
+            # The entry holds the request, so no other object takes its id.
+            self._first_fits[key] = (request, not_before, first)
         return first
 
     # -- admission ------------------------------------------------------------------

@@ -223,7 +223,6 @@ class ResilienceReport:
         )
 
 
-@dataclass
 class LacOccupancyTracker:
     """Estimate the LAC's overhead (Section 7.5).
 
@@ -233,8 +232,8 @@ class LacOccupancyTracker:
     window evaluated, then divide by the workload's total cycles.
     """
 
-    cycles_per_admission_test: float = 5_000.0
-    cycles_per_window_check: float = 500.0
+    CYCLES_PER_ADMISSION_TEST = 5_000.0
+    CYCLES_PER_WINDOW_CHECK = 500.0
 
     def occupancy_fraction(
         self,
@@ -245,9 +244,9 @@ class LacOccupancyTracker:
         """LAC busy-fraction of the workload's wall-clock cycles."""
         check_positive("workload_cycles", workload_cycles)
         busy = (
-            lac_stats.admission_tests * self.cycles_per_admission_test
+            lac_stats.admission_tests * self.CYCLES_PER_ADMISSION_TEST
             + lac_stats.candidate_windows_evaluated
-            * self.cycles_per_window_check
+            * self.CYCLES_PER_WINDOW_CHECK
         )
         return busy / workload_cycles
 

@@ -256,10 +256,11 @@ class GrowShrinkWaysPolicy(Policy):
     sustained headroom.
 
     Targets reserved strict jobs only (elastic jobs are owned by their
-    stealing controller).  A shrink is emitted only after ``patience``
+    stealing controller).  Ways move ``STEP`` at a time, never below
+    ``MIN_WAYS``.  A shrink is emitted only after ``PATIENCE``
     consecutive epochs of slack above ``dead_band`` *and* only if the
     model-predicted finish at the smaller allocation still leaves
-    ``shrink_margin`` slack before ``min(deadline, reservation end)``.  A
+    ``SHRINK_MARGIN`` slack before ``min(deadline, reservation end)``.  A
     grow restores ways toward the admission-requested allocation and burns
     the restored level as a floor for that job, so a job can never oscillate:
     per job, ways moves monotonically downward between grows and each grow
@@ -271,21 +272,15 @@ class GrowShrinkWaysPolicy(Policy):
     without a policy (the ``policy`` differential pair checks this).
     """
 
+    PATIENCE = 2
+    SHRINK_MARGIN = 0.10
+    MIN_WAYS = 1
+    STEP = 1
+
     def __init__(
-        self,
-        *,
-        dead_band: float = 0.25,
-        patience: int = 2,
-        shrink_margin: float = 0.10,
-        min_ways: int = 1,
-        step: int = 1,
-        name: str = "grow-shrink",
+        self, *, dead_band: float = 0.25, name: str = "grow-shrink"
     ) -> None:
         self.dead_band = dead_band
-        self.patience = patience
-        self.shrink_margin = shrink_margin
-        self.min_ways = min_ways
-        self.step = step
         self.name = name
         self._streak: Dict[int, int] = {}
         self._floor: Dict[int, int] = {}
@@ -304,22 +299,22 @@ class GrowShrinkWaysPolicy(Policy):
             if not math.isfinite(limit):
                 continue
             slack = job.slack_fraction(snapshot.now)
-            floor = max(self.min_ways, self._floor.get(job.job_id, self.min_ways))
+            floor = max(self.MIN_WAYS, self._floor.get(job.job_id, self.MIN_WAYS))
             if slack < 0.0 and job.ways < job.requested_ways:
-                grow = min(self.step, job.requested_ways - job.ways, spare)
+                grow = min(self.STEP, job.requested_ways - job.ways, spare)
                 if grow > 0:
                     target = job.ways + grow
                     actions.append(SetWays(job.job_id, target))
                     spare -= grow
                     self._floor[job.job_id] = max(
-                        self._floor.get(job.job_id, self.min_ways), target
+                        self._floor.get(job.job_id, self.MIN_WAYS), target
                     )
                 self._streak[job.job_id] = 0
                 continue
             if not math.isfinite(self.dead_band):
                 self._streak[job.job_id] = 0
                 continue
-            candidate = job.ways - self.step
+            candidate = job.ways - self.STEP
             if candidate < floor:
                 self._streak[job.job_id] = 0
                 continue
@@ -328,12 +323,12 @@ class GrowShrinkWaysPolicy(Policy):
             if slack > self.dead_band and horizon > 0.0:
                 candidate_finish = job.finish_at(snapshot.now, candidate)
                 candidate_slack = (limit - candidate_finish) / horizon
-                safe = candidate_slack >= self.shrink_margin
+                safe = candidate_slack >= self.SHRINK_MARGIN
             if safe:
                 streak = self._streak.get(job.job_id, 0) + 1
-                if streak >= self.patience:
+                if streak >= self.PATIENCE:
                     actions.append(SetWays(job.job_id, candidate))
-                    spare += self.step
+                    spare += self.STEP
                     streak = 0
                 self._streak[job.job_id] = streak
             else:
@@ -348,10 +343,10 @@ class BandwidthStealPolicy(Policy):
     When the measured bus utilisation sits below ``low_watermark`` the
     policy grants opportunistic traffic full bus share (the fair-queue
     penalty multiplier is forced to 1.0).  When utilisation climbs past
-    ``release_threshold`` — the reserved tenants want their bandwidth back —
+    ``RELEASE_THRESHOLD`` — the reserved tenants want their bandwidth back —
     the grant is released and the policy backs off exponentially (reusing
     :class:`repro.faults.resilience.RetryPolicy`) before trying to steal
-    again.  ``stable_epochs`` of uninterrupted grant reset the backoff.
+    again.  ``STABLE_EPOCHS`` of uninterrupted grant reset the backoff.
 
     The policy trusts ``snapshot.bus_granted`` as the source of truth for
     the current grant, so re-deciding on an already-actuated state emits
@@ -360,21 +355,15 @@ class BandwidthStealPolicy(Policy):
     """
 
     job_sensors = False
+    RELEASE_THRESHOLD = 0.85
+    STABLE_EPOCHS = 8
 
     def __init__(
-        self,
-        *,
-        low_watermark: float = 0.5,
-        release_threshold: float = 0.85,
-        stable_epochs: int = 8,
-        retry: Optional[RetryPolicy] = None,
-        name: str = "bandwidth-steal",
+        self, *, low_watermark: float = 0.5, name: str = "bandwidth-steal"
     ) -> None:
         self.low_watermark = low_watermark
-        self.release_threshold = release_threshold
-        self.stable_epochs = stable_epochs
-        self.retry = retry if retry is not None else RetryPolicy()
         self.name = name
+        self._retry = RetryPolicy()
         self._attempt = 0
         self._hold_until = 0.0
         self._stable = 0
@@ -387,16 +376,17 @@ class BandwidthStealPolicy(Policy):
     def decide(self, snapshot: SensorSnapshot) -> Tuple[PolicyAction, ...]:
         if snapshot.bus_granted:
             self._stable += 1
-            if self._stable >= self.stable_epochs:
+            if self._stable >= self.STABLE_EPOCHS:
                 self._attempt = 0
             if (
-                snapshot.bus_utilisation >= self.release_threshold
+                snapshot.bus_utilisation >= self.RELEASE_THRESHOLD
                 or snapshot.bus_saturated
             ):
                 self._stable = 0
-                attempt = min(self._attempt, self.retry.max_retries)
-                self._hold_until = snapshot.now + self.retry.delay(attempt)
-                self._attempt = min(self._attempt + 1, self.retry.max_retries)
+                retries = self._retry.MAX_RETRIES
+                attempt = min(self._attempt, retries)
+                self._hold_until = snapshot.now + self._retry.delay(attempt)
+                self._attempt = min(self._attempt + 1, retries)
                 return (SetBusGrant(False),)
             return ()
         self._stable = 0

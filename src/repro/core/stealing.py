@@ -16,6 +16,10 @@ The algorithm (Section 4.3), evaluated once per repartitioning interval
    X%, stealing is **cancelled** and every stolen way returns at once.
 4. Otherwise, next interval, steal another way — down to a floor.
 
+A cancelled controller resumes stealing once the cumulative increase
+decays below ``RESUME_HYSTERESIS`` × X, so the long-run increase hugs
+the slack budget, as Figure 8(a) shows.
+
 Stealing also holds off while the memory bus is saturated (footnote 2):
 past saturation extra misses inflate everyone's miss penalty, breaking
 the constant-``tm`` assumption behind the miss-rate criterion.
@@ -72,23 +76,24 @@ class StealingDecision:
 class ResourceStealingController:
     """Per-Elastic(X)-job stealing state machine."""
 
+    #: After a cancel, the cumulative miss increase decays as the job
+    #: keeps accruing baseline misses at its full allocation; once it
+    #: falls back below this fraction of the slack the controller
+    #: re-arms.
+    RESUME_HYSTERESIS = 0.9
+
     def __init__(
         self,
         *,
         slack: float,
         baseline_ways: int,
         min_ways: int = 1,
-        interval_instructions: int = 2_000_000,
-        resume_after_cancel: bool = True,
-        resume_hysteresis: float = 0.9,
     ) -> None:
         check_fraction("slack", slack)
         if slack == 0:
             raise ValueError("stealing requires a positive Elastic slack")
         check_positive("baseline_ways", baseline_ways)
         check_positive("min_ways", min_ways)
-        check_positive("interval_instructions", interval_instructions)
-        check_fraction("resume_hysteresis", resume_hysteresis)
         if min_ways > baseline_ways:
             raise ValueError(
                 f"min_ways ({min_ways}) exceeds baseline_ways "
@@ -97,15 +102,6 @@ class ResourceStealingController:
         self.slack = slack
         self.baseline_ways = baseline_ways
         self.min_ways = min_ways
-        self.interval_instructions = interval_instructions
-        # After a cancel, the cumulative miss increase decays as the job
-        # keeps accruing baseline misses at its full allocation; once it
-        # falls back below ``resume_hysteresis * slack`` the controller
-        # re-arms, so the long-run increase hugs the slack budget — the
-        # behaviour Figure 8(a) exhibits.  Disable for the strictly
-        # one-shot reading of Section 4.3 (ablation bench).
-        self.resume_after_cancel = resume_after_cancel
-        self.resume_hysteresis = resume_hysteresis
         self.state = StealingState.ACTIVE
         self._current_ways = baseline_ways
         self.intervals_run = 0
@@ -149,10 +145,7 @@ class ResourceStealingController:
         increase = feedback.miss_increase_fraction()
 
         if self.state is StealingState.CANCELLED:
-            if (
-                self.resume_after_cancel
-                and increase < self.slack * self.resume_hysteresis
-            ):
+            if increase < self.slack * self.RESUME_HYSTERESIS:
                 self.state = StealingState.ACTIVE
             else:
                 return self._decision(
@@ -200,9 +193,8 @@ class ResourceStealingController:
         much the Elastic job has already been slowed, so the only safe
         move is the cancel path of Section 4.3: return every stolen way
         immediately.  The caller applies the returned allocation exactly
-        as for a slack-triggered cancel.  If ``resume_after_cancel`` is
-        set, the controller re-arms once the (reset) shadow rebuilds a
-        trustworthy low-increase observation.
+        as for a slack-triggered cancel.  The controller re-arms once the
+        (reset) shadow rebuilds a trustworthy low-increase observation.
         """
         self.ecc_cancellations += 1
         returned = self.stolen_ways

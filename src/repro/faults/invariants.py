@@ -4,7 +4,8 @@ Fault injection exercises recovery paths that the happy-path test
 suite never reaches; a bug there typically corrupts shared-resource
 accounting long before it corrupts a headline metric.  The
 :class:`InvariantChecker` therefore re-asserts the simulator's
-conservation laws every N fired events:
+conservation laws every ``InvariantChecker.EVERY_N_EVENTS`` fired
+events of a fault-configured run:
 
 - reserved cache ways across running reserved jobs never exceed the
   L2 associativity (the paper's partitioning substrate guarantees
@@ -25,8 +26,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.util.validation import check_positive
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.system import QoSSystemSimulator
 
@@ -40,21 +39,20 @@ class InvariantViolation(AssertionError):
 class InvariantChecker:
     """Periodic conservation-law assertions over a live simulator."""
 
-    def __init__(
-        self, simulator: "QoSSystemSimulator", *, every_n_events: int = 256
-    ) -> None:
-        check_positive("every_n_events", every_n_events)
+    #: Events between two checks.
+    EVERY_N_EVENTS = 256
+
+    def __init__(self, simulator: "QoSSystemSimulator") -> None:
         self.simulator = simulator
-        self.every_n_events = every_n_events
         self.checks_run = 0
-        self._next_check = every_n_events
+        self._next_check = self.EVERY_N_EVENTS
 
     def maybe_check(self) -> None:
         """Run :meth:`check` if at least N events fired since the last."""
         fired = self.simulator.events.events_fired
         if fired < self._next_check:
             return
-        self._next_check = fired + self.every_n_events
+        self._next_check = fired + self.EVERY_N_EVENTS
         self.check()
 
     def check(self) -> None:

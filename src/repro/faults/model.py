@@ -87,15 +87,26 @@ class FaultEvent:
         }
 
 
+#: How long a core stall keeps its core from retiring (seconds).
+CORE_STALL_DURATION = 0.005
+#: The share of the bus peak left during a brown-out; positive, since
+#: a severed bus would deadlock every Opportunistic job.
+BANDWIDTH_DERATE_FACTOR = 0.5
+#: How long a brown-out lasts (seconds).
+BANDWIDTH_DEGRADATION_DURATION = 0.02
+
+
 @dataclass(frozen=True)
 class FaultConfig:
-    """Knobs of the fault process plus the resilience policy.
+    """Rates of the fault process and its repair time and horizon.
 
     Rates are mean fault counts per simulated second (the fault process
     is Poisson per kind, matching the arrival modelling elsewhere in
     the reproduction).  All rates default to zero: a default-constructed
     config injects nothing, and a simulation configured with it is
-    byte-identical to one with no fault config at all.
+    byte-identical to one with no fault config at all.  The stall and
+    brown-out shapes are this module's constants; the recovery policy
+    is :mod:`repro.faults.resilience`'s.
     """
 
     seed: int = 7
@@ -103,27 +114,17 @@ class FaultConfig:
     # and must be re-admitted; repairs arrive after ``core_repair_time``.
     core_failure_rate: float = 0.0
     core_repair_time: float = 0.05
-    # Core stalls: transient — jobs on the core stop retiring for the
-    # stall, keeping their reservations (they may then overrun).
+    # Core stalls: transient — jobs on the core stop retiring for
+    # CORE_STALL_DURATION, keeping their reservations (they may then
+    # overrun).
     core_stall_rate: float = 0.0
-    core_stall_duration: float = 0.005
-    # Bandwidth brown-outs: the bus peak is derated by ``factor`` for a
-    # window, inflating Opportunistic miss penalties via the M/M/1 bus.
+    # Bandwidth brown-outs: the bus peak is derated by
+    # BANDWIDTH_DERATE_FACTOR for BANDWIDTH_DEGRADATION_DURATION,
+    # inflating Opportunistic miss penalties via the M/M/1 bus.
     bandwidth_degradation_rate: float = 0.0
-    bandwidth_derate_factor: float = 0.5
-    bandwidth_degradation_duration: float = 0.02
     # ECC upsets in the duplicate (shadow) tag arrays: the stealing
     # feedback becomes untrustworthy, forcing a conservative cancel.
     ecc_error_rate: float = 0.0
-    # Resilience policy: bounded re-admission retries with exponential
-    # backoff, and the Elastic slack granted on the first downgrade
-    # rung of the strict → elastic → opportunistic → best-effort ladder.
-    max_retries: int = 3
-    backoff_base: float = 0.002
-    backoff_factor: float = 2.0
-    elastic_downgrade_slack: float = 0.10
-    # Conservation-law checking cadence (events); 0 disables.
-    invariant_check_interval: int = 256
     # Fault-process horizon in simulated seconds; ``None`` lets the
     # simulator estimate one from the workload's wall-clock scale.
     horizon: Optional[float] = None
@@ -132,37 +133,10 @@ class FaultConfig:
         check_non_negative("core_failure_rate", self.core_failure_rate)
         check_positive("core_repair_time", self.core_repair_time)
         check_non_negative("core_stall_rate", self.core_stall_rate)
-        check_positive("core_stall_duration", self.core_stall_duration)
         check_non_negative(
             "bandwidth_degradation_rate", self.bandwidth_degradation_rate
         )
-        check_probability(
-            "bandwidth_derate_factor", self.bandwidth_derate_factor
-        )
-        if self.bandwidth_derate_factor == 0:
-            raise ValueError(
-                "bandwidth_derate_factor must be positive (0 would model "
-                "a severed bus, which deadlocks every Opportunistic job)"
-            )
-        check_positive(
-            "bandwidth_degradation_duration",
-            self.bandwidth_degradation_duration,
-        )
         check_non_negative("ecc_error_rate", self.ecc_error_rate)
-        check_non_negative("max_retries", self.max_retries)
-        check_positive("backoff_base", self.backoff_base)
-        check_positive("backoff_factor", self.backoff_factor)
-        check_probability(
-            "elastic_downgrade_slack", self.elastic_downgrade_slack
-        )
-        if self.elastic_downgrade_slack == 0:
-            raise ValueError(
-                "elastic_downgrade_slack must be positive: Elastic(0) "
-                "is just Strict, so the downgrade ladder would stall"
-            )
-        check_non_negative(
-            "invariant_check_interval", self.invariant_check_interval
-        )
         if self.horizon is not None:
             check_positive("horizon", self.horizon)
 
@@ -178,20 +152,6 @@ class FaultConfig:
                 self.ecc_error_rate,
             )
         )
-
-
-#: (kind, rate attr, duration attr or None, magnitude attr or None)
-_KIND_SPECS: Tuple[Tuple[FaultKind, str, Optional[str], Optional[str]], ...] = (
-    (FaultKind.CORE_FAILURE, "core_failure_rate", "core_repair_time", None),
-    (FaultKind.CORE_STALL, "core_stall_rate", "core_stall_duration", None),
-    (
-        FaultKind.BANDWIDTH_DEGRADATION,
-        "bandwidth_degradation_rate",
-        "bandwidth_degradation_duration",
-        "bandwidth_derate_factor",
-    ),
-    (FaultKind.ECC_TAG_ERROR, "ecc_error_rate", None, None),
-)
 
 
 class FaultSchedule:
@@ -219,17 +179,32 @@ class FaultSchedule:
         """
         check_positive("horizon", horizon)
         check_positive("num_cores", num_cores)
+        # (kind, rate, duration, magnitude) of each fault process.
+        specs = (
+            (
+                FaultKind.CORE_FAILURE,
+                config.core_failure_rate,
+                config.core_repair_time,
+                1.0,
+            ),
+            (
+                FaultKind.CORE_STALL,
+                config.core_stall_rate,
+                CORE_STALL_DURATION,
+                1.0,
+            ),
+            (
+                FaultKind.BANDWIDTH_DEGRADATION,
+                config.bandwidth_degradation_rate,
+                BANDWIDTH_DEGRADATION_DURATION,
+                BANDWIDTH_DERATE_FACTOR,
+            ),
+            (FaultKind.ECC_TAG_ERROR, config.ecc_error_rate, 0.0, 1.0),
+        )
         events: List[FaultEvent] = []
-        for kind, rate_attr, duration_attr, magnitude_attr in _KIND_SPECS:
-            rate = getattr(config, rate_attr)
+        for kind, rate, duration, magnitude in specs:
             if rate <= 0.0:
                 continue
-            duration = (
-                getattr(config, duration_attr) if duration_attr else 0.0
-            )
-            magnitude = (
-                getattr(config, magnitude_attr) if magnitude_attr else 1.0
-            )
             stream = DeterministicRng(config.seed, f"faults/{kind.value}")
             at = stream.exponential(1.0 / rate)
             while at < horizon:

@@ -9,26 +9,26 @@ between rungs:
 
 Each re-admission attempt waits an exponentially-backed-off delay (the
 LAC timeline right after a fault is exactly where it was when admission
-failed; retrying immediately is wasted work), and after ``max_retries``
-failed attempts at reserved rungs the job drops to Opportunistic
-execution.  The terminal *best-effort* stage is Opportunistic execution
-with no further recovery attempts: the job runs on whatever is spare
-and its deadline promise is formally surrendered — degraded, but never
-silently lost.
+failed; retrying immediately is wasted work), and after
+``RetryPolicy.MAX_RETRIES`` failed attempts at a reserved rung the job
+steps one rung down; the first step grants Elastic
+``ELASTIC_DOWNGRADE_SLACK``.  The terminal *best-effort* stage is
+Opportunistic execution with no further recovery attempts: the job runs
+on whatever is spare and its deadline promise is formally surrendered —
+degraded, but never silently lost.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.modes import ExecutionMode, ModeKind
-from repro.util.validation import (
-    check_non_negative,
-    check_positive,
-    check_probability,
-)
+from repro.util.validation import check_non_negative, check_probability
+
+#: The Elastic slack granted on the first downgrade rung; positive,
+#: since Elastic(0) is just Strict and the ladder would stall.
+ELASTIC_DOWNGRADE_SLACK = 0.10
 
 
 class DegradationStage(enum.Enum):
@@ -96,30 +96,24 @@ def downgrade_mode(
     return mode_for_stage(stage, elastic_slack=elastic_slack)
 
 
-@dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retry with exponential backoff for re-admission.
 
-    ``delay(attempt)`` is ``backoff_base * backoff_factor**attempt``;
-    attempt numbering starts at zero (the first post-fault re-admission
-    already waits one base delay — the LAC state that just rejected the
-    job cannot have improved instantaneously).
+    ``delay(attempt)`` is ``BACKOFF_BASE * BACKOFF_FACTOR**attempt``
+    seconds; attempt numbering starts at zero (the first post-fault
+    re-admission already waits one base delay — the LAC state that just
+    rejected the job cannot have improved instantaneously).
     """
 
-    max_retries: int = 3
-    backoff_base: float = 0.002
-    backoff_factor: float = 2.0
-
-    def __post_init__(self) -> None:
-        check_non_negative("max_retries", self.max_retries)
-        check_positive("backoff_base", self.backoff_base)
-        check_positive("backoff_factor", self.backoff_factor)
+    MAX_RETRIES = 3
+    BACKOFF_BASE = 0.002
+    BACKOFF_FACTOR = 2.0
 
     def delay(self, attempt: int) -> float:
         """Backoff delay before re-admission attempt ``attempt``."""
         check_non_negative("attempt", attempt)
-        return self.backoff_base * self.backoff_factor**attempt
+        return self.BACKOFF_BASE * self.BACKOFF_FACTOR**attempt
 
     def exhausted(self, attempt: int) -> bool:
         """Whether attempt ``attempt`` exceeds the retry budget."""
-        return attempt >= self.max_retries
+        return attempt >= self.MAX_RETRIES

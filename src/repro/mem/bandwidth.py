@@ -10,7 +10,7 @@ treat the L2 miss penalty ``tm`` as fixed — but stealing must be
 We model the bus as an M/M/1-like server: given an offered load (bytes
 per second of miss and write-back traffic), utilisation is
 ``rho = offered / peak`` and the queueing multiplier on the miss penalty
-is ``1 / (1 - rho)``, clamped at a configurable saturation threshold.
+is ``1 / (1 - rho)``, clamped at ``SATURATION_THRESHOLD``.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ from __future__ import annotations
 from typing import List
 
 from repro.obs import get_observer
-from repro.util.validation import (
-    check_fraction,
-    check_positive,
-    check_probability,
-)
+from repro.util.validation import check_positive, check_probability
+
+#: The bus utilisation at which it counts as saturated, and at which
+#: the queueing model clamps.
+SATURATION_THRESHOLD = 0.9
 
 
 class BandwidthModel:
@@ -34,18 +34,13 @@ class BandwidthModel:
         peak_bytes_per_second: float = 6.4e9,
         clock_hz: float = 2.0e9,
         block_bytes: int = 64,
-        saturation_threshold: float = 0.9,
     ) -> None:
         check_positive("peak_bytes_per_second", peak_bytes_per_second)
         check_positive("clock_hz", clock_hz)
         check_positive("block_bytes", block_bytes)
-        check_fraction("saturation_threshold", saturation_threshold)
-        if saturation_threshold == 0:
-            raise ValueError("saturation_threshold must be positive")
         self.peak_bytes_per_second = peak_bytes_per_second
         self.clock_hz = clock_hz
         self.block_bytes = block_bytes
-        self.saturation_threshold = saturation_threshold
         # Active brown-out derates (fault injection).  Factors stack
         # multiplicatively: two overlapping 0.5× windows leave 25% of
         # peak.  With the stack empty the effective peak is *exactly*
@@ -126,7 +121,7 @@ class BandwidthModel:
         steal (footnote 2 of the paper): past this point extra misses
         raise everyone's effective miss penalty.
         """
-        return self.utilisation(transfers_per_cycle) >= self.saturation_threshold
+        return self.utilisation(transfers_per_cycle) >= SATURATION_THRESHOLD
 
     @property
     def service_cycles(self) -> float:
@@ -150,9 +145,7 @@ class BandwidthModel:
         footnote 2 / Little's law, this stays small — a few cycles on a
         300-cycle miss — until utilisation approaches saturation.
         """
-        rho = min(
-            self.utilisation(transfers_per_cycle), self.saturation_threshold
-        )
+        rho = min(self.utilisation(transfers_per_cycle), SATURATION_THRESHOLD)
         return self.service_cycles * rho / (1.0 - rho)
 
     def penalty_multiplier(
@@ -183,7 +176,7 @@ class BandwidthModel:
             "utilisation": utilisation,
             "queueing_delay_cycles": queueing,
             "penalty_multiplier": 1.0 + queueing / base_penalty,
-            "saturated": utilisation >= self.saturation_threshold,
+            "saturated": utilisation >= SATURATION_THRESHOLD,
         }
 
     def max_transfers_per_cycle(self) -> float:

@@ -85,18 +85,11 @@ class SloReport:
 class SloMonitor:
     """Projection-based QoS violation tracker.
 
-    ``grace_fraction`` widens the deadline by that fraction of the
-    job's promised window before a projection counts as violating —
-    a hysteresis knob for noisy projections (default: none; the
-    paper's guarantees are exact).
+    A projection past the deadline counts as violating, with no grace:
+    the paper's guarantees are exact.
     """
 
-    def __init__(self, *, grace_fraction: float = 0.0) -> None:
-        if grace_fraction < 0:
-            raise ValueError(
-                f"grace_fraction must be non-negative, got {grace_fraction}"
-            )
-        self.grace_fraction = grace_fraction
+    def __init__(self) -> None:
         self._jobs: Dict[int, _JobSloState] = {}
 
     def __len__(self) -> int:
@@ -149,10 +142,7 @@ class SloMonitor:
         else:
             projected = math.inf
         state.last_projected = projected
-        allowed = state.deadline + self.grace_fraction * (
-            state.deadline - state.registered_at
-        )
-        violating = projected > allowed
+        violating = projected > state.deadline
         if violating and not state.violating:
             state.violating = True
             state.violations += 1

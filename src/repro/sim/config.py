@@ -83,6 +83,13 @@ class MachineConfig:
         return cycles / self.clock_hz
 
 
+#: The mean probe inter-arrival as a fraction of the mean job wall-clock
+#: time ``tw``: the paper assumes a 128-CMP server at full utilisation,
+#: giving 4 × 128 arrivals per ``tw``, i.e. a mean inter-arrival of
+#: ``tw / 512``.
+PROBE_INTERARRIVAL_FRACTION = 1.0 / 512.0
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Workload-side knobs shared by the experiment harness.
@@ -91,16 +98,10 @@ class SimulationConfig:
     linear in instruction count under the curve-based timing model, so
     normalised results are invariant to ``instructions_per_job`` (kept
     at the paper's value by default, reducible for fast tests).
-
-    ``probe_interarrival_fraction`` positions the Poisson probe rate:
-    the paper assumes a 128-CMP server at full utilisation, giving
-    4 × 128 arrivals per job wall-clock time, i.e. a mean inter-arrival
-    of ``tw / 512``.
     """
 
     instructions_per_job: int = 200_000_000
     accepted_jobs_target: int = 10
-    probe_interarrival_fraction: float = 1.0 / 512.0
     seed: int = 42
     profile_num_sets: int = 64
     profile_accesses: int = 40_000
@@ -112,9 +113,6 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         check_positive("instructions_per_job", self.instructions_per_job)
         check_positive("accepted_jobs_target", self.accepted_jobs_target)
-        check_positive(
-            "probe_interarrival_fraction", self.probe_interarrival_fraction
-        )
         check_positive("profile_num_sets", self.profile_num_sets)
         check_positive("profile_accesses", self.profile_accesses)
         if self.queue_policy not in ("fcfs", "backfill"):

@@ -35,12 +35,12 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.obs import get_observer
+from repro.util.validation import check_non_negative
 
 EventCallback = Callable[[float], None]
 
 #: Outcomes of :meth:`EventQueue.run`.
 RUN_DRAINED = "drained"
-RUN_HORIZON = "horizon"
 RUN_STOPPED = "stopped"
 RUN_EVENT_BUDGET = "event-budget"
 RUN_WALL_CLOCK_BUDGET = "wall-clock-budget"
@@ -52,25 +52,28 @@ class RunBudget:
 
     ``max_events`` bounds events fired *within one run call*;
     ``max_wall_seconds`` bounds real (host) time.  Either may be
-    ``None`` for unlimited.  Unlike the engine's ``max_events`` runaway
-    guard, exhausting a budget stops cleanly with an outcome string
-    rather than raising — the caller decides whether to emit a partial
-    report, checkpoint, or resume.
+    ``None`` for unlimited, and is otherwise a finite non-negative
+    number (``max_events`` an int).  Unlike the engine's
+    :attr:`EventQueue.MAX_EVENTS` runaway guard, exhausting a budget
+    stops cleanly with an outcome string rather than raising — the
+    caller decides whether to emit a partial report, checkpoint, or
+    resume.
     """
 
     max_events: Optional[int] = None
     max_wall_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.max_events is not None and self.max_events < 0:
-            raise ValueError(
-                f"max_events must be non-negative, got {self.max_events}"
-            )
-        if self.max_wall_seconds is not None and self.max_wall_seconds < 0:
-            raise ValueError(
-                f"max_wall_seconds must be non-negative, got "
-                f"{self.max_wall_seconds}"
-            )
+        if self.max_events is not None:
+            if isinstance(self.max_events, bool) or not isinstance(
+                self.max_events, int
+            ):
+                raise ValueError(
+                    f"max_events must be an int, got {self.max_events!r}"
+                )
+            check_non_negative("max_events", self.max_events)
+        if self.max_wall_seconds is not None:
+            check_non_negative("max_wall_seconds", self.max_wall_seconds)
 
 
 class EventHandle:
@@ -103,6 +106,10 @@ class EventQueue:
     #: Compaction never triggers below this raw heap size, so small
     #: queues keep the cheap lazy-invalidation behaviour.
     COMPACT_MIN_SIZE = 64
+    #: The runaway guard: a run call that fires this many events raises,
+    #: so a simulator bug that reschedules forever fails instead of
+    #: hanging.
+    MAX_EVENTS = 10_000_000
 
     def __init__(self) -> None:
         self._heap: List[Tuple[float, int, EventHandle]] = []
@@ -113,8 +120,6 @@ class EventQueue:
         # The limits and fired count of the run() call in progress, which
         # fire_inline and pop_inline read; _in_run is False outside run().
         self._in_run = False
-        self._until = math.inf
-        self._max_events = 0
         self._stop_when: Optional[Callable[[], bool]] = None
         self._budget_events: Optional[int] = None
         self._wall_deadline: Optional[float] = None
@@ -161,35 +166,23 @@ class EventQueue:
     def run(
         self,
         *,
-        until: float = math.inf,
-        max_events: int = 10_000_000,
         stop_when: Optional[Callable[[], bool]] = None,
         budget: Optional[RunBudget] = None,
     ) -> str:
-        """Drain events until the horizon, a predicate, or exhaustion.
+        """Drain events until a predicate, a budget, or exhaustion.
 
         Returns one of the ``RUN_*`` outcome strings describing why the
         loop stopped.  ``budget`` bounds this call gracefully (see
-        :class:`RunBudget`); ``max_events`` stays a runaway guard — a
-        simulator bug that reschedules forever raises instead of
+        :class:`RunBudget`); :attr:`MAX_EVENTS` stays a runaway guard —
+        a simulator bug that reschedules forever raises instead of
         hanging.
         """
         obs = get_observer()
         if not obs.enabled:
-            return self._run_loop(
-                until=until,
-                max_events=max_events,
-                stop_when=stop_when,
-                budget=budget,
-            )
+            return self._run_loop(stop_when=stop_when, budget=budget)
         fired_before = self.events_fired
         with obs.profiler.span("engine.run", event_source=self):
-            outcome = self._run_loop(
-                until=until,
-                max_events=max_events,
-                stop_when=stop_when,
-                budget=budget,
-            )
+            outcome = self._run_loop(stop_when=stop_when, budget=budget)
         obs.metrics.counter("engine.runs", outcome=outcome).inc()
         obs.metrics.counter("engine.events_fired").inc(
             self.events_fired - fired_before
@@ -209,9 +202,9 @@ class EventQueue:
         Returns True only when the run loop, once the current callback
         returned, would pop an event at ``time`` next: ``time`` is
         strictly earlier than every live heap entry (on a tie the entry
-        wins, as its smaller sequence number would), within ``until``,
-        and neither ``stop_when``, the event or wall-clock budget nor
-        the ``max_events`` runaway guard would end the loop first.  The
+        wins, as its smaller sequence number would), and neither
+        ``stop_when``, the event or wall-clock budget nor the
+        :attr:`MAX_EVENTS` runaway guard would end the loop first.  The
         event is then counted as fired and ``now`` moves to ``time``;
         the caller runs it in place instead of scheduling it.  Outside
         :meth:`run` it returns False.
@@ -230,8 +223,7 @@ class EventQueue:
         fired = self._fired + 1  # the current event, once it returns
         if (
             not self._in_run
-            or fired >= self._max_events
-            or not time <= self._until
+            or fired >= self.MAX_EVENTS
             or (self._stop_when is not None and self._stop_when())
             or (
                 self._budget_events is not None
@@ -260,8 +252,8 @@ class EventQueue:
         Returns True only when the run loop, once the current callback
         returned, would pop ``handle`` next: it is the next live heap
         entry (a same-time entry with a smaller sequence number comes
-        first), its time is at most ``not_after`` and ``until``, and
-        the same ``stop_when``, budget and runaway-guard checks as
+        first), its time is at most ``not_after``, and the same
+        ``stop_when``, budget and runaway-guard checks as
         :meth:`fire_inline` allow one more event.  The entry is then
         popped and counted as fired, and ``now`` moves to its time; the
         caller runs its callback in place.  Outside :meth:`run` it
@@ -276,7 +268,7 @@ class EventQueue:
         if (
             entry is not handle
             or time > not_after
-            or not self._loop_would_fire(time)
+            or not self._loop_would_fire()
         ):
             return False
         heapq.heappop(self._heap)
@@ -284,15 +276,14 @@ class EventQueue:
         self._count_inline(time)
         return True
 
-    def _loop_would_fire(self, time: float) -> bool:
+    def _loop_would_fire(self) -> bool:
         """Whether the run loop, once the current callback returned,
-        would fire an event at ``time`` were it next: inside :meth:`run`,
-        within ``until``, and no stop, budget or runaway guard first."""
+        would fire its next event: inside :meth:`run`, and no stop,
+        budget or runaway guard first."""
         fired = self._fired + 1  # the current event, once it returns
         return (
             self._in_run
-            and fired < self._max_events
-            and time <= self._until
+            and fired < self.MAX_EVENTS
             and self._stop_outcome(fired) is None
         )
 
@@ -318,13 +309,10 @@ class EventQueue:
     def _run_loop(
         self,
         *,
-        until: float,
-        max_events: int,
         stop_when: Optional[Callable[[], bool]],
         budget: Optional[RunBudget],
     ) -> str:
-        self._until = until
-        self._max_events = max_events
+        max_events = self.MAX_EVENTS
         self._stop_when = stop_when
         self._budget_events = None
         self._wall_deadline = None
@@ -341,11 +329,8 @@ class EventQueue:
                 outcome = self._stop_outcome(self._fired)
                 if outcome is not None:
                     return outcome
-                next_time = self.peek_time()
-                if next_time is None:
+                if self.peek_time() is None:
                     return RUN_DRAINED
-                if next_time > until:
-                    return RUN_HORIZON
                 self.step()
                 self._fired += 1
                 if self._fired >= max_events:

@@ -25,7 +25,11 @@ from repro.core.metrics import (
 )
 from repro.core.spec import QoSTarget, ResourceVector, TimeslotRequest
 from repro.cpu.cpi import CpiModel
-from repro.sim.config import MachineConfig, SimulationConfig
+from repro.sim.config import (
+    PROBE_INTERARRIVAL_FRACTION,
+    MachineConfig,
+    SimulationConfig,
+)
 from repro.sim.engine import EventHandle, EventQueue
 from repro.sim.system import SystemResult, _PROGRESS_EPSILON
 from repro.sim.tracing import ExecutionTrace
@@ -110,7 +114,7 @@ class EqualPartSimulator:
         reference_tw = sum(
             self._requested_wall_clock(spec) for spec in self.workload.jobs
         ) / len(self.workload.jobs)
-        mean_gap = reference_tw * self.sim_config.probe_interarrival_fraction
+        mean_gap = reference_tw * PROBE_INTERARRIVAL_FRACTION
         arrival_rng = self.rng.stream("arrivals")
         now = 0.0
         for index, spec in enumerate(self.workload.jobs):

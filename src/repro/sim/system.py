@@ -76,11 +76,19 @@ from repro.cpu.cpi import CpiModel
 from repro.faults.injector import SystemFaultInjector
 from repro.faults.invariants import InvariantChecker
 from repro.faults.model import FaultConfig, FaultEvent, FaultSchedule
-from repro.faults.resilience import RetryPolicy, downgrade_mode
+from repro.faults.resilience import (
+    ELASTIC_DOWNGRADE_SLACK,
+    RetryPolicy,
+    downgrade_mode,
+)
 from repro.obs import get_observer
 from repro.obs.slo import SloMonitor, SloReport
 from repro.obs.trace import derive_trace_id
-from repro.sim.config import MachineConfig, SimulationConfig
+from repro.sim.config import (
+    PROBE_INTERARRIVAL_FRACTION,
+    MachineConfig,
+    SimulationConfig,
+)
 from repro.sim.engine import (
     RUN_EVENT_BUDGET,
     RUN_WALL_CLOCK_BUDGET,
@@ -553,15 +561,7 @@ class QoSSystemSimulator:
         # streams are drawn, and the trajectory is byte-identical to the
         # pre-fault simulator).
         self.fault_config = fault_config
-        self._retry_policy = (
-            RetryPolicy(
-                max_retries=fault_config.max_retries,
-                backoff_base=fault_config.backoff_base,
-                backoff_factor=fault_config.backoff_factor,
-            )
-            if fault_config is not None
-            else RetryPolicy()
-        )
+        self._retry_policy = RetryPolicy()
         self._failed_cores: Dict[int, float] = {}  # core -> repair time
         self._stalled_cores: Dict[int, float] = {}  # core -> stall end
         self._fault_log: List[Tuple[float, FaultEvent]] = []
@@ -607,7 +607,7 @@ class QoSSystemSimulator:
             self._wall_clock_at(spec, spec.requested_ways)
             for spec in self.workload.jobs
         ) / len(self.workload.jobs)
-        return reference_tw * self.sim_config.probe_interarrival_fraction
+        return reference_tw * PROBE_INTERARRIVAL_FRACTION
 
     # -- main entry ------------------------------------------------------------------
 
@@ -624,9 +624,7 @@ class QoSSystemSimulator:
         process covers the entire run.  Events past completion simply
         never fire.
         """
-        reference_tw = (
-            self._mean_gap / self.sim_config.probe_interarrival_fraction
-        )
+        reference_tw = self._mean_gap / PROBE_INTERARRIVAL_FRACTION
         return 2.0 * reference_tw * (len(self.workload.jobs) + 1)
 
     def start(self) -> None:
@@ -666,11 +664,7 @@ class QoSSystemSimulator:
                     self, self._fault_schedule
                 )
                 self._injector.arm()
-            if self.fault_config.invariant_check_interval > 0:
-                self._invariants = InvariantChecker(
-                    self,
-                    every_n_events=self.fault_config.invariant_check_interval,
-                )
+            self._invariants = InvariantChecker(self)
 
     def run(self, *, budget: Optional[RunBudget] = None) -> SystemResult:
         """Run to completion of all template jobs and build the result.
@@ -1350,9 +1344,6 @@ class QoSSystemSimulator:
                 slack=mode.slack,
                 baseline_ways=state.spec.requested_ways,
                 min_ways=STEALING_MIN_WAYS,
-                interval_instructions=(
-                    self.machine.repartition_interval_instructions
-                ),
             )
             state.next_interval_at = (
                 state.progress
@@ -2104,12 +2095,7 @@ class QoSSystemSimulator:
             )
             return
         # Retries exhausted at this rung: one step down the ladder.
-        slack = (
-            self.fault_config.elastic_downgrade_slack
-            if self.fault_config is not None
-            else 0.10
-        )
-        new_mode = downgrade_mode(mode, elastic_slack=slack)
+        new_mode = downgrade_mode(mode, elastic_slack=ELASTIC_DOWNGRADE_SLACK)
         if new_mode is None:
             # Past Opportunistic: the guarantee is formally surrendered
             # and the job finishes on spare resources (best-effort).

@@ -34,9 +34,9 @@ Both arms of a pair profile their miss curves through
 on-disk store carry no backend, so going through them would compare
 one cached curve against itself.
 
-Numeric comparisons reuse :func:`repro.obs.diff.diff_snapshots`
-(tolerance class ``|b-a| <= max(abs_tol, rel_tol*max(|a|,|b|))``);
-the default tolerances are zero, i.e. exact.
+Numeric comparisons reuse :func:`repro.obs.diff.diff_snapshots` with
+no tolerance: every pair is a gate that must be able to fail, so every
+compared value must match exactly.
 """
 
 from __future__ import annotations
@@ -374,11 +374,9 @@ def _compare_results(
     a: Dict[str, SystemResult],
     b: Dict[str, SystemResult],
     *,
-    rel_tol: float,
-    abs_tol: float,
     exclude_prefixes: Tuple[str, ...] = (),
 ) -> List[str]:
-    """All out-of-tolerance differences between two result sets."""
+    """All differences between two result sets."""
     violations: List[str] = []
     if list(a) != list(b):
         violations.append(
@@ -387,9 +385,7 @@ def _compare_results(
         return violations
     a_records, a_exact = _split_snapshot(a, exclude_prefixes=exclude_prefixes)
     b_records, b_exact = _split_snapshot(b, exclude_prefixes=exclude_prefixes)
-    report = diff_snapshots(
-        a_records, b_records, rel_tol=rel_tol, abs_tol=abs_tol
-    )
+    report = diff_snapshots(a_records, b_records)
     if not report.clean:
         violations.extend(delta.describe() for delta in report.deltas)
     for key in sorted(a_exact.keys() | b_exact.keys()):
@@ -443,9 +439,7 @@ def _without_event_kind(lines: List[str], kind: str) -> List[str]:
 # -----------------------------------------------------------------------------
 
 
-def _backend_pair(
-    scenario: Scenario, *, rel_tol: float, abs_tol: float
-) -> PairReport:
+def _backend_pair(scenario: Scenario) -> PairReport:
     report = PairReport(
         kind="backend",
         subject=f"{scenario.describe()}, reference vs fast",
@@ -487,12 +481,7 @@ def _backend_pair(
     report.checks.append(
         CheckResult.from_violations(
             "counters-identical",
-            _compare_results(
-                arm_a.results,
-                arm_b.results,
-                rel_tol=rel_tol,
-                abs_tol=abs_tol,
-            ),
+            _compare_results(arm_a.results, arm_b.results),
         )
     )
     report.checks.append(
@@ -504,9 +493,7 @@ def _backend_pair(
     return report
 
 
-def _jobs_pair(
-    scenario: Scenario, *, rel_tol: float, abs_tol: float
-) -> PairReport:
+def _jobs_pair(scenario: Scenario) -> PairReport:
     report = PairReport(kind="jobs", subject=scenario.describe())
     # Both arms share one pre-profiled curve set so neither arm profiles
     # under its observer — who profiles (parent once vs each worker)
@@ -517,12 +504,7 @@ def _jobs_pair(
     report.checks.append(
         CheckResult.from_violations(
             "counters-identical",
-            _compare_results(
-                arm_a.results,
-                arm_b.results,
-                rel_tol=rel_tol,
-                abs_tol=abs_tol,
-            ),
+            _compare_results(arm_a.results, arm_b.results),
         )
     )
     report.checks.append(
@@ -537,9 +519,7 @@ def _jobs_pair(
     return report
 
 
-def _faults_pair(
-    scenario: Scenario, *, rel_tol: float, abs_tol: float
-) -> PairReport:
+def _faults_pair(scenario: Scenario) -> PairReport:
     report = PairReport(kind="faults", subject=scenario.describe())
     # EqualPart rejects fault configs by design (no admission control
     # to degrade); the pair covers the QoS configurations.
@@ -571,8 +551,6 @@ def _faults_pair(
             _compare_results(
                 arm_a.results,
                 arm_b.results,
-                rel_tol=rel_tol,
-                abs_tol=abs_tol,
                 exclude_prefixes=_FAULT_EXEMPT_PREFIXES,
             ),
         )
@@ -664,9 +642,7 @@ def events_fired_check(
     return CheckResult.from_violations(name, violations)
 
 
-def _policy_pair(
-    scenario: Scenario, *, rel_tol: float, abs_tol: float
-) -> PairReport:
+def _policy_pair(scenario: Scenario) -> PairReport:
     disabled = disabled_policy(scenario.pair_policy)
     report = PairReport(
         kind="policy",
@@ -691,12 +667,7 @@ def _policy_pair(
         report.checks.append(
             CheckResult.from_violations(
                 f"counters-identical[{suffix}]",
-                _compare_results(
-                    arm_a.results,
-                    arm_b.results,
-                    rel_tol=rel_tol,
-                    abs_tol=abs_tol,
-                ),
+                _compare_results(arm_a.results, arm_b.results),
             )
         )
         report.checks.append(
@@ -737,13 +708,7 @@ _PAIR_RUNNERS = {
 }
 
 
-def run_pair(
-    scenario: Scenario,
-    pair: str,
-    *,
-    rel_tol: float = 0.0,
-    abs_tol: float = 0.0,
-) -> PairReport:
+def run_pair(scenario: Scenario, pair: str) -> PairReport:
     """Run one differential pair over ``scenario``."""
     try:
         runner = _PAIR_RUNNERS[pair]
@@ -751,20 +716,14 @@ def run_pair(
         raise ValueError(
             f"unknown pair {pair!r}; expected one of {PAIR_NAMES}"
         ) from None
-    return runner(scenario, rel_tol=rel_tol, abs_tol=abs_tol)
+    return runner(scenario)
 
 
 def run_diff(
-    scenario: Scenario,
-    *,
-    pairs: Sequence[str] = PAIR_NAMES,
-    rel_tol: float = 0.0,
-    abs_tol: float = 0.0,
+    scenario: Scenario, *, pairs: Sequence[str] = PAIR_NAMES
 ) -> VerifyReport:
     """Run the requested differential pairs; the ``verify diff`` core."""
     report = VerifyReport(command="diff")
     for pair in pairs:
-        report.reports.append(
-            run_pair(scenario, pair, rel_tol=rel_tol, abs_tol=abs_tol)
-        )
+        report.reports.append(run_pair(scenario, pair))
     return report

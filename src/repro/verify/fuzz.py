@@ -132,24 +132,12 @@ def random_scenario(
     return scenario, pairs
 
 
-def _fails(
-    scenario: Scenario,
-    pairs: Sequence[str],
-    *,
-    rel_tol: float,
-    abs_tol: float,
-) -> bool:
-    return not run_diff(
-        scenario, pairs=pairs, rel_tol=rel_tol, abs_tol=abs_tol
-    ).passed
+def _fails(scenario: Scenario, pairs: Sequence[str]) -> bool:
+    return not run_diff(scenario, pairs=pairs).passed
 
 
 def shrink_case(
-    scenario: Scenario,
-    pairs: Sequence[str],
-    *,
-    rel_tol: float = 0.0,
-    abs_tol: float = 0.0,
+    scenario: Scenario, pairs: Sequence[str]
 ) -> Tuple[Scenario, Tuple[str, ...]]:
     """Greedily minimise a failing case, preserving failure.
 
@@ -160,9 +148,7 @@ def shrink_case(
     """
     pairs = tuple(pairs)
     for pair in pairs:
-        if len(pairs) > 1 and _fails(
-            scenario, (pair,), rel_tol=rel_tol, abs_tol=abs_tol
-        ):
+        if len(pairs) > 1 and _fails(scenario, (pair,)):
             pairs = (pair,)
             break
     if len(scenario.configurations) > 1:
@@ -170,14 +156,14 @@ def shrink_case(
             candidate = Scenario.from_dict(
                 {**scenario.to_dict(), "configurations": [name]}
             )
-            if _fails(candidate, pairs, rel_tol=rel_tol, abs_tol=abs_tol):
+            if _fails(candidate, pairs):
                 scenario = candidate
                 break
     for count in range(1, scenario.count):
         candidate = Scenario.from_dict(
             {**scenario.to_dict(), "count": count}
         )
-        if _fails(candidate, pairs, rel_tol=rel_tol, abs_tol=abs_tol):
+        if _fails(candidate, pairs):
             scenario = candidate
             break
     return scenario, pairs
@@ -189,8 +175,6 @@ def run_fuzz(
     budget_seconds: Optional[float] = 60.0,
     max_cases: Optional[int] = None,
     out: str = "verify-case.json",
-    rel_tol: float = 0.0,
-    abs_tol: float = 0.0,
     pairs: Optional[Sequence[str]] = None,
 ) -> VerifyReport:
     """Fuzz until the budget or ``max_cases`` runs out, or a case fails.
@@ -216,9 +200,7 @@ def run_fuzz(
             break
         scenario, drawn_pairs = random_scenario(fuzz_seed, case_index)
         case_pairs = tuple(pairs) if pairs is not None else drawn_pairs
-        diff = run_diff(
-            scenario, pairs=case_pairs, rel_tol=rel_tol, abs_tol=abs_tol
-        )
+        diff = run_diff(scenario, pairs=case_pairs)
         case_report = PairReport(
             kind=f"case-{case_index}",
             subject=f"{scenario.describe()} via {'+'.join(case_pairs)}",
@@ -234,9 +216,7 @@ def run_fuzz(
         )
         report.reports.append(case_report)
         if not diff.passed:
-            shrunk, shrunk_pairs = shrink_case(
-                scenario, case_pairs, rel_tol=rel_tol, abs_tol=abs_tol
-            )
+            shrunk, shrunk_pairs = shrink_case(scenario, case_pairs)
             case = VerifyCase(
                 scenario=shrunk,
                 pairs=shrunk_pairs,
@@ -259,12 +239,7 @@ def run_fuzz(
     return report
 
 
-def replay_case(
-    case_or_path,
-    *,
-    rel_tol: float = 0.0,
-    abs_tol: float = 0.0,
-) -> VerifyReport:
+def replay_case(case_or_path) -> VerifyReport:
     """Re-run a saved :class:`VerifyCase`; exit code semantics of diff.
 
     Accepts a case object or a path to a ``verify-case.json``.
@@ -274,9 +249,7 @@ def replay_case(
         if isinstance(case_or_path, VerifyCase)
         else load_case(case_or_path)
     )
-    diff = run_diff(
-        case.scenario, pairs=case.pairs, rel_tol=rel_tol, abs_tol=abs_tol
-    )
+    diff = run_diff(case.scenario, pairs=case.pairs)
     report = VerifyReport(command="replay", reports=diff.reports)
     if case.description:
         report.notes.append(f"case: {case.description}")

@@ -4,17 +4,19 @@
 from a per-timeline-version memo of each request's first feasible start
 and count the candidate windows the FCFS scan would have evaluated
 (DESIGN.md §7.5).  The oracle below keeps that scan: every candidate
-start, in order, through the counted ``window_fits``.  Seeded random
-sequences of admissions, re-admissions, searches, releases and cancels
-run on both, and every decision, reason, start, statistic and metric
-must match; after every operation ``booked_from``, which answers from
-the latest reservation end of the timeline version, must agree with a
-scan of the reservations.  A rejection for want of a window formats
-its reason only when it is read, so the reasons are pinned to the text
-the LAC always wrote, over a grid of lengths and deadlines.  The
-probe-level tests pin what the memo saves in a real run: the uncounted
-window check runs a small fraction of the counted windows, and a probe
-builds no ``QoSTarget``.
+start, in order, through the counted ``window_fits``, except that a
+window empty in floating point is counted and fits nothing.  Seeded
+random sequences of admissions, re-admissions, searches, releases and
+cancels run on both, near time zero and at times where some lengths
+are below the float spacing, and every decision, reason, start,
+statistic and metric must match; after every operation
+``booked_from``, which answers from the latest reservation end of the
+timeline version, must agree with a scan of the reservations.  A
+rejection for want of a window formats its reason only when it is
+read, so the reasons are pinned to the text the LAC always wrote, over
+a grid of lengths and deadlines.  The probe-level tests pin what the
+memo saves in a real run: the uncounted window check runs a small
+fraction of the counted windows, and a probe builds no ``QoSTarget``.
 """
 
 import math
@@ -34,6 +36,17 @@ import repro.sim.system as system_module
 class Scan(LocalAdmissionController):
     """The oracle: the paper's scan, evaluating every candidate window."""
 
+    empty_windows = 0
+
+    def _tries(self, start, duration, request):
+        """Count the window from ``start``; whether it fits."""
+        end = start + duration
+        if end <= start:
+            self.empty_windows += 1
+            self._count_windows(1)
+            return False
+        return self.window_fits(start, end, request)
+
     def earliest_fit(
         self, request, duration, *, not_before, latest_end=math.inf
     ):
@@ -50,7 +63,7 @@ class Scan(LocalAdmissionController):
         for start in candidates:
             if start + duration > latest_end:
                 break
-            if self.window_fits(start, start + duration, request):
+            if self._tries(start, duration, request):
                 return start
         return None
 
@@ -75,7 +88,7 @@ class Scan(LocalAdmissionController):
         for start in candidates:
             if start < not_before:
                 continue
-            if self.window_fits(start, start + duration, request):
+            if self._tries(start, duration, request):
                 return start
         return None
 
@@ -163,6 +176,12 @@ TRAINS = (1, 1, 3, 8, 20)
 #: from earlier.
 TRAIN_STEPS = (0.0, 0.05, 0.1, 0.25)
 STEPS = (0.0, 0.1, 0.25, 0.5, 1.0, -0.5, -2.0)
+#: A time from which the float spacing is 2**-24 (about 6e-8) ...
+LARGE = 3.0e8
+#: ... so that these lengths are below it: 1e-9 and 2e-8 round away,
+#: 3e-8 rounds up to one spacing, and 2**-25, half of it, rounds to
+#: even, which leaves every other start's window empty.
+TINY_DURATIONS = (1e-9, 2e-8, 3e-8, 2.0**-25)
 
 
 def _probe(lac, rng, kind, request, duration, span, now, job_id):
@@ -241,13 +260,13 @@ def _change(lac, rng, kind):
     return reservation.reservation_id
 
 
-def _sequence(cls, seed, operations=40):
+def _sequence(cls, seed, operations=40, origin=0.0, durations=DURATIONS):
     """Run one seeded sequence on a fresh ``cls`` node, observed."""
     rng = random.Random(seed)
     lac = cls(CAPACITY)
     telemetry = Observer()
     seen = []
-    now = 0.0
+    now = origin
     with observed(telemetry):
         for job_id in range(1, operations + 1):
             if rng.random() < 0.15:
@@ -259,7 +278,7 @@ def _sequence(cls, seed, operations=40):
                 # blocked head of a queue is.
                 kind = rng.choices(tuple(PROBES), tuple(PROBES.values()))[0]
                 request = _request(rng)
-                duration = rng.choice(DURATIONS)
+                duration = rng.choice(durations)
                 span = rng.choice(SPANS)
                 for _ in range(rng.choice(TRAINS)):
                     outcome = _probe(
@@ -302,6 +321,20 @@ def test_memo_matches_the_scan(block):
         checks += lac.checks
     # The memo answered for some of the windows the scan counted.
     assert 0 < checks < windows
+
+
+@pytest.mark.parametrize("block", range(2))
+def test_memo_matches_the_scan_below_the_float_spacing(block):
+    """At large times some windows are empty in floating point: they fit
+    nothing, on the memo's path as on the scan's."""
+    empty = 0
+    for seed in range(block * 60, (block + 1) * 60):
+        kwargs = dict(origin=LARGE, durations=DURATIONS + TINY_DURATIONS)
+        shipped, _ = _sequence(Shipped, seed, **kwargs)
+        oracle, scan = _sequence(Scan, seed, **kwargs)
+        assert shipped == oracle, f"seed {seed}"
+        empty += scan.empty_windows
+    assert empty > 0
 
 
 def test_a_train_of_rejected_probes_scans_once():
@@ -357,12 +390,13 @@ def test_no_window_rejection_reads_as_it_always_did(duration):
     request = ResourceVector(1, 4)
     cases = [(STRICT, math.inf, False), (STRICT, None, False)]
     for deadline in REASON_DEADLINES:
-        cases += [(STRICT, deadline, False), (ELASTIC, deadline, False)]
         # AutoDown tries the window ending at the deadline first, which
-        # is empty, and raises, when the length is below its precision.
-        preferred = deadline - duration
-        if preferred + duration > preferred:
-            cases.append((STRICT, deadline, True))
+        # is empty when the length is below the deadline's spacing.
+        cases += [
+            (STRICT, deadline, False),
+            (ELASTIC, deadline, False),
+            (STRICT, deadline, True),
+        ]
     for mode, deadline, auto_downgrade in cases:
         decision = lac.admit_request(
             2,
@@ -381,6 +415,38 @@ def test_no_window_rejection_reads_as_it_always_did(duration):
         assert decision.accepted is False
         assert decision.reservation is None
         assert decision.reserved_start is None
+
+
+@pytest.mark.parametrize("auto_downgrade", [False, True])
+def test_empty_windows_are_rejected_on_an_idle_node(auto_downgrade):
+    """Every candidate window of a length below the float spacing at its
+    start is empty: an idle node rejects it with the usual reason."""
+    lac = LocalAdmissionController(CAPACITY)
+    request = ResourceVector(1, 4)
+    decision = lac.admit_request(
+        2, request, STRICT, 1e-9, 6e8, now=3e8, auto_downgrade=auto_downgrade
+    )
+    assert (decision.accepted, decision.reservation) == (False, None)
+    assert decision.reason == (
+        "no timeslot of length 1e-09 fits before deadline 6e+08"
+    )
+    assert lac.reserve_window(3, request, 1e-9, not_before=3e8) is None
+    with pytest.raises(ValueError, match="empty window"):
+        lac.window_fits(3e8, 3e8 + 1e-9, request)
+
+
+def test_an_empty_window_is_skipped_for_a_later_one():
+    """Half the float spacing rounds to even: the window from a start
+    with an even last bit is empty, and the next start's is not."""
+    lac = LocalAdmissionController(CAPACITY)
+    big = ResourceVector(4, 16)
+    even = 2.0**28  # the spacing is 2**-24 from here on
+    odd = even + 2.0**-24
+    assert lac.admit_request(1, big, STRICT, even, None, now=0.0).accepted
+    assert lac.admit_request(
+        2, big, STRICT, odd - even, None, now=even
+    ).accepted
+    assert lac.earliest_fit(big, 2.0**-25, not_before=0.0) == odd
 
 
 def test_rejection_reasons_pinned():

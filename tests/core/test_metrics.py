@@ -146,10 +146,7 @@ class TestLacOccupancy:
         stats = LacStatistics(
             admission_tests=100, candidate_windows_evaluated=400
         )
-        tracker = LacOccupancyTracker(
-            cycles_per_admission_test=5_000,
-            cycles_per_window_check=500,
-        )
+        tracker = LacOccupancyTracker()
         occupancy = tracker.occupancy_fraction(
             stats, workload_cycles=1e9
         )

@@ -160,7 +160,7 @@ class TestGrowShrinkConvergence:
         for effective in _drive(world, policy, max_epochs=400):
             for action in effective:
                 cap = world.state.caps[action.job_id]
-                assert policy.min_ways <= action.ways <= cap
+                assert policy.MIN_WAYS <= action.ways <= cap
 
     @given(seed=st.sampled_from([0, 1, 2]))
     def test_decision_stream_goes_quiet(self, seed):

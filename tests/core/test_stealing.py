@@ -101,19 +101,10 @@ class TestCancellation:
         assert decision.action in (StealingAction.HOLD, StealingAction.STEAL_ONE)
         assert c.current_ways == 7 or c.current_ways == 6
 
-    def test_sticky_cancel_without_resume(self):
-        c = controller(slack=0.05, resume_after_cancel=False)
-        feedback = FakeFeedback([0.0, 0.08, 0.0, 0.0])
-        c.on_interval(feedback)
-        c.on_interval(feedback)  # cancel
-        decision = c.on_interval(feedback)
-        assert decision.action is StealingAction.HOLD
-        assert c.state is StealingState.CANCELLED
-
     def test_resume_after_decay(self):
         # Bang-bang behaviour: once the cumulative increase decays
         # below the hysteresis threshold, stealing re-arms.
-        c = controller(slack=0.05, resume_after_cancel=True)
+        c = controller(slack=0.05)
         feedback = FakeFeedback([0.0, 0.08, 0.06, 0.03, 0.03])
         c.on_interval(feedback)  # steal -> 6
         assert c.on_interval(feedback).action is StealingAction.CANCEL
@@ -142,7 +133,7 @@ class TestBusSaturation:
 
 class TestReset:
     def test_reset_rearms(self):
-        c = controller(slack=0.05, resume_after_cancel=False)
+        c = controller(slack=0.05)
         feedback = FakeFeedback([0.0, 0.9])
         c.on_interval(feedback)
         c.on_interval(feedback)

@@ -209,6 +209,6 @@ class TestStealingEccCancel:
         controller.on_interval(_FixedFeedback(0.0))
         controller.on_ecc_error()
         # The (reset) shadow reports a trustworthy low increase again,
-        # so with resume_after_cancel the controller steals anew.
+        # so the controller steals anew.
         decision = controller.on_interval(_FixedFeedback(0.0))
         assert decision.action is StealingAction.STEAL_ONE

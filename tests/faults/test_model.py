@@ -43,14 +43,6 @@ class TestFaultConfig:
         with pytest.raises(ValueError, match="finite"):
             FaultConfig(core_failure_rate=math.nan)
 
-    def test_rejects_zero_derate_factor(self):
-        with pytest.raises(ValueError, match="severed"):
-            FaultConfig(bandwidth_derate_factor=0.0)
-
-    def test_rejects_zero_elastic_slack(self):
-        with pytest.raises(ValueError, match="ladder"):
-            FaultConfig(elastic_downgrade_slack=0.0)
-
     def test_rejects_negative_horizon(self):
         with pytest.raises(ValueError):
             FaultConfig(horizon=-1.0)

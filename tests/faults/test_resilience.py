@@ -89,28 +89,21 @@ class TestDowngradeMode:
 
 class TestRetryPolicy:
     def test_delay_is_geometric(self):
-        policy = RetryPolicy(
-            max_retries=3, backoff_base=0.002, backoff_factor=2.0
-        )
+        policy = RetryPolicy()
         assert policy.delay(0) == pytest.approx(0.002)
         assert policy.delay(1) == pytest.approx(0.004)
         assert policy.delay(3) == pytest.approx(0.016)
 
     def test_exhausted_at_max_retries(self):
-        policy = RetryPolicy(max_retries=3)
+        policy = RetryPolicy()
         assert not policy.exhausted(2)
         assert policy.exhausted(3)
         assert policy.exhausted(4)
 
-    def test_zero_retries_exhausts_immediately(self):
-        assert RetryPolicy(max_retries=0).exhausted(0)
+    def test_zero_retries_exhausts_immediately(self, monkeypatch):
+        monkeypatch.setattr(RetryPolicy, "MAX_RETRIES", 0)
+        assert RetryPolicy().exhausted(0)
 
     def test_rejects_negative_attempt(self):
         with pytest.raises(ValueError):
             RetryPolicy().delay(-1)
-
-    def test_rejects_bad_backoff(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_base=0.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.0)

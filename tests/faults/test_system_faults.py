@@ -290,10 +290,10 @@ class TestInvariantChecker:
         with pytest.raises(InvariantViolation, match="effective peak"):
             InvariantChecker(simulator).check()
 
-    def test_maybe_check_respects_cadence(self, fake_curves):
+    def test_maybe_check_respects_cadence(self, fake_curves, monkeypatch):
         simulator = make_simulator(fake_curves, fault_config=FaultConfig())
         simulator.run()
-        checker = InvariantChecker(simulator, every_n_events=10**9)
-        checker._next_check = 10**9
+        monkeypatch.setattr(InvariantChecker, "EVERY_N_EVENTS", 10**9)
+        checker = InvariantChecker(simulator)
         checker.maybe_check()
         assert checker.checks_run == 0

@@ -12,7 +12,6 @@ def machine_bus():
         peak_bytes_per_second=6.4e9,
         clock_hz=2.0e9,
         block_bytes=64,
-        saturation_threshold=0.9,
     )
 
 
@@ -100,5 +99,3 @@ class TestValidation:
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             BandwidthModel(peak_bytes_per_second=0.0)
-        with pytest.raises(ValueError):
-            BandwidthModel(saturation_threshold=1.5)

@@ -7,8 +7,8 @@ import pytest
 from repro.obs.slo import RECOVERED, VIOLATION, SloMonitor
 
 
-def make_monitor(**kwargs):
-    monitor = SloMonitor(**kwargs)
+def make_monitor():
+    monitor = SloMonitor()
     monitor.register(1, deadline=10.0, instructions=100.0, now=0.0)
     return monitor
 
@@ -31,10 +31,6 @@ class TestRegistration:
     def test_non_positive_instructions_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             SloMonitor().register(1, deadline=1.0, instructions=0.0, now=0.0)
-
-    def test_negative_grace_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            SloMonitor(grace_fraction=-0.1)
 
 
 class TestTransitions:
@@ -77,13 +73,16 @@ class TestTransitions:
             SloMonitor().observe(1.0, 7, progress=0.0, rate=0.0) is None
         )
 
-    def test_grace_widens_the_deadline(self):
-        strict = make_monitor()
-        lenient = make_monitor(grace_fraction=2.0)
-        # Projected 11, deadline 10: strict violates, 2x-grace does not
-        # (allowed = 10 + 2.0 * (10 - 0) = 30).
-        assert strict.observe(1.0, 1, progress=0.0, rate=10.0) == VIOLATION
-        assert lenient.observe(1.0, 1, progress=0.0, rate=10.0) is None
+    def test_deadline_is_exact(self):
+        # Projected exactly at the deadline: on track.  Projected one
+        # float past it: a violation, with no grace.
+        on_time = make_monitor()
+        assert on_time.observe(0.0, 1, progress=0.0, rate=10.0) is None
+        late = make_monitor()
+        past = math.nextafter(10.0, math.inf) - 10.0
+        assert late.observe(past, 1, progress=0.0, rate=10.0) == VIOLATION
+        projected = late.report(now=past).for_job(1).last_projected
+        assert projected == math.nextafter(10.0, math.inf)
 
 
 class TestViolationFraction:

@@ -8,7 +8,6 @@ import pytest
 from repro.sim.engine import (
     RUN_DRAINED,
     RUN_EVENT_BUDGET,
-    RUN_HORIZON,
     RUN_STOPPED,
     RUN_WALL_CLOCK_BUDGET,
     EventQueue,
@@ -97,16 +96,6 @@ class TestCancellation:
 
 
 class TestRunControls:
-    def test_until_horizon(self):
-        queue = EventQueue()
-        fired = []
-        queue.schedule(1.0, lambda t: fired.append(t))
-        queue.schedule(10.0, lambda t: fired.append(t))
-        queue.run(until=5.0)
-        assert fired == [1.0]
-        queue.run()
-        assert fired == [1.0, 10.0]
-
     def test_stop_when_predicate(self):
         queue = EventQueue()
         fired = []
@@ -115,7 +104,8 @@ class TestRunControls:
         queue.run(stop_when=lambda: len(fired) >= 2)
         assert fired == [1.0, 2.0]
 
-    def test_event_budget_guards_runaway(self):
+    def test_event_budget_guards_runaway(self, monkeypatch):
+        monkeypatch.setattr(EventQueue, "MAX_EVENTS", 100)
         queue = EventQueue()
 
         def reschedule(t):
@@ -123,7 +113,8 @@ class TestRunControls:
 
         queue.schedule(0.0, reschedule)
         with pytest.raises(RuntimeError, match="budget"):
-            queue.run(max_events=100)
+            queue.run()
+        assert queue.events_fired == 100
 
     def test_step_returns_false_when_empty(self):
         assert EventQueue().step() is False
@@ -175,7 +166,6 @@ class TestRunBudgets:
         queue = EventQueue()
         queue.schedule(1.0, lambda time: None)
         queue.schedule(10.0, lambda time: None)
-        assert queue.run(until=5.0) == RUN_HORIZON
         assert queue.run(stop_when=lambda: True) == RUN_STOPPED
         assert queue.run() == RUN_DRAINED
 
@@ -184,6 +174,25 @@ class TestRunBudgets:
             RunBudget(max_events=-1)
         with pytest.raises(ValueError):
             RunBudget(max_wall_seconds=-0.5)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_events", math.nan),
+            ("max_events", math.inf),
+            ("max_events", 2.0),
+            ("max_events", True),
+            ("max_events", "5"),
+            ("max_wall_seconds", math.nan),
+            ("max_wall_seconds", math.inf),
+            ("max_wall_seconds", -math.inf),
+        ],
+    )
+    def test_non_finite_or_non_integral_budget_rejected(self, field, value):
+        # A NaN compares False with every count and clock reading, so
+        # it would never stop a run.
+        with pytest.raises(ValueError, match=field):
+            RunBudget(**{field: value})
 
 
 class TestHeapCompaction:
@@ -300,13 +309,6 @@ class TestFireInline:
         queue.schedule(2.0, lambda t: None).cancel()
         assert self._first_event_asks(queue, 2.5) == (True, RUN_DRAINED)
 
-    @pytest.mark.parametrize("time, fires", [(1.5, True), (2.0, False)])
-    def test_refused_past_until(self, time, fires):
-        assert self._first_event_asks(EventQueue(), time, until=1.5) == (
-            fires,
-            RUN_DRAINED,
-        )
-
     @pytest.mark.parametrize("allowance, fires", [(1, False), (2, True)])
     def test_refused_at_exhausted_event_budget(self, allowance, fires):
         queue = EventQueue()
@@ -352,7 +354,8 @@ class TestFireInline:
         assert answers == [True, False]
         assert queue.events_fired == 2
 
-    def test_counts_toward_the_runaway_guard(self):
+    def test_counts_toward_the_runaway_guard(self, monkeypatch):
+        monkeypatch.setattr(EventQueue, "MAX_EVENTS", 100)
         queue = EventQueue()
 
         def spin(t):
@@ -362,7 +365,7 @@ class TestFireInline:
 
         queue.schedule(0.0, spin)
         with pytest.raises(RuntimeError, match="budget"):
-            queue.run(max_events=100)
+            queue.run()
         assert queue.events_fired == 100
 
     def test_rejects_nan_and_past_times(self):
@@ -509,13 +512,6 @@ class TestPopInline:
             RUN_DRAINED,
         )
 
-    @pytest.mark.parametrize("until, fires", [(2.0, True), (1.5, False)])
-    def test_refused_past_until(self, until, fires):
-        queue = EventQueue()
-        answer, outcome = self._first_event_pops(queue, 2.0, until=until)
-        assert answer is fires
-        assert outcome == (RUN_DRAINED if fires else RUN_HORIZON)
-
     @pytest.mark.parametrize("allowance, fires", [(1, False), (2, True)])
     def test_refused_at_exhausted_event_budget(self, allowance, fires):
         queue = EventQueue()
@@ -568,7 +564,8 @@ class TestPopInline:
         assert queue.events_fired == 2
 
     @pytest.mark.parametrize("max_events, fires", [(1, False), (2, True)])
-    def test_refused_at_the_runaway_guard(self, max_events, fires):
+    def test_refused_at_the_runaway_guard(self, max_events, fires, monkeypatch):
+        monkeypatch.setattr(EventQueue, "MAX_EVENTS", max_events)
         queue = EventQueue()
         answers = []
         handles = {}
@@ -580,6 +577,6 @@ class TestPopInline:
         )
         handles["target"] = queue.schedule(2.0, lambda t: None)
         with pytest.raises(RuntimeError, match="budget"):
-            queue.run(max_events=max_events)
+            queue.run()
         assert answers == [fires]
         assert queue.events_fired == max_events

@@ -37,6 +37,7 @@ from repro.core.policy import (
     make_policy,
 )
 from repro.faults import FaultConfig
+import repro.faults.model as fault_model
 from repro.faults.checkpoint import (
     checkpoint_simulator,
     load_checkpoint,
@@ -417,13 +418,14 @@ def _without_compactions(metrics_lines):
     return kept, compactions
 
 
-def test_observed_run_writes_identical_artifacts(mix_curves):
+def test_observed_run_writes_identical_artifacts(mix_curves, monkeypatch):
     """Brown-outs derate the bus to a quarter here, so it saturates and
     re-dated probes must count saturated intervals as derivations do."""
     workload = mixed_workload(
         "Mix-1", CONFIGURATIONS["All-Strict+AutoDown"], seed=0
     )
-    faults = FaultConfig(seed=0, bandwidth_derate_factor=0.25, **FAULT_RATES)
+    monkeypatch.setattr(fault_model, "BANDWIDTH_DERATE_FACTOR", 0.25)
+    faults = FaultConfig(seed=0, **FAULT_RATES)
     artifacts = []
     compaction_counts = []
     for cls in (Shipped, AlwaysDerive):

@@ -17,7 +17,19 @@ class TestParser:
         assert args.verify_command == "diff"
         assert args.pairs == ["backend", "jobs", "faults"]
         assert args.seed == 0
-        assert args.rel_tol == 0.0 and args.abs_tol == 0.0
+        assert not hasattr(args, "rel_tol") and not hasattr(args, "abs_tol")
+
+    @pytest.mark.parametrize("command", ["diff", "laws", "fuzz", "replay"])
+    @pytest.mark.parametrize("flag", ["--rel-tol", "--abs-tol"])
+    def test_tolerance_flags_exit_2(self, command, flag, capsys):
+        # Every verify comparison is exact: a tolerance is refused.
+        argv = ["verify", command, flag, "0.1"]
+        if command == "replay":
+            argv.append("case.json")
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_diff_fig_choices(self):
         args = build_parser().parse_args(
