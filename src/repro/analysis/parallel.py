@@ -47,10 +47,10 @@ processes never see the parent's in-memory observer), ships the
 telemetry back once per chunk, and the parent folds the chunk
 observers into its own **in input order**.  Counters add, gauges take
 the last write in input order, summaries replay their retained samples,
-events rebase onto the parent's sequence space (across chunk
-boundaries), trace spans append verbatim.  Because serial execution
-visits the same points in the same order, ``--jobs N`` produces
-byte-identical metric snapshots to ``--jobs 1``.
+and events rebase onto the parent's sequence space (across chunk
+boundaries).  Because serial execution visits the same points in the
+same order, ``--jobs N`` produces byte-identical metric snapshots and
+event streams to ``--jobs 1``.
 """
 
 from __future__ import annotations

@@ -42,6 +42,7 @@ from repro.analysis.runner import run_point
 from repro.analysis.store import ResultStore, content_digest, modules_fingerprint
 from repro.obs.diff import DiffReport, diff_snapshots
 from repro.util.atomicio import write_atomic_text
+from repro.util.validation import check_power_of_two
 
 #: Version of the sweep *file* schema (the user-authored input).
 SWEEP_FILE_VERSION = 1
@@ -91,6 +92,16 @@ def code_fingerprint() -> str:
 # -- sweep points and specs --------------------------------------------------
 
 
+def _check_integer(
+    name: str, value: object, *, minimum: Optional[int] = None
+) -> None:
+    """Require an integer (a bool is not one) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 @dataclass(frozen=True)
 class SweepPoint:
     """One scenario: a workload under a configuration, plus knobs.
@@ -114,7 +125,15 @@ class SweepPoint:
     def __post_init__(self) -> None:
         from repro.core.config import CONFIGURATIONS
         from repro.workloads.benchmarks import BENCHMARKS
+        from repro.workloads.composer import REQUESTED_WAYS
 
+        # A point is checked where it enters, so a bad sweep file fails
+        # at load time with the field's name, not inside a run.
+        for name in ("workload", "configuration"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(
+                    f"{name} must be a string, got {getattr(self, name)!r}"
+                )
         valid_workloads = set(BENCHMARKS) | {"Mix-1", "Mix-2"}
         if self.workload not in valid_workloads:
             raise ValueError(
@@ -126,12 +145,20 @@ class SweepPoint:
                 f"unknown configuration {self.configuration!r}; expected "
                 f"one of {sorted(CONFIGURATIONS)}"
             )
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-        if self.l2_ways is not None and self.l2_ways < 2:
-            raise ValueError(
-                f"l2_ways must be >= 2, got {self.l2_ways}"
-            )
+        _check_integer("count", self.count, minimum=1)
+        _check_integer("seed", self.seed)
+        # None means the paper's default.  Every job of a sweep workload
+        # requests REQUESTED_WAYS ways, so a smaller L2 admits nothing.
+        for name, minimum in (
+            ("l2_ways", REQUESTED_WAYS),
+            ("instructions_per_job", 1),
+            ("profile_num_sets", 1),
+            ("profile_accesses", 1),
+        ):
+            if getattr(self, name) is not None:
+                _check_integer(name, getattr(self, name), minimum=minimum)
+        if self.profile_num_sets is not None:
+            check_power_of_two("profile_num_sets", self.profile_num_sets)
 
     def payload(self) -> Dict[str, object]:
         """Canonical scenario payload (every field, defaults included)."""
@@ -245,6 +272,8 @@ def sweep_from_dict(payload: dict) -> SweepSpec:
 
     points: List[SweepPoint] = []
     if has_points:
+        if not isinstance(payload["points"], list):
+            raise ValueError("'points' must be a list")
         for entry in payload["points"]:
             if not isinstance(entry, dict):
                 raise ValueError(f"point entries must be mappings: {entry!r}")

@@ -678,11 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable observability and write the structured event "
         "stream (JSONL, schema v1) here",
     )
-    perf.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="enable observability and write the causal span trees "
-        "(JSONL, one span per line) here",
-    )
 
     # Closed-loop policy selection, shared by the commands that drive
     # the QoS simulator (repro.core.policy registry names).
@@ -839,11 +834,11 @@ def build_parser() -> argparse.ArgumentParser:
     obs_diff.add_argument("baseline", help="baseline metrics snapshot")
     obs_diff.add_argument("current", help="current metrics snapshot")
     obs_diff.add_argument(
-        "--rel-tol", type=float, default=0.0,
+        "--rel-tol", type=_non_negative_float, default=0.0,
         help="relative tolerance per series (default: exact)",
     )
     obs_diff.add_argument(
-        "--abs-tol", type=float, default=0.0,
+        "--abs-tol", type=_non_negative_float, default=0.0,
         help="absolute tolerance per series (default: exact)",
     )
 
@@ -861,11 +856,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_tol = argparse.ArgumentParser(add_help=False)
     sweep_tol.add_argument(
-        "--rel-tol", type=float, default=0.0,
+        "--rel-tol", type=_non_negative_float, default=0.0,
         help="relative tolerance per figure of merit (default: exact)",
     )
     sweep_tol.add_argument(
-        "--abs-tol", type=float, default=0.0,
+        "--abs-tol", type=_non_negative_float, default=0.0,
         help="absolute tolerance per figure of merit (default: exact)",
     )
 
@@ -1051,7 +1046,6 @@ def _run_observed(args: argparse.Namespace) -> int:
     """
     metrics_out = getattr(args, "metrics_out", None)
     events_out = getattr(args, "events_out", None)
-    trace_out = getattr(args, "trace_out", None)
     observer = Observer()
     set_observer(observer)
     try:
@@ -1065,9 +1059,6 @@ def _run_observed(args: argparse.Namespace) -> int:
     if events_out:
         path = observer.events.write_jsonl(events_out)
         print(f"events written to {path}")
-    if trace_out:
-        path = observer.trace.write_jsonl(trace_out)
-        print(f"trace written to {path}")
     for line in footer:
         print(line)
     return code
@@ -1080,11 +1071,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # environment so --jobs workers inherit it.
     if getattr(args, "no_miss_cache", False):
         misscache.set_enabled(False)
-    if (
-        getattr(args, "metrics_out", None)
-        or getattr(args, "events_out", None)
-        or getattr(args, "trace_out", None)
-    ):
+    if getattr(args, "metrics_out", None) or getattr(args, "events_out", None):
         # --jobs N is fine here: parallel_map captures each worker's
         # telemetry and merges it deterministically, so the artifacts
         # match a serial run byte for byte.

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.obs import get_observer
-from repro.obs.trace import derive_trace_id
 from repro.util.stats import RunningStats
 from repro.util.validation import check_non_negative, check_positive
 
@@ -145,27 +144,6 @@ class _BusBase:
                     arrival=request.arrival,
                     finish=finish,
                     tag=request.tag,
-                )
-                # One trace per request, named by (core, submission
-                # sequence): a bus.request root split into the queueing
-                # wait and the service occupancy, so per-request latency
-                # decomposes by cause.
-                trace_id = derive_trace_id(
-                    "bus", request.core_id, request.sequence
-                )
-                root = obs.trace.span(
-                    trace_id,
-                    "bus.request",
-                    request.arrival,
-                    finish,
-                    core=request.core_id,
-                    tag=request.tag,
-                )
-                obs.trace.span(
-                    trace_id, "bus.queue", request.arrival, start, parent=root
-                )
-                obs.trace.span(
-                    trace_id, "bus.service", start, finish, parent=root
                 )
         return self.completed
 

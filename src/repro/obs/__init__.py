@@ -7,8 +7,6 @@ calls for):
   and summaries with hierarchical dotted names and labels.
 - :class:`~repro.obs.events.EventLog` — an append-only, seed-
   deterministic JSONL event stream with a versioned schema.
-- :class:`~repro.obs.trace.TraceLog` — causal span trees (request
-  traces) with ids derived from simulated identity, never randomness.
 - :class:`~repro.obs.profiler.PhaseProfiler` — context-manager spans
   measuring per-phase wall clock and engine event counts.
 - :class:`~repro.obs.slo.SloMonitor` — projection-based QoS/SLO
@@ -62,13 +60,6 @@ from repro.obs.slo import (
     SloMonitor,
     SloReport,
 )
-from repro.obs.trace import (
-    NullTraceLog,
-    Span,
-    TraceError,
-    TraceLog,
-    derive_trace_id,
-)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -80,16 +71,11 @@ __all__ = [
     "MetricsRegistry",
     "NULL_OBSERVER",
     "NullMetricsRegistry",
-    "NullTraceLog",
     "Observer",
     "PhaseProfiler",
     "PhaseRecord",
     "SloMonitor",
     "SloReport",
-    "Span",
-    "TraceError",
-    "TraceLog",
-    "derive_trace_id",
     "get_observer",
     "metric_key",
     "observed",
@@ -101,7 +87,7 @@ __all__ = [
 
 
 class Observer:
-    """A live observability hub: registry + events + traces + profiler."""
+    """A live observability hub: registry + events + profiler."""
 
     enabled = True
 
@@ -111,7 +97,6 @@ class Observer:
         # ``parallel_map`` (see MetricsRegistry.merge).
         self.metrics = MetricsRegistry(record_samples=record_samples)
         self.events = EventLog()
-        self.trace = TraceLog()
         self.profiler = PhaseProfiler()
 
     def absorb(self, other: "Observer") -> None:
@@ -119,14 +104,12 @@ class Observer:
 
         The parent-side half of the worker-telemetry contract: metrics
         merge (counters add, gauges last-write-wins, summaries replay),
-        events rebase onto this log's sequence space, trace spans append
-        verbatim (their ids embed the traced identity), and profiler
+        events rebase onto this log's sequence space, and profiler
         phases accumulate.  Applying workers in input order reproduces
         the serial run's telemetry.
         """
         self.metrics.merge(other.metrics)
         self.events.extend_rebased(other.events.records)
-        self.trace.merge(other.trace)
         self.profiler.merge(other.profiler)
 
 
@@ -163,7 +146,6 @@ class NullObserver(Observer):
         super().__init__()
         self.metrics = NullMetricsRegistry()
         self.events = _NullEventLog()
-        self.trace = NullTraceLog()
         self.profiler = _NullProfiler()
 
 

@@ -114,8 +114,8 @@ def diff_snapshots(
     Deltas come back sorted (added, removed, changed; series name
     within each class) so the report is deterministic.
     """
-    if rel_tol < 0 or abs_tol < 0:
-        raise ValueError("tolerances must be non-negative")
+    if not (rel_tol >= 0 and abs_tol >= 0):  # NaN fails too
+        raise ValueError("tolerances must be non-negative numbers")
 
     def index(records: List[dict]) -> Dict[Tuple[str, str], dict]:
         table: Dict[Tuple[str, str], dict] = {}

@@ -83,7 +83,6 @@ from repro.faults.resilience import (
 )
 from repro.obs import get_observer
 from repro.obs.slo import SloMonitor, SloReport
-from repro.obs.trace import derive_trace_id
 from repro.sim.config import (
     PROBE_INTERARRIVAL_FRACTION,
     MachineConfig,
@@ -150,11 +149,6 @@ class _JobRun:
     displaced: bool = False
     retry_attempt: int = 0
     best_effort: bool = False
-    # Causal tracing: the job's root span and its current lifecycle
-    # segment (queued / exec.* / displaced), both None when
-    # observability is off.
-    trace_root: Optional[object] = None
-    segment_span: Optional[object] = None
 
     def miss_increase_fraction(self) -> float:
         """Curve-predicted analogue of the shadow-tag comparison."""
@@ -1094,21 +1088,6 @@ class QoSSystemSimulator:
         )
         self._states[job.job_id] = state
         self._ways_history[job.job_id] = []
-        if obs.enabled:
-            # Trace id derives from (workload, configuration, job id) —
-            # the same job gets the same id in every run, making traces
-            # diffable across runs and mergeable across workers.
-            trace_id = derive_trace_id(
-                "job", self.workload.name, self.config.name, job.job_id
-            )
-            state.trace_root = obs.trace.start_span(
-                trace_id,
-                "job",
-                now,
-                job=job.job_id,
-                benchmark=spec.benchmark,
-                mode=spec.mode.describe(),
-            )
         if self._slo is not None and job.deadline is not None:
             self._slo.register(
                 job.job_id,
@@ -1142,41 +1121,9 @@ class QoSSystemSimulator:
             elif start <= now + 1e-12:
                 self._dispatch_reserved(state, now)
             else:
-                self._trace_segment(state, "queued", now)
                 self.events.schedule(
                     start, self._make_reserved_dispatch(job.job_id)
                 )
-
-    # -- causal tracing -----------------------------------------------------------------
-
-    def _trace_segment(self, state: _JobRun, name: str, now: float) -> None:
-        """Close the job's current lifecycle segment and open ``name``.
-
-        Segments (``queued``, ``exec.opportunistic``, ``exec.reserved``,
-        ``displaced``) are children of the job's root span; contiguous
-        and non-overlapping, so the root's breakdown decomposes the
-        job's end-to-end latency by cause.
-        """
-        obs = get_observer()
-        if not obs.enabled or state.trace_root is None:
-            return
-        if state.segment_span is not None and state.segment_span.end is None:
-            obs.trace.end_span(state.segment_span, now)
-        state.segment_span = obs.trace.start_span(
-            state.trace_root.trace_id, name, now, parent=state.trace_root
-        )
-
-    def _trace_finish(self, state: _JobRun, now: float, status: str) -> None:
-        """Close the job's open segment and root span at a terminal event."""
-        obs = get_observer()
-        if not obs.enabled or state.trace_root is None:
-            return
-        if state.segment_span is not None and state.segment_span.end is None:
-            obs.trace.end_span(state.segment_span, now)
-        state.segment_span = None
-        if state.trace_root.end is None:
-            obs.trace.end_span(state.trace_root, now, status=status)
-        state.trace_root = None
 
     # -- dispatch -----------------------------------------------------------------------
 
@@ -1184,7 +1131,6 @@ class QoSSystemSimulator:
         state.running = True
         state.reserved_running = False
         state.job.mark_started(now, core_id=-1)
-        self._trace_segment(state, "exec.opportunistic", now)
 
     def _make_reserved_dispatch(self, job_id: int):
         def dispatch(now: float) -> None:
@@ -1256,7 +1202,6 @@ class QoSSystemSimulator:
         if self.record_trace:
             self.trace.finish(now, state.job.job_id)
         self._terminations += 1
-        self._trace_finish(state, now, "terminated")
         if self._slo is not None:
             self._slo.finish(now, state.job.job_id, met_deadline=False)
         obs = get_observer()
@@ -1316,7 +1261,6 @@ class QoSSystemSimulator:
         state.core_id = core
         state.reserved_running = True
         state.policy_ways = None
-        self._trace_segment(state, "exec.reserved", now)
         if not state.running:
             state.running = True
             if state.job.state is JobState.ACCEPTED:
@@ -1811,7 +1755,6 @@ class QoSSystemSimulator:
             self.lac.release(state.reservation, at_time=now)
         if self.record_trace:
             self.trace.finish(now, state.job.job_id)
-        self._trace_finish(state, now, "completed")
         if self._slo is not None:
             self._slo.finish(
                 now, state.job.job_id, met_deadline=state.job.met_deadline
@@ -1991,7 +1934,10 @@ class QoSSystemSimulator:
         if obs.enabled:
             obs.metrics.counter("sim.faults.displacements").inc()
             obs.events.emit("displacement", now, job_id=job.job_id)
-        self._trace_segment(state, "displaced", now)
+        # Off its core and ways until it resumes: the next derivation
+        # that runs it opens a new segment.
+        if self.record_trace:
+            self.trace.finish(now, job.job_id)
         if state.reservation is not None:
             self.lac.release(state.reservation, at_time=now)
             state.reservation = None
@@ -2137,7 +2083,6 @@ class QoSSystemSimulator:
         state.running = True
         state.reserved_running = False
         state.core_id = -1
-        self._trace_segment(state, "exec.opportunistic", now)
 
     def _record_downgrade(
         self,

@@ -10,7 +10,7 @@ arms, and every observable compared:
   stack profile, and the sweep run on each set.  Curves must match
   point-for-point and every downstream scalar byte-for-byte.
 - **jobs** — the same sweep with ``jobs=1`` versus ``jobs=N``
-  multiprocessing.  Counter snapshots *and* the metrics/events/trace
+  multiprocessing.  Counter snapshots *and* the metrics and events
   JSONL artifact streams must be byte-identical (the observer-merge
   contract of :mod:`repro.analysis.parallel`).
 - **faults** — each configuration run with ``fault_config=None``
@@ -274,7 +274,6 @@ class ArmResult:
     results: Dict[str, SystemResult]
     metrics_lines: List[str] = field(default_factory=list)
     events_lines: List[str] = field(default_factory=list)
-    trace_lines: List[str] = field(default_factory=list)
 
 
 def _run_sweep_arm(
@@ -302,7 +301,6 @@ def _run_sweep_arm(
         results=results,
         metrics_lines=list(telemetry.metrics.to_jsonl_lines()),
         events_lines=list(telemetry.events.to_jsonl_lines()),
-        trace_lines=list(telemetry.trace.to_jsonl_lines()),
     )
 
 
@@ -331,7 +329,6 @@ def _run_fault_arm(
         results=results,
         metrics_lines=list(telemetry.metrics.to_jsonl_lines()),
         events_lines=list(telemetry.events.to_jsonl_lines()),
-        trace_lines=list(telemetry.trace.to_jsonl_lines()),
     )
 
 
@@ -513,9 +510,6 @@ def _jobs_pair(scenario: Scenario) -> PairReport:
     report.checks.append(
         _compare_stream("events", arm_a.events_lines, arm_b.events_lines)
     )
-    report.checks.append(
-        _compare_stream("trace", arm_a.trace_lines, arm_b.trace_lines)
-    )
     return report
 
 
@@ -654,8 +648,8 @@ def _policy_pair(scenario: Scenario) -> PairReport:
     # inflate the engine's own bookkeeping (events-fired totals, pending
     # counts at stop), so engine.* series and engine.run_end records are
     # exempt from the stream comparison and checked to have grown;
-    # every simulator-level counter, metric, event, and trace line must
-    # agree byte-for-byte.
+    # every simulator-level counter, metric and event must agree
+    # byte-for-byte.
     curves = profile_scenario_curves(scenario)
     bare = dataclasses.replace(scenario, policy=None)
     for jobs in (1, scenario.jobs):
@@ -690,11 +684,6 @@ def _policy_pair(scenario: Scenario) -> PairReport:
                 f"events[{suffix}]",
                 _without_event_kind(arm_a.events_lines, "engine.run_end"),
                 _without_event_kind(arm_b.events_lines, "engine.run_end"),
-            )
-        )
-        report.checks.append(
-            _compare_stream(
-                f"trace[{suffix}]", arm_a.trace_lines, arm_b.trace_lines
             )
         )
     return report

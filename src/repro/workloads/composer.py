@@ -31,6 +31,9 @@ from repro.util.validation import check_positive
 from repro.workloads.arrival import DeadlineClass, DeadlinePolicy
 from repro.workloads.benchmarks import get_benchmark
 
+#: L2 ways each job of a composed workload requests.
+REQUESTED_WAYS = 7
+
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -45,7 +48,7 @@ class JobSpec:
     benchmark: str
     mode: ExecutionMode
     deadline_class: DeadlineClass
-    requested_ways: int = 7
+    requested_ways: int = REQUESTED_WAYS
     requested_cores: int = 1
     max_wall_clock: Optional[float] = None
 
@@ -93,7 +96,7 @@ def single_benchmark_workload(
     *,
     count: int = 10,
     seed: int = 42,
-    requested_ways: int = 7,
+    requested_ways: int = REQUESTED_WAYS,
     deadline_policy: Optional[DeadlinePolicy] = None,
 ) -> WorkloadSpec:
     """Ten identical-benchmark jobs with configuration-assigned modes.
@@ -164,7 +167,7 @@ def mixed_workload(
     *,
     count: int = 10,
     seed: int = 42,
-    requested_ways: int = 7,
+    requested_ways: int = REQUESTED_WAYS,
     deadline_policy: Optional[DeadlinePolicy] = None,
 ) -> WorkloadSpec:
     """A Table 3 mixed-benchmark workload under ``configuration``."""

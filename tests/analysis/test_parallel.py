@@ -167,7 +167,6 @@ class TestDriversSerialParallelIdentity:
             return (
                 "\n".join(obs.metrics.to_jsonl_lines()),
                 "\n".join(obs.events.to_jsonl_lines()),
-                "\n".join(obs.trace.to_jsonl_lines()),
             )
 
         serial = run(1)

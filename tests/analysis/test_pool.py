@@ -132,9 +132,6 @@ class TestObserverMerge:
         assert list(parallel.events.to_jsonl_lines()) == list(
             serial.events.to_jsonl_lines()
         )
-        assert list(parallel.trace.to_jsonl_lines()) == list(
-            serial.trace.to_jsonl_lines()
-        )
 
     def test_null_observer_ships_no_telemetry(self):
         results = parallel_map(_observed_point, [1, 2, 3, 4], jobs=2)

@@ -145,6 +145,10 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match="exactly one"):
             sweep_from_dict(spec_payload(points=[]))
 
+    def test_points_must_be_a_list(self):
+        with pytest.raises(ValueError, match="'points' must be a list"):
+            sweep_from_dict({"version": 1, "name": "p", "points": 3})
+
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             sweep_from_dict(
@@ -218,10 +222,9 @@ class TestCodeFingerprint:
         "repro.util.atomicio": "atomic file writes",
         "repro.analysis.parallel": "hands each point to its worker",
         # The artifact carries the metrics snapshot and the SLO report,
-        # not the event log, the causal spans or host timings.
+        # not the event log or host timings.
         "repro.obs.events": "event log",
         "repro.obs.profiler": "host-time phases",
-        "repro.obs.trace": "causal spans",
         "repro.util.validation": "only raises",
         # Spec parsing, digests, status, reports and diffs: a point's
         # fields are in its digest, and it is simulated by run_point.

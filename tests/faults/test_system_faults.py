@@ -14,7 +14,12 @@ These tests pin the acceptance criteria of the fault layer:
 
 import pytest
 
-from repro.core.config import ALL_STRICT, HYBRID_2
+from repro.core.config import (
+    ALL_STRICT,
+    ALL_STRICT_AUTODOWN,
+    HYBRID_1,
+    HYBRID_2,
+)
 from repro.core.job import JobState
 from repro.core.modes import ExecutionMode, ModeKind
 from repro.faults import (
@@ -26,13 +31,14 @@ from repro.faults import (
     resume_simulator,
     save_checkpoint,
 )
-from repro.sim.config import SimulationConfig
+from repro.sim.config import MachineConfig, SimulationConfig
 from repro.sim.engine import RUN_EVENT_BUDGET, RUN_WALL_CLOCK_BUDGET, RunBudget
 from repro.sim.system import QoSSystemSimulator
 from repro.workloads.arrival import DeadlineClass
 from repro.workloads.composer import (
     JobSpec,
     WorkloadSpec,
+    mixed_workload,
     single_benchmark_workload,
 )
 
@@ -167,6 +173,44 @@ class TestReadmission:
         # and both jobs still met their (relaxed) deadlines.
         assert all(j.state is JobState.COMPLETED for j in result.jobs)
         assert result.deadline_report.hit_rate == 1.0
+
+
+class TestDisplacedJobsLeaveTheTrace:
+    """A displaced job holds no core and no ways until it resumes, so
+    the Figure 7 trace must show it nowhere in between: at every
+    segment boundary of a seeded fault run, the jobs the trace shows
+    running fit the node."""
+
+    @pytest.mark.parametrize("mix", ["Mix-1", "Mix-2"])
+    @pytest.mark.parametrize(
+        "configuration",
+        [ALL_STRICT, HYBRID_1, HYBRID_2, ALL_STRICT_AUTODOWN],
+        ids=lambda configuration: configuration.name,
+    )
+    def test_every_breakpoint_fits_the_node(
+        self, fake_curves, mix, configuration
+    ):
+        machine = MachineConfig()
+        displacements = 0
+        for seed in range(6):
+            faults = FaultConfig(
+                seed=seed, core_failure_rate=8.0, core_stall_rate=4.0
+            )
+            result = QoSSystemSimulator(
+                mixed_workload(mix, configuration, seed=seed),
+                curves=fake_curves,
+                fault_config=faults,
+            ).run()
+            displacements += result.resilience.displacements
+            trace = result.trace
+            for t in trace.breakpoints():
+                assert trace.cores_in_use_at(t) <= machine.num_cores + 1e-9, (
+                    f"seed {seed}: {trace.cores_in_use_at(t)} cores at {t}"
+                )
+                assert trace.ways_in_use_at(t) <= machine.l2_ways, (
+                    f"seed {seed}: {trace.ways_in_use_at(t)} ways at {t}"
+                )
+        assert displacements > 0, "no job was displaced: nothing audited"
 
 
 class TestOtherFaultKinds:

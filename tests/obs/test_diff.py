@@ -1,5 +1,7 @@
 """Tests for cross-run regression diffing of metrics snapshots."""
 
+import math
+
 import pytest
 
 from repro.obs.diff import diff_snapshots
@@ -110,6 +112,14 @@ class TestTolerances:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             diff_snapshots([], [], rel_tol=-1.0)
+
+    @pytest.mark.parametrize("tolerance", ["rel_tol", "abs_tol"])
+    def test_nan_tolerance_rejected(self, tolerance):
+        """A NaN tolerance used to call every series a regression."""
+        with pytest.raises(ValueError, match="non-negative"):
+            diff_snapshots(
+                [gauge("g", 1.0)], [gauge("g", 1.0)], **{tolerance: math.nan}
+            )
 
 
 class TestReporting:

@@ -36,13 +36,6 @@ class TestDefaults:
         assert len(observer.metrics) == 0
         assert observer.metrics.snapshot() == []
 
-    def test_null_trace_stores_nothing(self):
-        reset_observer()
-        trace = get_observer().trace
-        span = trace.start_span("deadbeefdeadbeef", "root", 0.0)
-        trace.end_span(span, 1.0)
-        assert len(trace) == 0
-
     def test_set_and_reset(self):
         live = Observer()
         set_observer(live)
@@ -143,15 +136,14 @@ class TestEndToEndDeterminism:
 
 class TestAbsorb:
     def test_absorb_merges_every_sink(self):
-        from repro.obs.trace import derive_trace_id
-
         parent = Observer()
         parent.events.emit("parent", 0.0)
         worker = Observer(record_samples=True)
         worker.metrics.counter("done").inc(2)
         worker.metrics.summary("wall").add(1.5)
         worker.events.emit("worker", 1.0)
-        worker.trace.span(derive_trace_id("w"), "work", 0.0, 1.0)
+        with worker.profiler.span("work"):
+            pass
         parent.absorb(worker)
         assert parent.metrics.value_of("done") == 2
         assert parent.metrics.summary("wall").count == 1
@@ -160,7 +152,7 @@ class TestAbsorb:
             "worker",
         ]
         assert [r["seq"] for r in parent.events.records] == [0, 1]
-        assert len(parent.trace) == 1
+        assert parent.profiler.record("work").entries == 1
 
     def test_absorb_in_order_matches_serial(self):
         """Absorbing worker observers in input order reproduces what

@@ -15,9 +15,10 @@ through the queue, and every advance walks every admitted job.  Each
 scenario runs under both and must give the same ``fingerprint()``, run
 its probes, epochs, completions and steal intervals in the same order,
 and leave the same live heap entries, in the same schedule order,
-whenever the run loop takes control; observed runs, and runs a budget
-stops inside a train, must write the same metrics, events and trace
-JSONL.  A second oracle keeps the epoch that built a sensor for every
+whenever the run loop takes control; observed runs must write the
+same metrics and events JSONL and record the same execution-trace
+segments, and runs a budget stops inside a train the same events.  A
+second oracle keeps the epoch that built a sensor for every
 running job and an actuator view at every epoch.
 """
 
@@ -445,7 +446,7 @@ def test_observed_run_writes_identical_artifacts(mix_curves, monkeypatch):
                 result.fingerprint(),
                 metrics,
                 list(telemetry.events.to_jsonl_lines()),
-                list(telemetry.trace.to_jsonl_lines()),
+                result.trace.segments,
             )
         )
         compaction_counts.append(compactions)

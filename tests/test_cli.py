@@ -213,39 +213,12 @@ class TestObservabilityFlags:
 
 
 class TestTraceFlag:
-    def test_trace_out_parses_and_defaults_off(self):
-        args = build_parser().parse_args(["fig7"])
-        assert args.trace_out is None
-        args = build_parser().parse_args(["fig7", "--trace-out", "t.jsonl"])
-        assert args.trace_out == "t.jsonl"
-
-    def test_faults_writes_trace_artifact(self, tmp_path, capsys):
-        import json
-
-        trace = tmp_path / "trace.jsonl"
-        assert (
-            main(
-                [
-                    "faults",
-                    "--max-events",
-                    "2000",
-                    "--trace-out",
-                    str(trace),
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "trace written to" in out
-        records = [
-            json.loads(line)
-            for line in trace.read_text().splitlines()
-        ]
-        assert records, "trace artefact is empty"
-        roots = [r for r in records if r["parent_id"] is None]
-        assert any(r["name"] == "job" for r in roots)
-        # Every span is closed: lifecycle instrumentation is complete.
-        assert all(r["end"] is not None for r in records)
+    def test_trace_out_exits_2(self, capsys):
+        """A run writes metrics and events only: no span-trace flag."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig7", "bzip2", "--trace-out", "t.jsonl"])
+        assert excinfo.value.code == 2
+        assert "--trace-out" in capsys.readouterr().err
 
 
 class TestObsCommand:
@@ -477,6 +450,42 @@ class TestSweepCommand:
             "sweep both: 1/2 point(s) in store, 1 missing",
             f"  missing: {missing}",
         ]
+
+    @pytest.mark.parametrize("command", ["status", "run"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("count", 2.5),
+            ("count", True),
+            ("seed", "7"),
+            ("l2_ways", 2.5),
+            ("l2_ways", 3),
+            ("instructions_per_job", 0),
+            ("instructions_per_job", "x"),
+            ("profile_num_sets", 3),
+            ("profile_accesses", -1),
+            ("workload", ["bzip2"]),
+            ("configuration", 1),
+        ],
+    )
+    def test_bad_point_exits_2_naming_the_field(
+        self, tmp_path, capsys, monkeypatch, command, field, value
+    ):
+        """A point is checked where the sweep file is read: it used to
+        pass ``status`` as missing and crash ``run`` with a traceback."""
+        monkeypatch.setenv("REPRO_MISS_CACHE_DIR", str(tmp_path / "curves"))
+        point = {"workload": "bzip2", "configuration": "All-Strict"}
+        point[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(
+            json.dumps({"version": 1, "name": "bad", "points": [point]})
+        )
+        argv = ["sweep", command, str(path), "--store-dir", str(tmp_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"sweep: {field} must be ")
+        assert len(captured.err.splitlines()) == 1
 
     def test_missing_sweep_file_reports_error(self, tmp_path, capsys):
         assert (
@@ -854,6 +863,13 @@ class TestBadInputExits2:
             (["faults", "--max-seconds", "-1"], "--max-seconds"),
             (["obs", "top", "m.jsonl", "-n", "-1"], "-n/--count"),
             (["obs", "top", "m.jsonl", "-n", "0"], "-n/--count"),
+            (["obs", "diff", "a", "b", "--abs-tol", "-1"], "--abs-tol"),
+            (["obs", "diff", "a", "b", "--abs-tol", "nan"], "--abs-tol"),
+            (["obs", "diff", "a", "b", "--rel-tol", "-0.5"], "--rel-tol"),
+            (["sweep", "diff", "a", "b", "--rel-tol", "nan"], "--rel-tol"),
+            (["sweep", "diff", "a", "b", "--abs-tol", "-1"], "--abs-tol"),
+            (["sweep", "run", "s.json", "--rel-tol", "-1"], "--rel-tol"),
+            (["sweep", "run", "s.json", "--abs-tol", "inf"], "--abs-tol"),
         ],
         ids=[
             "diff-count",
@@ -872,6 +888,13 @@ class TestBadInputExits2:
             "max-seconds",
             "top-count-negative",
             "top-count-zero",
+            "obs-diff-abs-tol-negative",
+            "obs-diff-abs-tol-nan",
+            "obs-diff-rel-tol-negative",
+            "sweep-diff-rel-tol-nan",
+            "sweep-diff-abs-tol-negative",
+            "sweep-run-rel-tol-negative",
+            "sweep-run-abs-tol-inf",
         ],
     )
     def test_bad_value_is_refused_at_the_parser(self, capsys, argv, option):
@@ -879,6 +902,6 @@ class TestBadInputExits2:
             main(argv)
         assert exit_info.value.code == 2
         last = capsys.readouterr().err.strip().splitlines()[-1]
-        nested = argv[0] in ("verify", "obs")
+        nested = argv[0] in ("verify", "obs", "sweep")
         prog = "repro " + " ".join(argv[: 2 if nested else 1])
         assert last.startswith(f"{prog}: error: argument {option}: ")
