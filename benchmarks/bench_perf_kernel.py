@@ -255,9 +255,11 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    # The sweep keeps its full size in smoke mode: a few seconds of
-    # serial profiling is the least a jobs=2 reading needs to rise
-    # above a shared host's noise.
+    # The sweep keeps its full size in smoke mode: four curves of 40k
+    # accesses, a fraction of a second of serial profiling (0.12–0.19 s
+    # on a 2-vCPU VM).  A smaller sweep would time mostly each jobs
+    # round's fixed cost: forking, feeding and tearing down its pool
+    # (about 9 ms on the same VM).
     sweep_sets, sweep_accesses = 64, 40_000
     if args.smoke:
         kernel_accesses = 40_000

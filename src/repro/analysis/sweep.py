@@ -512,7 +512,13 @@ def diff_reports(
 
 
 def load_report(reference, *, store_dir=None) -> dict:
-    """Resolve a sweep report by path or by name within the store."""
+    """Resolve a sweep report by path or by name within the store.
+
+    A report :func:`report_metric_records` cannot read — ``points`` not
+    a list of objects, each with a string ``label`` and a
+    ``figures_of_merit`` object of numbers — raises ``ValueError``
+    naming the field.
+    """
     path = Path(reference)
     if not path.is_file():
         named = report_path_for(ResultStore(store_dir), str(reference))
@@ -530,4 +536,21 @@ def load_report(reference, *, store_dir=None) -> dict:
             f"unsupported sweep report version {version!r} in {path} "
             f"(expected {SWEEP_REPORT_VERSION})"
         )
+    points = payload.get("points")
+    if not isinstance(points, list):
+        raise ValueError(f"sweep report {path}: 'points' must be a list")
+    for index, point in enumerate(points):
+        field = f"sweep report {path}: points[{index}]"
+        if not isinstance(point, dict):
+            raise ValueError(f"{field} must be an object")
+        if not isinstance(point.get("label"), str):
+            raise ValueError(f"{field}.label must be a string")
+        figures = point.get("figures_of_merit")
+        if not isinstance(figures, dict) or not all(
+            isinstance(value, (int, float)) and not isinstance(value, bool)
+            for value in figures.values()
+        ):
+            raise ValueError(
+                f"{field}.figures_of_merit must be an object of numbers"
+            )
     return payload

@@ -18,6 +18,8 @@ from __future__ import annotations
 import json
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.obs.events import EventSchemaError, validate_record
+
 
 def summary_dict(
     records: List[dict], events: Optional[List[dict]] = None
@@ -73,7 +75,7 @@ def _is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _metrics_problem(record: dict) -> Optional[str]:
+def _metrics_problem(record: dict, index: int) -> Optional[str]:
     """Why ``record`` is not one ``MetricsRegistry`` writes, or ``None``."""
     kind, name = record.get("type"), record.get("name")
     if kind not in _METRIC_FIELDS:
@@ -91,14 +93,26 @@ def _metrics_problem(record: dict) -> Optional[str]:
     return None
 
 
-def _events_problem(record: dict) -> Optional[str]:
-    if "kind" not in record or "t" not in record:
-        return f"not an event stream (record {record!r})"
+def _events_problem(record: dict, index: int) -> Optional[str]:
+    """Why ``record`` cannot be event ``index`` of a stream, or ``None``.
+
+    The schema's own check, as :func:`repro.obs.events.validate_jsonl`
+    applies it: the loader accepts exactly the streams it accepts.
+    """
+    try:
+        validate_record(record, expect_seq=index)
+    except EventSchemaError as error:
+        return f"not an event stream ({error})"
     return None
 
 
-def _load_jsonl(path, problem: Callable[[dict], Optional[str]]) -> List[dict]:
-    """Parse ``path``; a record ``problem`` objects to raises ``ValueError``."""
+def _load_jsonl(
+    path, problem: Callable[[dict, int], Optional[str]]
+) -> List[dict]:
+    """Parse ``path``; a record ``problem`` objects to raises ``ValueError``.
+
+    ``problem`` sees each record with its index among the records.
+    """
     records: List[dict] = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -113,7 +127,7 @@ def _load_jsonl(path, problem: Callable[[dict], Optional[str]]) -> List[dict]:
                 ) from None
             if not isinstance(record, dict):
                 raise ValueError(f"{path}:{line_number}: not a JSON object")
-            complaint = problem(record)
+            complaint = problem(record, len(records))
             if complaint is not None:
                 raise ValueError(f"{path}:{line_number}: {complaint}")
             records.append(record)
@@ -130,7 +144,11 @@ def load_metrics_jsonl(path) -> List[dict]:
 
 
 def load_events_jsonl(path) -> List[dict]:
-    """Parse an event stream written by ``EventLog.write_jsonl``."""
+    """Parse an event stream written by ``EventLog.write_jsonl``.
+
+    Accepts exactly the streams ``validate_jsonl`` accepts; any other
+    record raises a ``ValueError`` naming the path and the line.
+    """
     return _load_jsonl(path, _events_problem)
 
 

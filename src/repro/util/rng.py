@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import List, Sequence, TypeVar
+from typing import Callable, List, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -54,6 +54,17 @@ class DeterministicRng:
 
     # -- scalar draws -----------------------------------------------------
 
+    @property
+    def random(self) -> Callable[[], float]:
+        """The stream's raw ``[0, 1)`` draw, ``random.Random.random`` itself.
+
+        ``uniform()`` with its defaults returns exactly its value
+        (``0.0 + 1.0 * r``).  Call it as ``rng.random()``, or bind
+        ``draw = rng.random`` once before a per-access loop so each draw
+        is a single C call.
+        """
+        return self._random.random
+
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         """Draw a float uniformly from ``[low, high)``."""
         return self._random.uniform(low, high)
@@ -70,41 +81,6 @@ class DeterministicRng:
         if mean <= 0:
             raise ValueError(f"exponential mean must be positive, got {mean}")
         return self._random.expovariate(1.0 / mean)
-
-    def zipf_index(self, n: int, alpha: float = 1.0) -> int:
-        """Draw an index in ``[0, n)`` with Zipf(alpha) popularity.
-
-        Implemented by inverse-CDF over the truncated harmonic weights;
-        the CDF is cached per ``(n, alpha)`` pair because trace
-        generators draw millions of indices from the same distribution.
-        """
-        cdf = self._zipf_cdf(n, alpha)
-        u = self._random.random()
-        lo, hi = 0, n - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cdf[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    def _zipf_cdf(self, n: int, alpha: float) -> List[float]:
-        key = (n, alpha)
-        cache = getattr(self, "_zipf_cache", None)
-        if cache is None:
-            cache = {}
-            self._zipf_cache = cache
-        if key not in cache:
-            weights = [1.0 / ((i + 1) ** alpha) for i in range(n)]
-            total = sum(weights)
-            acc = 0.0
-            cdf = []
-            for w in weights:
-                acc += w
-                cdf.append(acc / total)
-            cache[key] = cdf
-        return cache[key]
 
     # -- collection draws -------------------------------------------------
 

@@ -3,14 +3,18 @@
 A benchmark's L2 access stream is modelled as a weighted interleaving
 of pattern primitives (loops, Zipf pools, streams).  Each component gets
 a private, non-overlapping address region; per access, one component is
-drawn by weight and asked for its next address.  Traces come out as two
-flat lists (:meth:`TraceGenerator.address_block`), which the profiler
-draws once per curve and measures at every way count in one pass.
+drawn by weight and asked for its next address.  Traces come out as
+flat lists: :meth:`TraceGenerator.address_block` draws addresses and
+write flags, :meth:`TraceGenerator.addresses` the addresses alone,
+which the profiler draws once per curve and measures at every way count
+in one pass.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Sequence, Tuple
 
 from repro.util.rng import DeterministicRng
@@ -84,7 +88,13 @@ class TraceGenerator:
             needed = component.pattern.region_bytes()
             slots = (needed + self.REGION_ALIGNMENT - 1) // self.REGION_ALIGNMENT
             region += max(1, slots) * self.REGION_ALIGNMENT
-        self._weights = [component.weight for component in self.components]
+        # What ``random.choices`` would derive on every pick, derived
+        # once: a pick is its own ``bisect(cum, random() * total, 0, hi)``
+        # on the pick stream's raw draw, so it picks the same component.
+        self._cum_weights = list(accumulate(c.weight for c in self.components))
+        self._total_weight = self._cum_weights[-1] + 0.0
+        self._last_component = len(self.components) - 1
+        self._next_addresses = [c.pattern.next_address for c in self.components]
         self._pick_rng = rng.stream("component-pick")
         self._write_rng = rng.stream("write-pick")
         self._bound = True
@@ -94,28 +104,38 @@ class TraceGenerator:
         """Total footprint of all components, in ways-worth of blocks."""
         return sum(component.pattern.footprint_ways for component in self.components)
 
-    def address_block(self, count: int) -> Tuple[List[int], List[bool]]:
-        """Draw the next ``count`` accesses as ``(addresses, writes)``.
+    def addresses(self, count: int) -> List[int]:
+        """Draw the next ``count`` addresses, without write flags.
 
-        Two flat lists, the shape ``access_block`` takes, rather than an
-        object or tuple per access.  Successive calls continue the same
-        stream, so a trace drawn in several blocks is the same trace.
+        One component pick and one ``next_address`` per access, in the
+        order :meth:`address_block` draws them.  The write flags come
+        from a stream of their own, so leaving them out changes no
+        address: the LRU stack pass, which reads no flag, draws only
+        these.
         """
         if not self._bound:
             raise RuntimeError("bind() must be called before generating")
         check_positive("count", count)
-        addresses: List[int] = []
-        writes: List[bool] = []
-        write_rng, write_fraction = self._write_rng, self.write_fraction
-        components = self.components
-        if len(components) == 1:
-            only = components[0].pattern
-            for _ in range(count):
-                addresses.append(only.next_address())
-                writes.append(write_rng.uniform() < write_fraction)
-            return addresses, writes
-        for _ in range(count):
-            component = self._pick_rng.weighted_choice(components, self._weights)
-            addresses.append(component.pattern.next_address())
-            writes.append(write_rng.uniform() < write_fraction)
-        return addresses, writes
+        next_addresses = self._next_addresses
+        if len(next_addresses) == 1:
+            only = next_addresses[0]
+            return [only() for _ in range(count)]
+        pick = self._pick_rng.random
+        cum, total, hi = self._cum_weights, self._total_weight, self._last_component
+        return [
+            next_addresses[bisect(cum, pick() * total, 0, hi)]()
+            for _ in range(count)
+        ]
+
+    def address_block(self, count: int) -> Tuple[List[int], List[bool]]:
+        """Draw the next ``count`` accesses as ``(addresses, writes)``.
+
+        Two flat lists, the shape ``access_block`` takes, rather than an
+        object or tuple per access: :meth:`addresses`, then one
+        write-flag draw per access (``random() < write_fraction``).
+        Successive calls continue the same streams, so a trace drawn in
+        several blocks is the same trace.
+        """
+        addresses = self.addresses(count)
+        draw, write_fraction = self._write_rng.random, self.write_fraction
+        return addresses, [draw() < write_fraction for _ in range(count)]

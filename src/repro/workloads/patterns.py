@@ -25,6 +25,8 @@ sensitivity classes (Figure 4):
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Sequence
 
 from repro.util.rng import DeterministicRng
@@ -115,12 +117,21 @@ class ZipfPattern(AccessPattern):
     def _on_bind(self) -> None:
         # Scatter popularity ranks over the region so that hot blocks are
         # spread across sets rather than clustered in the first sets.
-        self._rank_to_block = list(range(self.num_blocks))
-        self.rng.shuffle(self._rank_to_block)
+        rank_to_block = list(range(self.num_blocks))
+        self.rng.shuffle(rank_to_block)
+        self._rank_address = [self._block_to_address(b) for b in rank_to_block]
+        # Inverse CDF over the truncated harmonic weights 1 / rank**alpha,
+        # built once: a profile draws tens of thousands of ranks from it.
+        weights = [1.0 / ((i + 1) ** self.alpha) for i in range(self.num_blocks)]
+        total = sum(weights)
+        self._cdf = [acc / total for acc in accumulate(weights)]
+        self._last_rank = self.num_blocks - 1
+        self._draw = self.rng.random
 
     def next_address(self) -> int:
-        rank = self.rng.zipf_index(self.num_blocks, self.alpha)
-        return self._block_to_address(self._rank_to_block[rank])
+        # The first rank whose CDF reaches the draw, else the last rank.
+        rank = bisect_left(self._cdf, self._draw(), 0, self._last_rank)
+        return self._rank_address[rank]
 
 
 class PhasedPattern(AccessPattern):

@@ -134,7 +134,8 @@ def measure_miss_rates(
     construction.
 
     One trace is drawn (``warmup`` accesses, then ``accesses``
-    measured ones).  On the ``"fast"`` backend one LRU stack pass
+    measured ones).  On the ``"fast"`` backend it is drawn without
+    write flags and one LRU stack pass
     (:func:`~repro.cache.fastsim.lru_stack_misses`) counts its misses
     at every way count, so the fast points are monotone by
     construction.  ``backend="reference"`` replays the trace into one
@@ -155,22 +156,24 @@ def measure_miss_rates(
         block_bytes=block_bytes,
         rng=DeterministicRng(seed, f"profile-{profile.name}"),
     )
-    warm = generator.address_block(warmup) if warmup else None
-    addresses, writes = generator.address_block(accesses)
-    points: Dict[int, float] = {}
     if backend == "fast":
         # One LRU stack pass counts the misses at every way count at
         # once; ``misses / accesses`` is the division
-        # ``BatchCounters.miss_rate`` makes on a per-way replay.
+        # ``BatchCounters.miss_rate`` makes on a per-way replay.  The
+        # pass reads no write flag, so none is drawn: the flags' own
+        # stream leaves every address as ``address_block`` draws it.
+        warm = generator.addresses(warmup) if warmup else ()
+        addresses = generator.addresses(accesses)
         depth = max(ways_list, default=1)  # an empty list reads nothing
         misses = lru_stack_misses(
             CacheGeometry.from_sets(num_sets, depth, block_bytes),
             addresses,
-            warm[0] if warm else (),
+            warm,
         )
-        for ways in ways_list:
-            points[ways] = misses[ways] / accesses
-        return points
+        return {ways: misses[ways] / accesses for ways in ways_list}
+    warm = generator.address_block(warmup) if warmup else None
+    addresses, writes = generator.address_block(accesses)
+    points: Dict[int, float] = {}
     for ways in ways_list:
         geometry = CacheGeometry.from_sets(num_sets, ways, block_bytes)
         cache = make_cache(

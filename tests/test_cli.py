@@ -744,6 +744,79 @@ class TestBadInputExits2:
         assert message in err
         assert len(err.splitlines()) == 1
 
+    #: Sweep reports of the current version whose points ``sweep diff``
+    #: cannot read, and the field each complaint names.
+    MALFORMED_REPORTS = {
+        "scalar-points": (3, "'points' must be a list"),
+        "scalar-point": ([3], "points[0] must be an object"),
+        "no-label": (
+            [{"figures_of_merit": {}}],
+            "points[0].label must be a string",
+        ),
+        "no-figures": (
+            [{"label": "a"}],
+            "points[0].figures_of_merit must be an object of numbers",
+        ),
+        "text-figure": (
+            [
+                {"label": "a", "figures_of_merit": {"x": 1.0}},
+                {"label": "b", "figures_of_merit": {"x": "1"}},
+            ],
+            "points[1].figures_of_merit must be an object of numbers",
+        ),
+        "bool-figure": (
+            [{"label": "a", "figures_of_merit": {"x": True}}],
+            "points[0].figures_of_merit must be an object of numbers",
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_REPORTS))
+    def test_sweep_diff_rejects_malformed_report(self, tmp_path, capsys, kind):
+        points, message = self.MALFORMED_REPORTS[kind]
+        path = tmp_path / "report.json"
+        path.write_text(
+            json.dumps({"version": 1, "name": "x", "points": points})
+        )
+        assert main(["sweep", "diff", str(path), str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"sweep: sweep report {path}: ")
+        assert message in err
+        assert len(err.splitlines()) == 1
+
+    def test_sweep_run_rejects_malformed_baseline(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_MISS_CACHE_DIR", str(tmp_path / "curves"))
+        spec = tmp_path / "s.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "name": "tiny",
+                    "defaults": {
+                        "instructions_per_job": 2_000_000,
+                        "profile_num_sets": 8,
+                        "profile_accesses": 2_000,
+                    },
+                    "points": [
+                        {"workload": "bzip2", "configuration": "All-Strict"}
+                    ],
+                }
+            )
+        )
+        store = ["--store-dir", str(tmp_path / "store")]
+        baseline = tmp_path / "baseline.json"
+        for points, message in self.MALFORMED_REPORTS.values():
+            baseline.write_text(
+                json.dumps({"version": 1, "name": "x", "points": points})
+            )
+            argv = ["sweep", "run", str(spec), *store, "--baseline", str(baseline)]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"sweep: sweep report {baseline}: ")
+            assert message in err
+            assert len(err.splitlines()) == 1
+
     def test_obs_summarize_rejects_bad_events_file(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.jsonl"
         metrics.write_text('{"name":"n","type":"counter","value":1}\n')
@@ -755,6 +828,55 @@ class TestBadInputExits2:
         err = capsys.readouterr().err
         assert err.startswith("obs: ")
         assert "No such file" in err
+
+    #: Event records ``obs.events.validate_jsonl`` refuses, each on the
+    #: second line after a valid first event, and its complaint.
+    MALFORMED_EVENTS = {
+        "text-time": (
+            {"v": 1, "seq": 1, "t": "x", "kind": "admission"},
+            "bad event time 'x'",
+        ),
+        "list-field": (
+            {"v": 1, "seq": 1, "t": 2.0, "kind": "admission", "jobs": [1]},
+            "field 'jobs' is not a JSON scalar",
+        ),
+        "no-seq": (
+            {"v": 1, "t": 2.0, "kind": "admission"},
+            "event missing envelope field 'seq'",
+        ),
+        "seq-gap": (
+            {"v": 1, "seq": 2, "t": 2.0, "kind": "admission"},
+            "non-dense sequence: expected 1, got 2",
+        ),
+        "other-version": (
+            {"v": 2, "seq": 1, "t": 2.0, "kind": "admission"},
+            "schema version 2 != 1",
+        ),
+        "empty-kind": (
+            {"v": 1, "seq": 1, "t": 2.0, "kind": ""},
+            "bad event kind ''",
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_EVENTS))
+    def test_obs_summarize_rejects_malformed_events(
+        self, tmp_path, capsys, kind
+    ):
+        record, message = self.MALFORMED_EVENTS[kind]
+        metrics = tmp_path / "metrics.jsonl"
+        metrics.write_text('{"name":"n","type":"counter","value":1}\n')
+        events = tmp_path / "events.jsonl"
+        events.write_text(
+            '{"v":1,"seq":0,"t":1.0,"kind":"admission"}\n'
+            + json.dumps(record)
+            + "\n"
+        )
+        argv = ["obs", "summarize", str(metrics), "--events", str(events)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"obs: {events}:2: not an event stream (")
+        assert message in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "kind, message",

@@ -69,17 +69,12 @@ class TestDraws:
         with pytest.raises(ValueError):
             DeterministicRng(1).exponential(0.0)
 
-    def test_zipf_range(self):
-        rng = DeterministicRng(1)
-        draws = [rng.zipf_index(10, 1.0) for _ in range(500)]
-        assert all(0 <= d < 10 for d in draws)
-
-    def test_zipf_skew(self):
-        rng = DeterministicRng(1)
-        draws = [rng.zipf_index(100, 1.2) for _ in range(5000)]
-        head = sum(1 for d in draws if d < 10)
-        tail = sum(1 for d in draws if d >= 90)
-        assert head > 5 * max(tail, 1)
+    def test_random_is_the_raw_draw_uniform_scales(self):
+        a = DeterministicRng(1)
+        b = DeterministicRng(1)
+        draws = [a.random() for _ in range(100)]
+        assert all(0.0 <= d < 1.0 for d in draws)
+        assert draws == [b.uniform() for _ in range(100)]
 
     def test_choice_and_empty(self):
         rng = DeterministicRng(1)

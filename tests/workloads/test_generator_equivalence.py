@@ -1,14 +1,17 @@
 """Trace generation in flat lists against the per-access oracle.
 
 ``TraceGenerator.address_block`` returns a trace as two flat lists,
-and ``measure_miss_rates`` draws one trace per curve and counts every
-way count's misses in one LRU stack pass.  The oracles below are the
+``TraceGenerator.addresses`` its addresses alone, and
+``measure_miss_rates`` draws one trace per curve and counts every way
+count's misses in one LRU stack pass.  The oracles below are the
 per-access loop they replaced, kept verbatim: one ``weighted_choice``
 per component pick, one ``next_address`` per access and
 ``uniform() < wf`` per write flag, all drawn from the generator's
-bound streams; and a per-way replay that regenerates the trace for
-each way count's own cache.  Every miss-ratio curve, golden and stored
-curve rests on them agreeing access for access.
+bound streams; the Zipf draw ``ZipfPattern`` replaced, the harmonic
+CDF built entry by entry and searched by a ``while lo < hi`` loop on
+the pattern's own stream; and a per-way replay that regenerates the
+trace for each way count's own cache.  Every miss-ratio curve, golden
+and stored curve rests on them agreeing access for access.
 """
 
 import pytest
@@ -43,10 +46,9 @@ def oracle_trace(generator, count):
                 )
             )
         return trace
+    weights = [component.weight for component in components]
     for _ in range(count):
-        component = generator._pick_rng.weighted_choice(
-            components, generator._weights
-        )
+        component = generator._pick_rng.weighted_choice(components, weights)
         trace.append(
             (
                 component.pattern.next_address(),
@@ -54,6 +56,40 @@ def oracle_trace(generator, count):
             )
         )
     return trace
+
+
+def oracle_zipf_addresses(pattern, twin, count):
+    """``count`` Zipf draws as the old ``DeterministicRng.zipf_index`` made them.
+
+    ``twin`` is a fresh copy of the stream ``pattern`` was bound to.
+    The ranks are shuffled over the blocks, the harmonic CDF is built
+    entry by entry, and each draw searches it with a ``while lo < hi``
+    loop for the first rank whose CDF reaches the draw.
+    """
+    n, alpha = pattern.num_blocks, pattern.alpha
+    rank_to_block = list(range(n))
+    twin.shuffle(rank_to_block)
+    weights = [1.0 / ((i + 1) ** alpha) for i in range(n)]
+    total = sum(weights)
+    acc = 0.0
+    cdf = []
+    for w in weights:
+        acc += w
+        cdf.append(acc / total)
+    addresses = []
+    for _ in range(count):
+        u = twin._random.random()
+        lo, hi = 0, n - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if cdf[mid] < u:
+                lo = mid + 1
+            else:
+                hi = mid
+        addresses.append(
+            pattern.region_base + rank_to_block[lo] * pattern.block_bytes
+        )
+    return addresses
 
 
 def bound_pair(make, *, num_sets=16, seed=5):
@@ -159,6 +195,41 @@ class TestAddressBlock:
             assert block_trace(block, *splits) == oracle_trace(oracle, 4000)
 
 
+class TestZipfDraw:
+    """``ZipfPattern`` against the search it replaced, draw for draw."""
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.0, 1.3])
+    @pytest.mark.parametrize("num_blocks", [1, 2, 7, 96, 1000])
+    def test_matches_the_per_draw_search(self, num_blocks, alpha):
+        pattern = ZipfPattern(num_blocks / 16, alpha=alpha)
+        pattern.bind(
+            num_sets=16,
+            block_bytes=64,
+            region_base=1 << 30,
+            rng=DeterministicRng(5, "zipf"),
+        )
+        assert pattern.num_blocks == num_blocks
+        twin = DeterministicRng(5, "zipf")
+        expected = oracle_zipf_addresses(pattern, twin, 4000)
+        assert [pattern.next_address() for _ in range(4000)] == expected
+        # One draw per access, as before: the streams end level.
+        assert pattern.rng.uniform() == twin.uniform()
+
+
+class TestAddresses:
+    @pytest.mark.parametrize("name", sorted(MIXTURES))
+    def test_addresses_are_the_block_addresses(self, name):
+        alone, block = bound_pair(MIXTURES[name])
+        addresses, _ = block.address_block(3000)
+        assert alone.addresses(1000) + alone.addresses(2000) == addresses
+
+    @pytest.mark.parametrize("name", ["bzip2", "gobmk", "sjeng"])
+    def test_addresses_match_the_oracle(self, name):
+        alone, oracle = bound_pair(BENCHMARKS[name].make_generator)
+        expected = [address for address, _ in oracle_trace(oracle, 3000)]
+        assert alone.addresses(3000) == expected
+
+
 def regenerating_oracle(
     profile, *, ways_list, num_sets, block_bytes, accesses, warmup, seed, backend
 ):
@@ -180,6 +251,32 @@ def regenerating_oracle(
         addresses, writes = zip(*trace[warmup:])
         points[ways] = cache.access_block(addresses, writes).miss_rate
     return points
+
+
+class RefusingStream:
+    """A write stream that fails the test when anything is drawn from it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from the write stream ({name})")
+
+
+def refuse_write_streams(monkeypatch):
+    """Make every generator's ``write-pick`` stream a ``RefusingStream``.
+
+    Returns the list of refusing streams built, so a test can check
+    that the generator it drives really got one.
+    """
+    built = []
+    stream = DeterministicRng.stream
+
+    def refusing_stream(self, label):
+        if label != "write-pick":
+            return stream(self, label)
+        built.append(RefusingStream())
+        return built[-1]
+
+    monkeypatch.setattr(DeterministicRng, "stream", refusing_stream)
+    return built
 
 
 def assert_matches_oracle(name, **overrides):
@@ -240,8 +337,36 @@ class TestMeasureMissRates:
             raise AssertionError("generated a trace for a bad ways_list")
 
         monkeypatch.setattr(TraceGenerator, "address_block", refuse)
-        with pytest.raises(ValueError, match="ways must be positive"):
-            measure_miss_rates(BENCHMARKS["bzip2"], ways_list=(2, 0))
+        monkeypatch.setattr(TraceGenerator, "addresses", refuse)
+        for backend in ("fast", "reference"):
+            with pytest.raises(ValueError, match="ways must be positive"):
+                measure_miss_rates(
+                    BENCHMARKS["bzip2"], ways_list=(2, 0), backend=backend
+                )
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_fast_backend_draws_no_write_flag(self, monkeypatch, name):
+        kwargs = dict(
+            ways_list=tuple(range(1, 17)),
+            num_sets=4,
+            block_bytes=64,
+            accesses=600,
+            warmup=200,
+            seed=11,
+            backend="fast",
+        )
+        expected = regenerating_oracle(BENCHMARKS[name], **kwargs)
+        refusing = refuse_write_streams(monkeypatch)
+        measured = measure_miss_rates(BENCHMARKS[name], **kwargs)
+        assert len(refusing) == 1  # the generator's write stream
+        assert list(measured.items()) == list(expected.items())
+
+    def test_reference_backend_still_draws_write_flags(self, monkeypatch):
+        refuse_write_streams(monkeypatch)
+        with pytest.raises(AssertionError, match="drew from the write stream"):
+            measure_miss_rates(
+                BENCHMARKS["bzip2"], ways_list=(1, 2), backend="reference"
+            )
 
 
 class TestLruStackMisses:

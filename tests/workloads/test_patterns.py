@@ -81,6 +81,25 @@ class TestZipfPattern:
         # The hottest block is much hotter than the median block.
         assert frequencies[0] > 5 * frequencies[len(frequencies) // 2]
 
+    def test_zipf_range(self):
+        # Ten blocks: every draw is one of them, block-aligned.
+        pattern = bind(ZipfPattern(1.25, alpha=1.0), num_sets=8, base=1 << 20)
+        assert pattern.num_blocks == 10
+        offsets = [pattern.next_address() - (1 << 20) for _ in range(500)]
+        assert all(offset % 64 == 0 for offset in offsets)
+        assert {offset // 64 for offset in offsets} <= set(range(10))
+
+    def test_zipf_skew(self):
+        # A hundred blocks at alpha 1.2: the ten hottest blocks draw far
+        # more than the ten coldest (uniform draws would give about 2x).
+        pattern = bind(ZipfPattern(12.5, alpha=1.2), num_sets=8)
+        counts = [0] * pattern.num_blocks
+        for _ in range(5000):
+            counts[pattern.next_address() // 64] += 1
+        counts.sort(reverse=True)
+        assert len(counts) == 100
+        assert sum(counts[:10]) > 5 * max(sum(counts[-10:]), 1)
+
     def test_deterministic_given_seed(self):
         a = bind(ZipfPattern(2.0), seed=9)
         b = bind(ZipfPattern(2.0), seed=9)
